@@ -6,7 +6,7 @@ windowed self-training loop, and quantifies naive-vs-adaptive detection
 decay with cumulative TPR/FPR/AUC.
 """
 
-from .engine import DEFAULT_STATE_LIMIT, MultiMatcher, compile_set, match_many, match_one, match_set
+from .engine import DEFAULT_STATE_LIMIT, MultiMatcher, compile_set, match_many, match_one
 from .errors import (
     CapacityError,
     DisjointnessViolation,
@@ -31,7 +31,7 @@ from .metrics import Counts, WindowRecord, accumulate, auc_point, rates, read_re
 from .model import Model, load_model, save_model
 from .patterns import Atom, Pattern, Quant, exact_pattern, parse_pattern, render_pattern
 from .streams import DriftConfig, Event, bootstrap_label, gen_synthetic, load_blacklist, load_tsv, write_tsv
-from .tracking import WindowOutcome, predict, run_tracking, run_window
+from .tracking import WindowOutcome, run_tracking, run_window
 
 __version__ = "0.1.0"
 
@@ -74,9 +74,7 @@ __all__ = [
     "load_tsv",
     "match_many",
     "match_one",
-    "match_set",
     "parse_pattern",
-    "predict",
     "rates",
     "read_report",
     "render_pattern",

@@ -1,42 +1,22 @@
-"""Hot matching loops: numba-jitted kernels with a pure-numpy fallback.
+"""Hot matching loops, vectorized with numpy across the subject strings.
 
 Two kernels dominate runtime: the pattern-set x string-set match matrix
 used by the learner, and the combined-automaton scan used to label
-events.  Both exist twice with identical semantics:
-
-* ``*_numba`` -- per-element loops compiled with ``@njit``; and
-* ``*_numpy`` -- the same recurrence vectorized across strings.
-
-The module-level names ``nfa_match_matrix`` / ``dfa_match_any`` point at
-the numba versions when numba imports cleanly, and at the numpy versions
-otherwise or when ``DRIFTSIG_DISABLE_NUMBA=1`` is set in the
-environment.  ``benchmarks/bench_kernels.py`` times one against the
-other.
+events.  Both take flat arrays: patterns as packed by
+``engine.pack_patterns`` and subjects as encoded by
+``alphabet.encode_many``.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .alphabet import CODE_ANY, CODE_OTHER
 
-_ENV_FLAG = "DRIFTSIG_DISABLE_NUMBA"
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-try:
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-NUMBA_ENABLED = HAVE_NUMBA and not _numba_disabled()
+# There is one numpy implementation of each kernel; these flags are kept
+# so that callers reporting the kernel path can still read them.
+HAVE_NUMBA = False
+NUMBA_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +41,7 @@ def _pad_strings(scodes, s_off):
     return padded, lengths
 
 
-def nfa_match_matrix_numpy(codes, loop, skip, pat_off, pat_flags, scodes, s_off):
+def nfa_match_matrix(codes, loop, skip, pat_off, pat_flags, scodes, s_off):
     """Match every pattern against every string; returns a bool matrix."""
     n_pat = len(pat_off) - 1
     n_str = len(s_off) - 1
@@ -116,9 +96,9 @@ def nfa_match_matrix_numpy(codes, loop, skip, pat_off, pat_flags, scodes, s_off)
     return out
 
 
-def nfa_match_any_numpy(codes, loop, skip, pat_off, pat_flags, scodes, s_off):
+def nfa_match_any(codes, loop, skip, pat_off, pat_flags, scodes, s_off):
     """Per pattern: does it match at least one of the strings?"""
-    return nfa_match_matrix_numpy(codes, loop, skip, pat_off, pat_flags, scodes, s_off).any(axis=1)
+    return nfa_match_matrix(codes, loop, skip, pat_off, pat_flags, scodes, s_off).any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +108,7 @@ def nfa_match_any_numpy(codes, loop, skip, pat_off, pat_flags, scodes, s_off):
 # ---------------------------------------------------------------------------
 
 
-def dfa_match_any_numpy(trans, hit_run, hit_end, scodes, s_off):
+def dfa_match_any(trans, hit_run, hit_end, scodes, s_off):
     """For each string, True when the automaton reports any match."""
     n_str = len(s_off) - 1
     if n_str == 0:
@@ -144,155 +124,3 @@ def dfa_match_any_numpy(trans, hit_run, hit_end, scodes, s_off):
         matched |= (hit_run[states] != 0) & ok
     matched |= hit_end[states] != 0
     return matched
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _nfa_match_matrix_jit(codes, loop, skip, pat_off, pat_flags, scodes, s_off, out):
-        n_pat = pat_off.shape[0] - 1
-        n_str = s_off.shape[0] - 1
-        for p in prange(n_pat):
-            a = pat_off[p]
-            n = pat_off[p + 1] - a
-            anch_start = (pat_flags[p] & 1) != 0
-            anch_end = (pat_flags[p] & 2) != 0
-            active = np.zeros(n + 1, dtype=np.uint8)
-            fresh = np.zeros(n + 1, dtype=np.uint8)
-            for j in range(n_str):
-                for i in range(n + 1):
-                    active[i] = 0
-                active[0] = 1
-                for i in range(n):
-                    if skip[a + i] != 0 and active[i] != 0:
-                        active[i + 1] = 1
-                matched = (not anch_end) and active[n] != 0
-                if not matched:
-                    for t in range(s_off[j], s_off[j + 1]):
-                        c = scodes[t]
-                        fresh[0] = 0 if anch_start else 1
-                        for i in range(n):
-                            pc = codes[a + i]
-                            if pc == CODE_ANY:
-                                hit = c != CODE_OTHER
-                            else:
-                                hit = c == pc
-                            feed = active[i] != 0
-                            if loop[a + i] != 0 and active[i + 1] != 0:
-                                feed = True
-                            fresh[i + 1] = 1 if (hit and feed) else 0
-                        for i in range(n):
-                            if skip[a + i] != 0 and fresh[i] != 0:
-                                fresh[i + 1] = 1
-                        tmp = active
-                        active = fresh
-                        fresh = tmp
-                        if (not anch_end) and active[n] != 0:
-                            matched = True
-                            break
-                    if anch_end:
-                        matched = active[n] != 0
-                out[p, j] = 1 if matched else 0
-
-    @njit(cache=True, parallel=True)
-    def _nfa_match_any_jit(codes, loop, skip, pat_off, pat_flags, scodes, s_off, out):
-        n_pat = pat_off.shape[0] - 1
-        n_str = s_off.shape[0] - 1
-        for p in prange(n_pat):
-            a = pat_off[p]
-            n = pat_off[p + 1] - a
-            anch_start = (pat_flags[p] & 1) != 0
-            anch_end = (pat_flags[p] & 2) != 0
-            active = np.zeros(n + 1, dtype=np.uint8)
-            fresh = np.zeros(n + 1, dtype=np.uint8)
-            hit_any = False
-            for j in range(n_str):
-                for i in range(n + 1):
-                    active[i] = 0
-                active[0] = 1
-                for i in range(n):
-                    if skip[a + i] != 0 and active[i] != 0:
-                        active[i + 1] = 1
-                matched = (not anch_end) and active[n] != 0
-                if not matched:
-                    for t in range(s_off[j], s_off[j + 1]):
-                        c = scodes[t]
-                        fresh[0] = 0 if anch_start else 1
-                        for i in range(n):
-                            pc = codes[a + i]
-                            if pc == CODE_ANY:
-                                hit = c != CODE_OTHER
-                            else:
-                                hit = c == pc
-                            feed = active[i] != 0
-                            if loop[a + i] != 0 and active[i + 1] != 0:
-                                feed = True
-                            fresh[i + 1] = 1 if (hit and feed) else 0
-                        for i in range(n):
-                            if skip[a + i] != 0 and fresh[i] != 0:
-                                fresh[i + 1] = 1
-                        tmp = active
-                        active = fresh
-                        fresh = tmp
-                        if (not anch_end) and active[n] != 0:
-                            matched = True
-                            break
-                    if anch_end:
-                        matched = active[n] != 0
-                if matched:
-                    hit_any = True
-                    break
-            out[p] = 1 if hit_any else 0
-
-    @njit(cache=True, parallel=True)
-    def _dfa_match_any_jit(trans, hit_run, hit_end, scodes, s_off, out):
-        n_str = s_off.shape[0] - 1
-        for j in prange(n_str):
-            state = 0
-            matched = hit_run[0] != 0
-            if not matched:
-                for t in range(s_off[j], s_off[j + 1]):
-                    state = trans[state, scodes[t]]
-                    if hit_run[state] != 0:
-                        matched = True
-                        break
-                if not matched:
-                    matched = hit_end[state] != 0
-            out[j] = 1 if matched else 0
-
-    def nfa_match_matrix_numba(codes, loop, skip, pat_off, pat_flags, scodes, s_off):
-        n_pat = len(pat_off) - 1
-        n_str = len(s_off) - 1
-        out = np.zeros((n_pat, n_str), dtype=np.uint8)
-        if n_pat and n_str:
-            _nfa_match_matrix_jit(codes, loop, skip, pat_off, pat_flags, scodes, s_off, out)
-        return out.astype(bool)
-
-    def dfa_match_any_numba(trans, hit_run, hit_end, scodes, s_off):
-        n_str = len(s_off) - 1
-        out = np.zeros(n_str, dtype=np.uint8)
-        if n_str:
-            _dfa_match_any_jit(trans, hit_run, hit_end, scodes, s_off, out)
-        return out.astype(bool)
-
-    def nfa_match_any_numba(codes, loop, skip, pat_off, pat_flags, scodes, s_off):
-        n_pat = len(pat_off) - 1
-        out = np.zeros(n_pat, dtype=np.uint8)
-        if n_pat and len(s_off) > 1:
-            _nfa_match_any_jit(codes, loop, skip, pat_off, pat_flags, scodes, s_off, out)
-        return out.astype(bool)
-
-else:  # pragma: no cover - numba is a declared dependency
-    nfa_match_matrix_numba = None
-    nfa_match_any_numba = None
-    dfa_match_any_numba = None
-
-
-if NUMBA_ENABLED:
-    nfa_match_matrix = nfa_match_matrix_numba
-    nfa_match_any = nfa_match_any_numba
-    dfa_match_any = dfa_match_any_numba
-else:
-    nfa_match_matrix = nfa_match_matrix_numpy
-    nfa_match_any = nfa_match_any_numpy
-    dfa_match_any = dfa_match_any_numpy

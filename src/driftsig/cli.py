@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_track.add_argument("--window-size", type=int, default=1000)
     p_track.add_argument("--out", required=True, help="metrics CSV path")
     p_track.add_argument("--snapshots", help="directory for model_gen<k>.txt snapshots")
-    p_track.add_argument("--blacklist", help="category<TAB>domain file overriding truth labels")
+    p_track.add_argument("--blacklist", help="category<TAB>domain file relabeling the --in stream")
     p_track.add_argument("--positive-categories", default="ads",
                          help="comma-separated blacklist categories treated as positive")
     _add_drift_flags(p_track)
@@ -153,13 +153,16 @@ def cmd_learn(args) -> int:
 
 
 def cmd_track(args) -> int:
+    if args.blacklist and not args.in_path:
+        raise ValueError("--blacklist needs --in")
     if args.in_path:
         events = load_tsv(args.in_path)
         if args.blacklist:
-            categories = [c for c in args.positive_categories.split(",") if c]
             blacklist = load_blacklist(args.blacklist)
+            categories = [c for c in args.positive_categories.split(",") if c]
+            positive = set().union(*(blacklist.get(c, ()) for c in categories))
             events = (
-                e.__class__(e.seq, e.value, bootstrap_label(e.value, blacklist, categories))
+                e.__class__(e.seq, e.value, bootstrap_label(e.value, positive))
                 for e in events
             )
     else:

@@ -1,12 +1,15 @@
 """Matching engine: per-pattern simulation and a combined multi-pattern automaton.
 
-Each pattern compiles to a short chain of states: state 0 is the start
-and state ``i`` means "first ``i`` atoms consumed".  Quantifiers become
-two flags per atom (may repeat; may be skipped), so simulation is a
-linear scan over states -- no backtracking.  ``MultiMatcher`` glues all
-chains into one subset-construction automaton so a whole pattern set is
-matched in a single pass over the input, with one table lookup per
-character regardless of how many patterns are loaded.
+Each pattern is a short chain of states: state 0 is the start and
+state ``i`` means "first ``i`` atoms consumed".  Quantifiers become two
+flags per atom (may repeat; may be skipped), so simulation is a linear
+scan over states -- no backtracking.  :func:`pack_patterns` is the one
+place that encodes atoms into these flat arrays.  The learner's kernels
+simulate the chains directly; :func:`compile_set` lays the same chains
+back to back and glues them into one subset-construction automaton, so
+a whole pattern set is matched in a single pass over the input, with
+one table lookup per character regardless of how many patterns are
+loaded.
 """
 
 from __future__ import annotations
@@ -58,11 +61,8 @@ def match_many(patterns, values) -> np.ndarray:
 
 
 def match_any_of(patterns, values) -> np.ndarray:
-    """Boolean vector: entry [p] is True when pattern p matches some value.
-
-    Same result as ``match_many(...).any(axis=1)`` but may stop scanning a
-    pattern at its first hit.
-    """
+    """Boolean vector: entry [p] is True when pattern p matches some value,
+    the same result as ``match_many(...).any(axis=1)``."""
     codes, loop, skip, offsets, flags = pack_patterns(patterns)
     scodes, s_off = encode_many(values)
     return _kernels.nfa_match_any(codes, loop, skip, offsets, flags, scodes, s_off)
@@ -123,23 +123,8 @@ class MultiMatcher:
         matched.update(self._end_ids[states[-1]])
         return matched
 
-    def match_any(self, value: str) -> bool:
-        """True when at least one pattern matches ``value``."""
-        if self._always:
-            return True
-        state = 0
-        if self._hit_run[0]:
-            return True
-        trans = self._trans
-        hit_run = self._hit_run
-        for c in encode(value):
-            state = int(trans[state, c])
-            if hit_run[state]:
-                return True
-        return bool(self._hit_end[state])
-
     def match_any_batch(self, values) -> np.ndarray:
-        """Vectorized :meth:`match_any` over a sequence of strings."""
+        """Per string: True when at least one pattern matches it."""
         if self._always:
             return np.ones(len(values), dtype=bool)
         scodes, s_off = encode_many(values)
@@ -152,31 +137,31 @@ def compile_set(patterns, state_limit: int = DEFAULT_STATE_LIMIT) -> MultiMatche
     Raises :class:`CapacityError` if subset construction needs more than
     ``state_limit`` states.
     """
-    pats = [p for p in patterns]
-    n_states = sum(len(p.atoms) + 1 for p in pats)
+    pats = list(patterns)
+    codes, loop, skip, offsets, flags = pack_patterns(pats)
 
-    # flat chain-NFA arrays; state layout per pattern: start, then one
-    # state per atom, chains laid out back to back
-    code = np.zeros(n_states, dtype=np.int16)
-    loop = np.zeros(n_states, dtype=np.uint8)
-    skip = np.zeros(n_states, dtype=np.uint8)
-    is_start = np.zeros(n_states, dtype=bool)
-    accept_of = np.full(n_states, -1, dtype=np.int64)
-    starts = []
-    base = 0
-    for pid, pat in enumerate(pats):
-        starts.append(base)
-        is_start[base] = True
-        for i, atom in enumerate(pat.atoms, start=1):
-            code[base + i] = _atom_code(atom)
-            loop[base + i] = atom.quant in _LOOPING
-            skip[base + i] = atom.quant in _SKIPPABLE
-        accept_of[base + len(pat.atoms)] = pid
-        base += len(pat.atoms) + 1
+    # chain NFA over the packed atoms: a start state is inserted before
+    # each pattern's first atom, so pattern p starts at offsets[p] + p and
+    # accepts at offsets[p + 1] + p.  The subset construction indexes
+    # these one element at a time, which is much faster on Python lists
+    # than on numpy arrays.
+    first = offsets[:-1]
+    code = np.insert(codes, first, 0).tolist()
+    loop = np.insert(loop, first, 0).tolist()
+    skip = np.insert(skip, first, 0).tolist()
+    is_start = np.insert(np.zeros(len(codes), dtype=bool), first, True).tolist()
+    n_states = len(code)
+    pids = np.arange(len(pats))
+    starts = (first + pids).tolist()
+    accept_of = [-1] * n_states
+    for pid, state in enumerate((offsets[1:] + pids).tolist()):
+        accept_of[state] = pid
+    anchored_start = (flags & 1).tolist()
+    anchored_end = (flags & 2).tolist()
 
     def closed(states) -> set[int]:
         out = set(states)
-        for t in sorted(states):
+        for t in states:
             v = t + 1
             while v < n_states and not is_start[v] and skip[v]:
                 out.add(v)
@@ -201,7 +186,7 @@ def compile_set(patterns, state_limit: int = DEFAULT_STATE_LIMIT) -> MultiMatche
     # states of unanchored patterns plus their skip closures.  They are in
     # every subset, so they are factored out of the stored sets and their
     # per-symbol moves are computed once.
-    core = frozenset(closed({s for s, p in zip(starts, pats) if not p.anchored_start}))
+    core = frozenset(closed({s for s, anchored in zip(starts, anchored_start) if not anchored}))
     core_move = [frozenset(closed(move(core, sym)) - core) for sym in range(N_SYMBOLS)]
 
     start_store = frozenset(closed(set(starts)) - core)
@@ -228,25 +213,20 @@ def compile_set(patterns, state_limit: int = DEFAULT_STATE_LIMIT) -> MultiMatche
             row[sym] = nid
         rows.append(row)
 
-    trans = np.vstack(rows) if rows else np.zeros((1, N_SYMBOLS), dtype=np.int32)
+    trans = np.vstack(rows)
 
-    always = tuple(sorted(int(accept_of[t]) for t in core if accept_of[t] >= 0))
+    always = tuple(sorted(accept_of[t] for t in core if accept_of[t] >= 0))
     run_ids = []
     end_ids = []
     for store in stores:
         run, endl = [], []
         for t in store:
-            pid = int(accept_of[t])
+            pid = accept_of[t]
             if pid >= 0:
-                (endl if pats[pid].anchored_end else run).append(pid)
+                (endl if anchored_end[pid] else run).append(pid)
         run_ids.append(tuple(sorted(run)))
         end_ids.append(tuple(sorted(endl)))
     hit_run = np.array([1 if ids else 0 for ids in run_ids], dtype=np.uint8)
     hit_end = np.array([1 if ids else 0 for ids in end_ids], dtype=np.uint8)
 
     return MultiMatcher(pats, trans, hit_run, hit_end, tuple(run_ids), tuple(end_ids), always, state_limit)
-
-
-def match_set(matcher: MultiMatcher, value: str) -> set[int]:
-    """Indices of matcher patterns that match ``value``."""
-    return matcher.match_set(value)

@@ -42,7 +42,7 @@ class Model:
         return self._matcher
 
     def predict(self, value: str) -> int:
-        return 1 if self.matcher.match_any(value) else 0
+        return int(self.predict_batch([value])[0])
 
     def predict_batch(self, values) -> np.ndarray:
         """Labels (0/1) for a sequence of event strings."""

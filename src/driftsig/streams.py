@@ -207,17 +207,13 @@ def load_blacklist(path) -> dict[str, set[str]]:
     return categories
 
 
-def bootstrap_label(value: str, blacklist: dict[str, set[str]], positive_categories) -> int:
-    """1 when the value's registered-domain suffix sits in a positive category.
+def bootstrap_label(value: str, positive: set[str]) -> int:
+    """1 when a dot-boundary suffix of the value is a positive domain.
 
-    Suffix semantics: ``x.doubleclick.net`` inherits the label of
-    ``doubleclick.net``.
+    ``positive`` is the union of the blacklist's positive categories,
+    built once per stream.  Suffix semantics: ``x.doubleclick.net``
+    inherits the label of ``doubleclick.net``.
     """
-    positive = set()
-    for category in positive_categories:
-        positive.update(blacklist.get(category, ()))
-    if not positive:
-        return 0
     parts = value.split(".")
     for i in range(len(parts)):
         if ".".join(parts[i:]) in positive:

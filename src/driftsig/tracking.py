@@ -32,11 +32,6 @@ class WindowOutcome:
     pairs: list[tuple[int, int]]
 
 
-def predict(model: Model, value: str) -> int:
-    """Model label for one event string (1 iff any pattern matches)."""
-    return model.predict(value)
-
-
 def run_window(model: Model, events, cfg: LearnerConfig | None = None):
     """Run one self-training window; returns (updated model, outcome).
 

@@ -156,6 +156,17 @@ def test_track_blacklist_override(tmp_path):
     assert records[-1].fpr == 0.0
 
 
+def test_track_blacklist_without_in_exit_1(tmp_path, capsys):
+    blacklist = tmp_path / "bl.tsv"
+    blacklist.write_text("ads\tadnet.com\n")
+    out = tmp_path / "m.csv"
+    code = run_cli("track", "--mode", "naive", "--events", 2000, "--out", out,
+                   "--blacklist", blacklist)
+    assert code == 1
+    assert "--blacklist needs --in" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_writes_expected_csv(tmp_path):
     out = tmp_path / "bench.csv"
     code = run_cli("bench", "--pattern-counts", "0,5,20", "--events", 300,

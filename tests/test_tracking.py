@@ -7,7 +7,7 @@ from driftsig.learner import LearnerConfig
 from driftsig.model import Model
 from driftsig.patterns import parse_pattern
 from driftsig.streams import DriftConfig, Event, gen_synthetic
-from driftsig.tracking import predict, run_tracking, run_window
+from driftsig.tracking import run_tracking, run_window
 
 FAST = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=0)
 
@@ -22,9 +22,9 @@ def model_of(*texts):
 
 def test_predict_examples():
     model = model_of("ads", "track")
-    assert predict(model, "ads.example.com") == 1
-    assert predict(Model(), "whatever") == 0
-    assert predict(model_of("^ab$"), "cab") == 0
+    assert model.predict("ads.example.com") == 1
+    assert Model().predict("whatever") == 0
+    assert model_of("^ab$").predict("cab") == 0
 
 
 def test_run_window_partitions_and_learns():
