@@ -20,7 +20,6 @@ from .errors import (
 )
 from .learner import (
     ComponentPool,
-    CoverProblem,
     LearnerConfig,
     filter_components,
     generate_components,
@@ -40,7 +39,6 @@ __all__ = [
     "CapacityError",
     "ComponentPool",
     "Counts",
-    "CoverProblem",
     "DEFAULT_STATE_LIMIT",
     "DisjointnessViolation",
     "DriftConfig",

@@ -141,11 +141,11 @@ def cmd_learn(args) -> int:
     model = learn(set(positives), set(negatives), _learner_config(args))
     save_model(model, args.out)
 
-    hits = match_many(model.patterns, sorted(set(positives + negatives)))
-    matched = {v for j, v in enumerate(sorted(set(positives + negatives))) if hits[:, j].any()}
     pos_set, neg_set = set(positives), set(negatives)
-    tpr = len(matched & pos_set) / len(pos_set)
-    fpr = len(matched & neg_set) / len(neg_set) if neg_set else 0.0
+    values = sorted(pos_set) + sorted(neg_set)
+    matched = match_many(model.patterns, values).any(axis=0)
+    tpr = matched[: len(pos_set)].mean()
+    fpr = matched[len(pos_set) :].mean() if neg_set else 0.0
     print(f"patterns: {model.size}")
     print(f"training tpr: {tpr:.6f}")
     print(f"training fpr: {fpr:.6f}")

@@ -86,15 +86,13 @@ class MultiMatcher:
     instances can be shared freely across threads.
     """
 
-    def __init__(self, patterns, trans, hit_run, hit_end, run_ids, end_ids, always, state_limit):
-        self.patterns = tuple(patterns)
+    def __init__(self, trans, hit_run, hit_end, run_ids, end_ids, always):
         self._trans = trans
         self._hit_run = hit_run
         self._hit_end = hit_end
         self._run_ids = run_ids
         self._end_ids = end_ids
         self._always = always
-        self.state_limit = state_limit
         trans.setflags(write=False)
         hit_run.setflags(write=False)
         hit_end.setflags(write=False)
@@ -229,4 +227,4 @@ def compile_set(patterns, state_limit: int = DEFAULT_STATE_LIMIT) -> MultiMatche
     hit_run = np.array([1 if ids else 0 for ids in run_ids], dtype=np.uint8)
     hit_end = np.array([1 if ids else 0 for ids in end_ids], dtype=np.uint8)
 
-    return MultiMatcher(pats, trans, hit_run, hit_end, tuple(run_ids), tuple(end_ids), always, state_limit)
+    return MultiMatcher(trans, hit_run, hit_end, tuple(run_ids), tuple(end_ids), always)

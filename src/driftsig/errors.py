@@ -34,11 +34,11 @@ class DisjointnessViolation(DriftsigError, ValueError):
 
 
 class UncoverableElements(DriftsigError, ValueError):
-    """Some universe elements appear in no subset of the cover problem."""
+    """Some columns of a cover matrix are True in no row."""
 
     def __init__(self, elements):
         self.elements = frozenset(elements)
-        super().__init__(f"elements covered by no subset: {sorted(self.elements)}")
+        super().__init__(f"columns covered by no row: {sorted(self.elements)}")
 
 
 class ParseError(DriftsigError, ValueError):

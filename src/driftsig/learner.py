@@ -19,9 +19,7 @@ from .alphabet import in_alphabet
 from .engine import DEFAULT_STATE_LIMIT, match_any_of, match_many
 from .errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from .model import Model
-from .patterns import Pattern, Quant, exact_pattern, parse_pattern, render_pattern
-
-_QUANTS = (Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE, Quant.ONE_OR_MORE)
+from .patterns import QUANT_CHARS, Pattern, exact_pattern, parse_pattern, render_pattern
 
 
 @dataclass(frozen=True)
@@ -59,12 +57,6 @@ class ComponentPool:
 
     def texts(self) -> list[str]:
         return [render_pattern(p) for p in self.components]
-
-
-@dataclass(frozen=True)
-class CoverProblem:
-    universe: frozenset
-    subsets: tuple[frozenset, ...]
 
 
 def generate_components(positives, cfg: LearnerConfig) -> ComponentPool:
@@ -113,9 +105,6 @@ def _generate(positives, cfg: LearnerConfig, skip_gram) -> ComponentPool:
     return ComponentPool(components, provenance)
 
 
-_QUANT_SYMBOLS = tuple(q.symbol for q in _QUANTS)
-
-
 def _expand_gram(gram: str, src: int, cfg: LearnerConfig, seen: dict) -> None:
     length = len(gram)
     positions = range(length)
@@ -131,7 +120,7 @@ def _expand_gram(gram: str, src: int, cfg: LearnerConfig, seen: dict) -> None:
             max_q = min(cfg.max_quantified, len(plain))
             for n_q in range(max_q + 1):
                 for q_pos in combinations(plain, n_q):
-                    for quants in product(_QUANT_SYMBOLS, repeat=n_q):
+                    for quants in product(QUANT_CHARS, repeat=n_q):
                         parts = list(base)
                         for i, q in zip(q_pos, quants):
                             parts[i] = parts[i] + q
@@ -153,24 +142,21 @@ def filter_components(pool: ComponentPool, negatives) -> ComponentPool:
     )
 
 
-def greedy_set_cover(problem: CoverProblem) -> list[int]:
-    """Indices of subsets chosen greedily until the universe is covered.
+def greedy_set_cover(cover: np.ndarray) -> list[int]:
+    """Row indices chosen greedily until every column of the boolean
+    ``(candidates x elements)`` matrix ``cover`` is covered.
 
-    Each round picks the subset covering the most still-uncovered
-    elements (ties broken by lowest index).  Raises
-    :class:`UncoverableElements` when some universe element appears in
-    no subset.
+    Each round picks the row covering the most still-uncovered columns
+    (ties broken by lowest index).  Raises :class:`UncoverableElements`
+    when some column is True in no row.
     """
-    universe = frozenset(problem.universe)
-    subsets = [frozenset(s) & universe for s in problem.subsets]
-    reachable = frozenset().union(*subsets) if subsets else frozenset()
-    missing = universe - reachable
-    if missing:
-        raise UncoverableElements(missing)
+    missing = np.flatnonzero(~cover.any(axis=0))
+    if missing.size:
+        raise UncoverableElements(missing.tolist())
 
-    slot = {e: i for i, e in enumerate(sorted(universe))}
-    masks = [sum(1 << slot[e] for e in s) for s in subsets]
-    want = (1 << len(slot)) - 1
+    packed = np.packbits(cover, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    want = (1 << cover.shape[1]) - 1
     covered = 0
     chosen: list[int] = []
     while covered != want:
@@ -205,20 +191,12 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
     blob = "\n".join(sorted(set(negatives)))
     pool = filter_components(_generate(pos, cfg, skip_gram=lambda g: g in blob), negatives)
 
-    components = list(pool.components)
-    if components:
-        cover = match_many(components, pos)
-    else:
-        cover = np.zeros((0, len(pos)), dtype=bool)
-    subsets = [frozenset(np.flatnonzero(row).tolist()) for row in cover]
+    cover = match_many(pool.components, pos)
+    unreached = np.flatnonzero(~cover.any(axis=0))
+    components = pool.components + tuple(exact_pattern(pos[j]) for j in unreached)
+    fallback = np.zeros((len(unreached), len(pos)), dtype=bool)
+    fallback[np.arange(len(unreached)), unreached] = True
 
-    reached = cover.any(axis=0) if components else np.zeros(len(pos), dtype=bool)
-    for j in range(len(pos)):
-        if not reached[j]:
-            components.append(exact_pattern(pos[j]))
-            subsets.append(frozenset((j,)))
-
-    problem = CoverProblem(frozenset(range(len(pos))), tuple(subsets))
-    order = greedy_set_cover(problem)
+    order = greedy_set_cover(np.vstack([cover, fallback]))
     selected = tuple(components[i] for i in order)
     return Model(selected, generation=0, state_limit=cfg.state_limit)

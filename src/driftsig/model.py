@@ -23,8 +23,7 @@ class Model:
     _matcher: MultiMatcher | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        texts = [render_pattern(p) for p in self.patterns]
-        if len(set(texts)) != len(texts):
+        if len(set(self.patterns)) != len(self.patterns):
             raise ValueError("model patterns must be unique")
 
     @property
@@ -51,14 +50,8 @@ class Model:
         return self.matcher.match_any_batch(values).astype(np.int8)
 
     def union(self, new_patterns) -> "Model":
-        """Next-generation model with ``new_patterns`` appended (dedup by text)."""
-        known = {render_pattern(p) for p in self.patterns}
-        merged = list(self.patterns)
-        for pat in new_patterns:
-            text = render_pattern(pat)
-            if text not in known:
-                known.add(text)
-                merged.append(pat)
+        """Next-generation model with ``new_patterns`` appended, duplicates dropped."""
+        merged = dict.fromkeys(self.patterns + tuple(new_patterns))
         return Model(tuple(merged), self.generation + 1, self.state_limit)
 
 

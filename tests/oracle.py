@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import numpy as np
+
 from driftsig.alphabet import ALPHABET, ALPHABET_SET
 from driftsig.patterns import Atom, Pattern, Quant
 
@@ -85,6 +87,12 @@ def random_subject(rng: random.Random, max_len: int = 16) -> str:
         k = rng.randrange(len(s))
         s = s[:k] + rng.choice("AZ%") + s[k + 1 :]
     return s
+
+
+def cover_matrix(universe, subsets) -> np.ndarray:
+    """Boolean (subsets x elements) matrix, columns in sorted element order."""
+    columns = sorted(universe)
+    return np.array([[e in s for e in columns] for s in subsets], dtype=bool)
 
 
 def minimum_cover_size(universe: frozenset, subsets) -> int | None:

@@ -23,13 +23,13 @@ import pytest
 
 from driftsig.cli import main as cli_main
 from driftsig.engine import compile_set, match_many
-from driftsig.learner import CoverProblem, LearnerConfig, greedy_set_cover, learn
+from driftsig.learner import LearnerConfig, greedy_set_cover, learn
 from driftsig.metrics import WindowRecord
 from driftsig.patterns import parse_pattern
 from driftsig.streams import DriftConfig, gen_synthetic
 from driftsig.tracking import run_tracking
 
-from oracle import backtrack_match, match_set_bruteforce, random_pattern, random_subject
+from oracle import backtrack_match, cover_matrix, match_set_bruteforce, random_pattern, random_subject
 
 STREAM_SEED = 29
 DRIFT_RATE = 0.034
@@ -77,13 +77,13 @@ def test_criterion_1_paper_set_cover_instance():
     subsets = tuple(
         map(frozenset, [{1, 2}, {2, 3, 4, 5}, {2, 4, 6}, {4, 6, 8}, {1, 3, 5}, {7, 9}, {1, 10}])
     )
-    problem = CoverProblem(frozenset(range(1, 11)), subsets)
+    cover = cover_matrix(range(1, 11), subsets)
     # collect the test session's garbage first: a full collection costs
     # 10-40 ms and would otherwise land in the timed call whenever the
     # allocation count happens to cross its threshold there
     gc.collect()
     start = time.perf_counter()
-    chosen = greedy_set_cover(problem)
+    chosen = greedy_set_cover(cover)
     elapsed = time.perf_counter() - start
     expected = {frozenset({2, 3, 4, 5}), frozenset({4, 6, 8}), frozenset({7, 9}), frozenset({1, 10})}
     assert {subsets[i] for i in chosen} == expected

@@ -32,12 +32,9 @@ def pat(text):
         ("^a*$", "b", False),
         ("^a*$", "", True),
         ("a", "A", False),
-        (".", None, None),
     ],
 )
 def test_match_one_cases(text, subject, expected):
-    if subject is None:
-        return
     assert match_one(pat(text), subject) is expected
 
 

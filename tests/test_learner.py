@@ -1,12 +1,15 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from driftsig.engine import match_one
 from driftsig.errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from driftsig.learner import (
     ComponentPool,
-    CoverProblem,
     LearnerConfig,
     filter_components,
     generate_components,
@@ -15,7 +18,11 @@ from driftsig.learner import (
 )
 from driftsig.patterns import parse_pattern
 
-from oracle import minimum_cover_size
+from oracle import cover_matrix, minimum_cover_size
+
+
+# no example database on disk, and the same examples on every run
+PROPERTY = settings(database=None, derandomize=True, deadline=None)
 
 
 def texts_of(pool):
@@ -108,8 +115,7 @@ def test_filter_components_examples():
 
 def test_greedy_cover_on_known_instance():
     subsets = tuple(map(frozenset, [{1, 2}, {2, 3, 4, 5}, {2, 4, 6}, {4, 6, 8}, {1, 3, 5}, {7, 9}, {1, 10}]))
-    problem = CoverProblem(frozenset(range(1, 11)), subsets)
-    chosen = greedy_set_cover(problem)
+    chosen = greedy_set_cover(cover_matrix(range(1, 11), subsets))
     assert chosen == [1, 3, 5, 6]
     assert {subsets[i] for i in chosen} == {
         frozenset({2, 3, 4, 5}),
@@ -120,19 +126,18 @@ def test_greedy_cover_on_known_instance():
 
 
 def test_greedy_cover_singleton_and_ties():
-    assert greedy_set_cover(CoverProblem(frozenset({1}), (frozenset({1}),))) == [0]
-    problem = CoverProblem(frozenset({1, 2, 3}), (frozenset({1, 2}), frozenset({2, 3}), frozenset({3})))
-    assert greedy_set_cover(problem) == [0, 1]
+    assert greedy_set_cover(cover_matrix({1}, [{1}])) == [0]
+    assert greedy_set_cover(cover_matrix({1, 2, 3}, [{1, 2}, {2, 3}, {3}])) == [0, 1]
 
 
 def test_greedy_cover_uncoverable():
     with pytest.raises(UncoverableElements) as err:
-        greedy_set_cover(CoverProblem(frozenset({1, 2}), (frozenset({1}),)))
-    assert err.value.elements == frozenset({2})
+        greedy_set_cover(cover_matrix({1, 2}, [{1}]))
+    assert err.value.elements == frozenset({1})
 
 
 def test_greedy_cover_empty_universe():
-    assert greedy_set_cover(CoverProblem(frozenset(), (frozenset({1}),))) == []
+    assert greedy_set_cover(cover_matrix(set(), [{1}])) == []
 
 
 def test_greedy_within_harmonic_bound_of_optimum():
@@ -146,7 +151,7 @@ def test_greedy_within_harmonic_bound_of_optimum():
         )
         if not universe <= frozenset().union(*subsets):
             continue
-        greedy = len(greedy_set_cover(CoverProblem(universe, subsets)))
+        greedy = len(greedy_set_cover(cover_matrix(universe, subsets)))
         best = minimum_cover_size(universe, subsets)
         harmonic = sum(1.0 / k for k in range(1, n + 1))
         assert greedy <= harmonic * best + 1e-9
@@ -155,7 +160,7 @@ def test_greedy_within_harmonic_bound_of_optimum():
 def test_learn_spec_cases():
     model = learn({"foo", "food"}, {"bar"})
     assert model.texts() == ["f"]
-    assert all(match_one(p, "foo") or True for p in model.patterns)
+    assert all(match_one(p, "foo") for p in model.patterns)
     assert model.predict_batch(["foo", "food"]).tolist() == [1, 1]
     assert model.predict_batch(["bar"]).tolist() == [0]
 
@@ -233,3 +238,40 @@ def test_learn_pool_matches_literal_composition():
         fused = filter_components(_generate(pos, cfg, skip_gram=lambda g: g in blob), neg)
         assert full.texts() == fused.texts()
         assert full.provenance == fused.provenance
+
+
+@st.composite
+def coverable_matrices(draw):
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(0, 40))
+    cover = draw(arrays(np.bool_, (rows, cols)))
+    # give every column at least one row, so the instance is coverable
+    owners = draw(st.lists(st.integers(0, rows - 1), min_size=cols, max_size=cols))
+    cover[owners, np.arange(cols)] = True
+    return cover
+
+
+@PROPERTY
+@given(coverable_matrices())
+def test_greedy_cover_properties(cover):
+    chosen = greedy_set_cover(cover)
+    covered = np.zeros(cover.shape[1], dtype=bool)
+    for i in chosen:
+        assert (cover[i] & ~covered).any(), "every pick adds an uncovered column"
+        covered |= cover[i]
+    assert covered.all()
+    if chosen:
+        assert chosen[0] == int(np.argmax(cover.sum(axis=1)))
+
+
+_WORDS = st.text(alphabet="abc0.", min_size=1, max_size=8)
+
+
+@PROPERTY
+@given(st.sets(_WORDS, min_size=1, max_size=8), st.sets(_WORDS, max_size=8))
+def test_learn_separates_disjoint_sets(pos, neg):
+    neg = neg - pos
+    cfg = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=1, max_pool=5_000)
+    model = learn(pos, neg, cfg)
+    assert model.predict_batch(sorted(pos)).tolist() == [1] * len(pos)
+    assert model.predict_batch(sorted(neg)).tolist() == [0] * len(neg)

@@ -56,6 +56,7 @@ def test_render_examples():
         ("a$b", 1),
         ("a^b", 1),
         ("..", 0),
+        (".", 0),
     ],
 )
 def test_parse_errors_carry_position(text, position):
