@@ -1,17 +1,24 @@
-"""Hot matching loops, vectorized with numpy across the subject strings.
+"""Hot matching loops, vectorized with numpy.
 
 Two kernels dominate runtime: the pattern-set x string-set match matrix
 used by the learner, and the combined-automaton scan used to label
 events.  Both take flat arrays: patterns as packed by
 ``engine.pack_patterns`` and subjects as encoded by
 ``alphabet.encode_many``.
+
+The match matrix is a bit-parallel extended Shift-And simulation
+(Baeza-Yates & Gonnet, CACM 1992; optional and repeatable atoms as in
+Navarro & Raffinot, *Flexible Pattern Matching in Strings*, 2002).
+Every atom of every pattern is one bit, the patterns lie back to back
+in uint64 words, and each input character updates all patterns against
+all live strings with a few whole-array operations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .alphabet import CODE_ANY, CODE_OTHER
+from .alphabet import CODE_ANY, CODE_OTHER, N_SYMBOLS
 
 # There is one numpy implementation of each kernel; these flags are kept
 # so that callers reporting the kernel path can still read them.
@@ -19,86 +26,171 @@ HAVE_NUMBA = False
 NUMBA_ENABLED = False
 
 
+def _pad_strings(scodes, s_off):
+    """Strings as rows of a (n_str, max_len) code matrix, padded with
+    ``CODE_OTHER``, plus the string lengths."""
+    lengths = np.diff(s_off)
+    max_len = int(lengths.max()) if len(lengths) else 0
+    padded = np.full((len(lengths), max_len), CODE_OTHER, dtype=np.uint8)
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    pos = np.arange(s_off[0], s_off[-1]) - np.repeat(s_off[:-1], lengths)
+    padded[rows, pos] = scodes[s_off[0] : s_off[-1]]
+    return padded, lengths
+
+
 # ---------------------------------------------------------------------------
-# Pattern-set x string-set match matrix (shared-state NFA simulation).
+# Pattern-set x string-set match matrix (bit-parallel Shift-And).
 #
 # Pattern p occupies atom slots pat_off[p]:pat_off[p+1] of the flat
-# arrays.  For atom slot i (0-based within the pattern), simulation
-# state i+1 means "atoms 0..i consumed"; state 0 is the start.  Flags:
-#   loop[i] -- state i+1 may consume another copy of atom i (* and +)
-#   skip[i] -- state i+1 is reachable from state i without input (? and *)
+# arrays.  Within a chunk of whole patterns, atom slot i is bit i of a
+# state vector of uint64 words (bit i in word i // 64), so a pattern may
+# straddle a word boundary.  Bit i set means "atoms up to and including
+# slot i consumed"; each pattern's start state is implicit.  Flags:
+#   loop[i] -- atom i may consume another copy of itself (* and +)
+#   skip[i] -- atom i may be passed over without input (? and *)
 # pat_flags bit 0 = anchored at start, bit 1 = anchored at end.
+#
+# With FIRST the patterns' first atoms and START_t those whose pattern
+# start is live before character t (all at t = 0, the unanchored ones
+# afterwards), each character c does
+#   D = ((shift1(D) & ~FIRST) | START_t | (D & LOOP)) & B[c]
+# and then, once per atom of the longest run of skippable atoms,
+#   D |= ((shift1(D) & ~FIRST) | START_t+1) & SKIP
+# A pattern has matched when its last bit is set after any step (LAST_RUN,
+# unanchored end) or after the last character (LAST_END, anchored end).
 # ---------------------------------------------------------------------------
 
+_CHUNK_ATOMS = 4096  # atoms simulated together; bounds the state arrays
+_ONE = np.uint64(1)
+_TOP = np.uint64(63)
 
-def _pad_strings(scodes, s_off):
-    n_str = len(s_off) - 1
-    lengths = np.diff(s_off)
-    max_len = int(lengths.max()) if n_str else 0
-    padded = np.full((n_str, max_len), CODE_OTHER, dtype=np.uint8)
-    for j in range(n_str):
-        padded[j, : lengths[j]] = scodes[s_off[j] : s_off[j + 1]]
-    return padded, lengths
+
+def _words(bits, n_words):
+    """Pack a bool array's last axis into ``n_words`` uint64 words."""
+    pad = [(0, 0)] * (bits.ndim - 1) + [(0, n_words * 64 - bits.shape[-1])]
+    packed = np.packbits(np.pad(bits, pad), axis=-1, bitorder="little")
+    return packed.view("<u8")
+
+
+def _bits(words):
+    """Inverse of :func:`_words`: one bool per bit along the last axis."""
+    raw = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, axis=-1, bitorder="little").view(bool)
+
+
+def _shift1(d):
+    """Move every bit one slot up, carrying across word boundaries."""
+    out = d << _ONE
+    out[:, 1:] |= d[:, :-1] >> _TOP
+    return out
+
+
+def _columns(scodes, s_off):
+    """Input columns for the simulation, strings sorted longest first.
+
+    Returns ``(cols, live, order)``: ``cols[t, j]`` is character t of
+    sorted string j, the strings still being read at step t are the first
+    ``live[t]`` ones, and sorted string j is ``order[j]`` in the input.
+    """
+    padded, lengths = _pad_strings(scodes, s_off)
+    order = np.argsort(-lengths, kind="stable")
+    cols = np.ascontiguousarray(padded[order].T)
+    live = np.searchsorted(-lengths[order], -np.arange(cols.shape[0]), side="left")
+    return cols, live, order
+
+
+def _chunks(pat_off):
+    """Split the patterns into runs of whole patterns with at most
+    ``_CHUNK_ATOMS`` atoms each (a longer pattern gets a run of its own)."""
+    n_pat = len(pat_off) - 1
+    p0 = 0
+    while p0 < n_pat:
+        p1 = int(np.searchsorted(pat_off, pat_off[p0] + _CHUNK_ATOMS, side="right")) - 1
+        p1 = min(max(p1, p0 + 1), n_pat)
+        yield p0, p1
+        p0 = p1
+
+
+def _simulate(codes, loop, skip, pat_off, pat_flags, cols, live):
+    """Run one chunk of patterns over every string.
+
+    Returns ``(matched, last)``: ``matched`` has one row of words per
+    sorted string, with bit ``last[p]`` set when pattern p matched it.
+    """
+    lo = int(pat_off[0])
+    n = int(pat_off[-1]) - lo
+    n_words = -(-n // 64)
+    first = pat_off[:-1] - lo
+    last = pat_off[1:] - lo - 1
+
+    def mask(slots):
+        bits = np.zeros(n, dtype=bool)
+        bits[slots] = True
+        return _words(bits, n_words)
+
+    pcodes = codes[lo : lo + n]
+    sym = np.arange(N_SYMBOLS)[:, None]
+    table = _words((pcodes == sym) | ((pcodes == CODE_ANY) & (sym != CODE_OTHER)), n_words)
+    skippable = skip[lo : lo + n] != 0
+    loops = _words(loop[lo : lo + n] != 0, n_words)
+    skips = _words(skippable, n_words)
+    not_first = ~mask(first)
+    start_all = mask(first)
+    start_free = mask(first[(pat_flags & 1) == 0])
+    last_run = mask(last[(pat_flags & 2) == 0])
+    last_end = mask(last[(pat_flags & 2) != 0])
+
+    # longest run of skippable atoms inside one pattern: the closure moves
+    # each bit one atom further per round
+    slot = np.arange(n)
+    brk = np.where(skippable, -1, slot)
+    brk[first] = np.maximum(brk[first], first - 1)
+    n_closure = int((slot - np.maximum.accumulate(brk)).max())
+    follow = not_first & skips
+    free_skip = start_free & skips
+
+    d = np.zeros((1, n_words), dtype=np.uint64)
+    for _ in range(n_closure):
+        d |= (_shift1(d) & follow) | (start_all & skips)
+    d = np.repeat(d, cols.shape[1], axis=0)
+    matched = d & last_run
+
+    start = start_all
+    for t in range(cols.shape[0]):
+        k = live[t]
+        cur = d[:k]
+        nxt = ((_shift1(cur) & not_first) | start | (cur & loops)) & table[cols[t, :k]]
+        for _ in range(n_closure):
+            nxt |= (_shift1(nxt) & follow) | free_skip
+        d[:k] = nxt
+        matched[:k] |= nxt & last_run
+        start = start_free
+    matched |= d & last_end
+    return matched, last
 
 
 def nfa_match_matrix(codes, loop, skip, pat_off, pat_flags, scodes, s_off):
     """Match every pattern against every string; returns a bool matrix."""
-    n_pat = len(pat_off) - 1
-    n_str = len(s_off) - 1
-    out = np.zeros((n_pat, n_str), dtype=bool)
-    if n_pat == 0 or n_str == 0:
-        return out
-    padded, lengths = _pad_strings(scodes, s_off)
-    max_len = padded.shape[1]
-    live = np.arange(max_len)[None, :] < lengths[:, None]
-
-    for p in range(n_pat):
-        a, b = int(pat_off[p]), int(pat_off[p + 1])
-        n = b - a
-        pcodes = codes[a:b]
-        ploop = loop[a:b] != 0
-        pskip = skip[a:b] != 0
-        anch_start = bool(pat_flags[p] & 1)
-        anch_end = bool(pat_flags[p] & 2)
-
-        active = np.zeros((n_str, n + 1), dtype=bool)
-        active[:, 0] = True
-        for i in range(n):
-            if pskip[i]:
-                active[:, i + 1] |= active[:, i]
-
-        matched = np.zeros(n_str, dtype=bool)
-        if not anch_end:
-            matched |= active[:, n]
-        for t in range(max_len):
-            col = padded[:, t]
-            ok = live[:, t]
-            new = np.zeros_like(active)
-            if not anch_start:
-                new[:, 0] = True
-            for i in range(n):
-                hit = col == pcodes[i]
-                if pcodes[i] == CODE_ANY:
-                    hit = col != CODE_OTHER
-                feed = active[:, i]
-                if ploop[i]:
-                    feed = feed | active[:, i + 1]
-                new[:, i + 1] = hit & feed
-            for i in range(n):
-                if pskip[i]:
-                    new[:, i + 1] |= new[:, i]
-            active = np.where(ok[:, None], new, active)
-            if not anch_end:
-                matched |= active[:, n] & ok
-        if anch_end:
-            matched = active[:, n]
-        out[p] = matched
+    out = np.zeros((len(pat_off) - 1, len(s_off) - 1), dtype=bool)
+    cols, live, order = _columns(scodes, s_off)
+    for p0, p1 in _chunks(pat_off):
+        matched, last = _simulate(
+            codes, loop, skip, pat_off[p0 : p1 + 1], pat_flags[p0:p1], cols, live
+        )
+        out[p0:p1, order] = _bits(matched)[:, last].T
     return out
 
 
 def nfa_match_any(codes, loop, skip, pat_off, pat_flags, scodes, s_off):
     """Per pattern: does it match at least one of the strings?"""
-    return nfa_match_matrix(codes, loop, skip, pat_off, pat_flags, scodes, s_off).any(axis=1)
+    out = np.zeros(len(pat_off) - 1, dtype=bool)
+    cols, live, _ = _columns(scodes, s_off)
+    for p0, p1 in _chunks(pat_off):
+        matched, last = _simulate(
+            codes, loop, skip, pat_off[p0 : p1 + 1], pat_flags[p0:p1], cols, live
+        )
+        out[p0:p1] = _bits(np.bitwise_or.reduce(matched, axis=0))[last]
+    return out
 
 
 # ---------------------------------------------------------------------------

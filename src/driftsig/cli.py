@@ -3,7 +3,8 @@
 Subcommands mirror the pipeline stages: ``gen`` writes a synthetic
 labeled stream, ``learn`` plays regex golf on two string files, ``track``
 runs the windowed naive/adaptive experiment and writes the metrics CSV,
-``bench`` times the combined automaton against a per-pattern loop.
+``bench`` times the combined automaton against the learner's match-matrix
+kernel.
 
 Exit codes are stable for scripting: 0 success, 2 disjointness
 violation, 3 insufficient stream, 4 automaton capacity exceeded,
@@ -111,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_drift_flags(p_track)
     _add_learner_flags(p_track)
 
-    p_bench = sub.add_parser("bench", help="time the combined automaton vs a per-pattern loop")
+    p_bench = sub.add_parser("bench", help="time the combined automaton vs the match-matrix kernel")
     p_bench.add_argument("--pattern-counts", default="10,100,1000",
                          help="comma-separated pattern set sizes")
     p_bench.add_argument("--events", type=int, default=10_000, help="corpus size")

@@ -1,15 +1,16 @@
-"""Matching engine: per-pattern simulation and a combined multi-pattern automaton.
+"""Matching engine: a pattern x string match matrix and a combined multi-pattern automaton.
 
 Each pattern is a short chain of states: state 0 is the start and
 state ``i`` means "first ``i`` atoms consumed".  Quantifiers become two
 flags per atom (may repeat; may be skipped), so simulation is a linear
 scan over states -- no backtracking.  :func:`pack_patterns` is the one
 place that encodes atoms into these flat arrays.  The learner's kernels
-simulate the chains directly; :func:`compile_set` lays the same chains
-back to back and glues them into one subset-construction automaton, so
-a whole pattern set is matched in a single pass over the input, with
-one table lookup per character regardless of how many patterns are
-loaded.
+simulate every chain of a batch at once, one bit per atom (bit-parallel
+Shift-And, see :mod:`driftsig._kernels`); :func:`compile_set` lays the
+same chains back to back and glues them into one subset-construction
+automaton, so a whole pattern set is matched in a single pass over the
+input, with one table lookup per character regardless of how many
+patterns are loaded.
 """
 
 from __future__ import annotations

@@ -222,7 +222,7 @@ def test_criterion_6_multi_pattern_scaling():
     assert combined_ratio <= 0.25 * naive_ratio, (combined_ratio, naive_ratio)
     print(
         f"\nPASS criterion 6: combined growth x{combined_ratio:.2f} vs "
-        f"per-pattern loop x{naive_ratio:.1f} from k=10 to k=1000"
+        f"match-matrix kernel x{naive_ratio:.1f} from k=10 to k=1000"
     )
 
 

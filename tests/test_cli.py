@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import driftsig
 from driftsig.cli import main
 from driftsig.metrics import read_report
 from driftsig.model import load_model
@@ -199,10 +202,15 @@ def test_missing_input_file_exit_1(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child interpreter imports the same package as this one, even when
+    # only pytest's own path setting puts it on the path
+    src = str(Path(driftsig.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "driftsig", "gen", "--events", "5", "--out", "/dev/null"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "wrote 5 events" in proc.stdout

@@ -2,14 +2,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftsig import _kernels
 from driftsig.engine import compile_set, match_many, match_one, pack_patterns
 from driftsig.alphabet import encode_many
 from driftsig.errors import CapacityError
-from driftsig.patterns import parse_pattern
+from driftsig.patterns import Atom, Pattern, Quant, parse_pattern
 
 from oracle import backtrack_match, match_set_bruteforce, random_pattern, random_subject
+
+# no example database on disk, and the same examples on every run
+PROPERTY = settings(database=None, derandomize=True, deadline=None)
 
 
 def pat(text):
@@ -169,3 +174,68 @@ def test_match_many_matrix_shape_and_content():
     assert got.shape == (2, 3)
     assert got.tolist() == [[True, False, False], [False, True, False]]
 
+
+
+def _witness(pattern, rng):
+    """A string the pattern matches once its anchors are honoured."""
+    repeats = {Quant.ONE: (1, 1), Quant.ZERO_OR_ONE: (0, 1),
+               Quant.ZERO_OR_MORE: (0, 2), Quant.ONE_OR_MORE: (1, 2)}
+    out = []
+    for atom in pattern.atoms:
+        ch = rng.choice("ab01") if atom.is_any else atom.char
+        out.append(ch * rng.randint(*repeats[atom.quant]))
+    return "".join(out)
+
+
+def test_kernels_on_multiword_and_multichunk_batches():
+    rng = random.Random(17)
+    patterns = [
+        pat("".join(rng.choice("ab01-_c") for _ in range(100))),  # over 64 atoms
+        pat("^a?b?c?$"), pat("a?b?c?"), pat("^a?b?c?d"), pat("x*a?b?c?$"),
+        pat("^" + "a" * 60 + "b?c?d$"),
+    ]
+    # more atoms than one chunk, so several chunks run in one call
+    while sum(len(p.atoms) for p in patterns) <= _kernels._CHUNK_ATOMS + 200:
+        patterns.append(random_pattern(rng, max_atoms=8))
+    codes, loop, skip, offs, flags = pack_patterns(patterns)
+    straddle = [p for p in range(len(patterns))
+                if offs[p] // 64 != (offs[p + 1] - 1) // 64 and offs[p + 1] - offs[p] < 64]
+
+    subjects = ["", "", "a", "bc", "abc", "abcd", "xxab", "d", "zabcd", "c.b"]
+    for p in straddle + list(range(0, len(patterns), 25)):
+        w = _witness(patterns[p], rng)
+        subjects += [w, "zz" + w + "00"]
+    subjects += [random_subject(rng) for _ in range(10)]
+    scodes, s_off = encode_many(subjects)
+
+    matrix = _kernels.nfa_match_matrix(codes, loop, skip, offs, flags, scodes, s_off)
+    expected = np.array([[backtrack_match(p, s) for s in subjects] for p in patterns])
+    assert expected[straddle].any(axis=1).sum() >= 5, "straddling patterns must match"
+    assert expected[len(patterns) // 2 :].any()
+    assert np.array_equal(matrix, expected)
+    any_hit = _kernels.nfa_match_any(codes, loop, skip, offs, flags, scodes, s_off)
+    assert np.array_equal(any_hit, matrix.any(axis=1))
+
+
+_ATOMS = st.one_of(
+    st.builds(Atom, st.sampled_from("ab0."), st.sampled_from(list(Quant))),
+    st.just(Atom(None)),
+)
+_PATTERNS = st.builds(
+    Pattern,
+    st.lists(_ATOMS, min_size=1, max_size=6).filter(lambda a: not all(x.is_any for x in a)).map(tuple),
+    st.booleans(),
+    st.booleans(),
+)
+# 'X' is outside the event alphabet
+_SUBJECTS = st.text(alphabet="ab0.X", max_size=10)
+
+
+@PROPERTY
+@given(st.lists(_PATTERNS, max_size=8), st.lists(_SUBJECTS, max_size=8))
+def test_match_many_and_match_set_agree_with_oracle(patterns, subjects):
+    got = match_many(patterns, subjects)
+    assert got.tolist() == [[backtrack_match(p, s) for s in subjects] for p in patterns]
+    matcher = compile_set(patterns)
+    for j, s in enumerate(subjects):
+        assert set(np.flatnonzero(got[:, j]).tolist()) == matcher.match_set(s)
