@@ -2,9 +2,9 @@
 
 Subcommands mirror the pipeline stages: ``gen`` writes a synthetic
 labeled stream, ``learn`` plays regex golf on two string files, ``track``
-runs the windowed naive/adaptive experiment and writes the metrics CSV,
-``bench`` times the combined automaton against the learner's match-matrix
-kernel.
+runs the windowed naive/adaptive experiment and writes the metrics CSV
+one row per window as each is scored, ``bench`` times the combined
+automaton against the learner's match-matrix kernel.
 
 Exit codes are stable for scripting: 0 success, 2 disjointness
 violation, 3 insufficient stream, 4 automaton capacity exceeded,
@@ -17,13 +17,14 @@ import argparse
 import random
 import sys
 import time
+from contextlib import closing
 from itertools import islice
 
 from .alphabet import ALPHABET
 from .engine import DEFAULT_STATE_LIMIT, compile_set, match_many
 from .errors import CapacityError, DisjointnessViolation, DriftsigError, InsufficientStreamError
 from .learner import LearnerConfig, learn
-from .metrics import write_report
+from .metrics import ReportWriter
 from .model import save_model
 from .patterns import Pattern, parse_pattern
 from .streams import DriftConfig, bootstrap_label, gen_synthetic, load_blacklist, load_tsv, write_tsv
@@ -169,14 +170,15 @@ def cmd_track(args) -> int:
     else:
         events = islice(gen_synthetic(_drift_config(args)), args.events)
 
-    records = run_tracking(
-        events,
-        mode=args.mode,
-        window_size=args.window_size,
-        cfg=_learner_config(args),
-        snapshot_dir=args.snapshots,
-    )
-    write_report(records, args.out)
+    with closing(ReportWriter(args.out)) as report:
+        records = run_tracking(
+            events,
+            mode=args.mode,
+            window_size=args.window_size,
+            cfg=_learner_config(args),
+            snapshot_dir=args.snapshots,
+            on_record=report.write,
+        )
 
     first, last = records[0], records[-1]
     decrease = (first.tpr - last.tpr) / first.tpr if first.tpr > 0 else 0.0

@@ -10,17 +10,21 @@ Shift-And, see :mod:`driftsig._kernels`); :func:`compile_set` lays the
 same chains back to back and glues them into one subset-construction
 automaton, so a whole pattern set is matched in a single pass over the
 input, with one table lookup per character regardless of how many
-patterns are loaded.
+patterns are loaded.  The construction is table-driven: each chain
+state lists once, per symbol it can read, the skip-closed states it
+moves to, and an automaton state's successors on all symbols are the
+unions of its members' entries, gathered in one pass.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 import numpy as np
 
 from . import _kernels
-from .alphabet import CHAR_TO_CODE, CODE_ANY, N_SYMBOLS, encode, encode_many
+from .alphabet import CHAR_TO_CODE, CODE_ANY, CODE_OTHER, N_SYMBOLS, encode, encode_many
 from .errors import CapacityError
 from .patterns import Pattern, Quant
 
@@ -167,18 +171,37 @@ def compile_set(patterns, state_limit: int = DEFAULT_STATE_LIMIT) -> MultiMatche
                 v += 1
         return out
 
-    def matches(state: int, sym: int) -> bool:
-        c = code[state]
-        return c == sym or (c == CODE_ANY and sym != N_SYMBOLS - 1)
+    def reads(c: int):
+        # the wildcard reads every alphabet code, never CODE_OTHER
+        return range(CODE_OTHER) if c == CODE_ANY else (c,)
 
-    def move(srcs, sym: int) -> set[int]:
-        out = set()
-        for u in srcs:
-            if not is_start[u] and loop[u] and matches(u, sym):
-                out.add(u)
-            v = u + 1
-            if v < n_states and not is_start[v] and matches(v, sym):
-                out.add(v)
+    # Successor table, built once: for each NFA state u, one (sym, targets)
+    # pair per symbol u can read, targets being the skip closure of u's
+    # successors on sym (u itself when its atom repeats, and u + 1 unless
+    # that starts the next pattern; start states never repeat).  Closure
+    # and move distribute over union, so a subset's successors on every
+    # symbol are gathered in one pass over its members.
+    table = []
+    for u in range(n_states):
+        succ: dict[int, set[int]] = {}
+        if loop[u]:
+            for sym in reads(code[u]):
+                succ.setdefault(sym, set()).add(u)
+        v = u + 1
+        if v < n_states and not is_start[v]:
+            for sym in reads(code[v]):
+                succ.setdefault(sym, set()).add(v)
+        table.append(tuple((sym, tuple(closed(vs))) for sym, vs in succ.items()))
+
+    def successors(states) -> dict[int, set[int]]:
+        out: dict[int, set[int]] = {}
+        for u in states:
+            for sym, targets in table[u]:
+                found = out.get(sym)
+                if found is None:
+                    out[sym] = set(targets)
+                else:
+                    found.update(targets)
         return out
 
     # States live while the scan runs regardless of position: the start
@@ -186,19 +209,27 @@ def compile_set(patterns, state_limit: int = DEFAULT_STATE_LIMIT) -> MultiMatche
     # every subset, so they are factored out of the stored sets and their
     # per-symbol moves are computed once.
     core = frozenset(closed({s for s, anchored in zip(starts, anchored_start) if not anchored}))
-    core_move = [frozenset(closed(move(core, sym)) - core) for sym in range(N_SYMBOLS)]
+    core_succ = successors(core)
+    core_move = [frozenset(core_succ.get(sym, ())) - core for sym in range(N_SYMBOLS)]
 
     start_store = frozenset(closed(set(starts)) - core)
     index = {start_store: 0}
     stores = [start_store]
-    rows = []
+    # rows of the transition table, back to back, in state order
+    flat = array("i")
     work = deque([0])
     while work:
-        sid = work.popleft()
-        store = stores[sid]
-        row = np.empty(N_SYMBOLS, dtype=np.int32)
+        succ = successors(stores[work.popleft()])
         for sym in range(N_SYMBOLS):
-            target = frozenset(closed(move(store, sym)) - core) | core_move[sym]
+            found = succ.get(sym)
+            if found:
+                found -= core
+            if found:
+                found |= core_move[sym]
+                target = frozenset(found)
+            else:
+                # nothing beyond the core's own move: reuse its frozenset
+                target = core_move[sym]
             nid = index.get(target)
             if nid is None:
                 nid = len(stores)
@@ -209,10 +240,9 @@ def compile_set(patterns, state_limit: int = DEFAULT_STATE_LIMIT) -> MultiMatche
                 index[target] = nid
                 stores.append(target)
                 work.append(nid)
-            row[sym] = nid
-        rows.append(row)
+            flat.append(nid)
 
-    trans = np.vstack(rows)
+    trans = np.frombuffer(flat, dtype=np.int32).reshape(-1, N_SYMBOLS)
 
     always = tuple(sorted(accept_of[t] for t in core if accept_of[t] >= 0))
     run_ids = []

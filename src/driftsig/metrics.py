@@ -86,26 +86,53 @@ class WindowRecord:
 CSV_FIELDS = ["window", "mode", "tp", "fp", "tn", "fn", "tpr", "fpr", "auc", "model_size"]
 
 
+def _row(r: WindowRecord) -> list:
+    return [
+        r.window,
+        r.mode,
+        r.counts.tp,
+        r.counts.fp,
+        r.counts.tn,
+        r.counts.fn,
+        f"{r.tpr:.6f}",
+        f"{r.fpr:.6f}",
+        f"{r.auc:.6f}",
+        r.model_size,
+    ]
+
+
 def write_report(records, path) -> None:
     """Write the metrics CSV (header + one row per window record)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.window,
-                    r.mode,
-                    r.counts.tp,
-                    r.counts.fp,
-                    r.counts.tn,
-                    r.counts.fn,
-                    f"{r.tpr:.6f}",
-                    f"{r.fpr:.6f}",
-                    f"{r.auc:.6f}",
-                    r.model_size,
-                ]
-            )
+        writer.writerows(_row(r) for r in records)
+
+
+class ReportWriter:
+    """The metrics CSV of :func:`write_report`, written one record at a time.
+
+    The file and its header are created with the first record, so a run
+    that scores nothing leaves no file behind.  Each row is flushed as it
+    is written, so a run that fails later keeps the rows already scored.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._fh = None
+        self._writer = None
+
+    def write(self, record: WindowRecord) -> None:
+        if self._fh is None:
+            self._fh = open(self.path, "w", encoding="utf-8", newline="")
+            self._writer = csv.writer(self._fh)
+            self._writer.writerow(CSV_FIELDS)
+        self._writer.writerow(_row(record))
+        self._fh.flush()
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
 
 
 def read_report(path) -> list[WindowRecord]:

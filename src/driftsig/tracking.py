@@ -62,13 +62,16 @@ def run_tracking(
     window_size: int,
     cfg: LearnerConfig | None = None,
     snapshot_dir=None,
+    on_record=None,
 ) -> list[WindowRecord]:
     """Consume a labeled event source and score it window by window.
 
     Emits one cumulative :class:`WindowRecord` per post-bootstrap window
     (the bootstrap window seeds the models and is not scored; a trailing
     partial window is dropped).  Requires at least ``2 * window_size``
-    events or raises :class:`InsufficientStreamError`.
+    events or raises :class:`InsufficientStreamError`.  ``on_record``,
+    when given, is called with each record as soon as its window is
+    scored, so a caller can persist it before the next window runs.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -112,17 +115,18 @@ def run_tracking(
                 _snapshot(model, snapshot_dir)
         counts = accumulate_pairs(counts, pairs)
         tpr, fpr = rates(counts)
-        records.append(
-            WindowRecord(
-                window=window,
-                mode=mode,
-                counts=counts,
-                tpr=tpr,
-                fpr=fpr,
-                auc=auc_point(tpr, fpr),
-                model_size=model.size,
-            )
+        record = WindowRecord(
+            window=window,
+            mode=mode,
+            counts=counts,
+            tpr=tpr,
+            fpr=fpr,
+            auc=auc_point(tpr, fpr),
+            model_size=model.size,
         )
+        records.append(record)
+        if on_record is not None:
+            on_record(record)
     if not records:
         raise InsufficientStreamError(
             f"need at least {2 * window_size} events for one scored window"

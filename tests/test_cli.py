@@ -100,6 +100,25 @@ def test_track_insufficient_stream_exit_3(tmp_path, capsys):
     code = run_cli("track", "--in", events, "--mode", "naive", "--window-size", 1000,
                    "--out", tmp_path / "m.csv")
     assert code == 3
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_track_keeps_scored_rows_when_a_later_row_is_malformed(tmp_path, capsys):
+    events = tmp_path / "e.tsv"
+    run_cli("gen", "--seed", 5, "--events", 500, "--out", events)
+    flags = ["track", "--in", events, "--mode", "adaptive", "--window-size", 100,
+             "--max-ngram", 3, "--max-quantified", 0]
+    assert run_cli(*flags, "--out", tmp_path / "full.csv") == 0
+    full = (tmp_path / "full.csv").read_text().splitlines(keepends=True)
+    assert len(full) == 5
+
+    lines = events.read_text().splitlines(keepends=True)
+    lines[349] = "349\tbroken row\n"  # window 0 is the bootstrap; this is in window 3
+    events.write_text("".join(lines))
+    out = tmp_path / "m.csv"
+    assert run_cli(*flags, "--out", out) == 1
+    assert "line 350" in capsys.readouterr().err
+    assert out.read_text().splitlines(keepends=True) == full[:3]
 
 
 def test_track_synthetic_runs_and_prints_summary(tmp_path, capsys):

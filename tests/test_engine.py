@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from driftsig import _kernels
 from driftsig.engine import compile_set, match_many, match_one, pack_patterns
-from driftsig.alphabet import encode_many
+from driftsig.alphabet import ALPHABET, encode_many
 from driftsig.errors import CapacityError
 from driftsig.patterns import Atom, Pattern, Quant, parse_pattern
 
@@ -46,6 +47,22 @@ def test_match_one_cases(text, subject, expected):
 def test_non_alphabet_chars_never_match_wildcard():
     assert not match_one(pat("x.z"), "xAz")
     assert match_one(pat("x.z"), "xaz")
+
+
+def test_automaton_wildcard_never_reads_outside_alphabet():
+    patterns = [pat("a.c"), pat("^.b"), pat("x.$")]
+    outside = ["a!c", "a c", "a\u00e9c", "!b", "x!"]
+    twins = ["a-c", "a_c", "a.c", ".b", "x9"]
+    subjects = outside + twins
+    m = compile_set(patterns)
+    for s in subjects:
+        assert m.match_set(s) == match_set_bruteforce(patterns, s), s
+    assert not m.match_any_batch(outside).any()
+    assert m.match_any_batch(twins).all()
+    for p in patterns:
+        single = compile_set([p])
+        expected = [backtrack_match(p, s) for s in subjects]
+        assert single.match_any_batch(subjects).tolist() == expected, p.text
 
 
 def test_match_one_agrees_with_backtracking_oracle():
@@ -131,6 +148,13 @@ def test_capacity_error():
     patterns = [pat("abc"), pat("xyz"), pat("q.r")]
     with pytest.raises(CapacityError):
         compile_set(patterns, state_limit=3)
+    # the limit is exact: a set that needs n states compiles with n, not n - 1
+    patterns = [pat("^a.c"), pat("b?d*e+"), pat("x.y$"), pat("^q+z?$"), pat("..0")]
+    m = compile_set(patterns)
+    assert m.n_states > 10
+    assert compile_set(patterns, state_limit=m.n_states).n_states == m.n_states
+    with pytest.raises(CapacityError):
+        compile_set(patterns, state_limit=m.n_states - 1)
 
 
 def test_anchored_and_empty_matching_patterns_in_sets():
@@ -165,6 +189,50 @@ def test_kernel_paths_agree():
     dfa = _kernels.dfa_match_any(m._trans, m._hit_run, m._hit_end, scodes, s_off)
     expected = np.array([len(match_set_bruteforce(plain, s)) > 0 for s in subjects])
     assert np.array_equal(dfa, expected)
+
+
+def _golden_patterns():
+    """300 fixed patterns: the full alphabet, wildcards, all three
+    quantifiers, both anchors and a few long exact-match patterns."""
+    rng = random.Random(20261018)
+    quants = [Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE, Quant.ONE_OR_MORE]
+    patterns = []
+    for i in range(300):
+        if i % 60 == 0:
+            text = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(40, 70)))
+            patterns.append(Pattern(tuple(Atom(c) for c in text), True, True))
+            continue
+        atoms = []
+        for _ in range(rng.randint(2, 6)):
+            r = rng.random()
+            if r < 0.02:
+                atoms.append(Atom(None))
+            elif r < 0.07:
+                atoms.append(Atom(rng.choice(ALPHABET), rng.choice(quants)))
+            else:
+                atoms.append(Atom(rng.choice(ALPHABET)))
+        if all(a.is_any for a in atoms):
+            atoms[0] = Atom(rng.choice(ALPHABET))
+        patterns.append(Pattern(tuple(atoms), rng.random() < 0.2, rng.random() < 0.2))
+    return patterns
+
+
+def test_golden_automaton():
+    # n_states and digest were recorded from the set-based subset
+    # construction; any rewrite of compile_set must reproduce them
+    patterns = _golden_patterns()
+    atoms = [a for p in patterns for a in p.atoms]
+    assert {a.quant for a in atoms} == set(Quant) and any(a.is_any for a in atoms)
+    assert {a.char for a in atoms} >= set(ALPHABET)
+    assert any(p.anchored_start and not p.anchored_end for p in patterns)
+    assert any(p.anchored_end and not p.anchored_start for p in patterns)
+    m = compile_set(patterns)
+    h = hashlib.sha256()
+    for arr in (m._trans.astype("<i4"), m._hit_run, m._hit_end):
+        h.update(arr.tobytes())
+    h.update(repr((m._run_ids, m._end_ids, m._always)).encode())
+    assert m.n_states == 2110
+    assert h.hexdigest() == "39f4be09ca218394bf7dbc7cfd4f27110ef2cf5981cc65d097009c817c84162f"
 
 
 def test_match_many_matrix_shape_and_content():
