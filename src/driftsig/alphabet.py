@@ -23,7 +23,9 @@ CODE_ANY = 64                   # atom code reserved for the '.' wildcard
 
 CHAR_TO_CODE = {ch: i for i, ch in enumerate(ALPHABET)}
 
-# byte -> code table so encoding is a single bytes.translate pass
+# byte -> code table so encoding is a single bytes.translate pass.  Strings
+# are encoded as UTF-8 with "surrogatepass", so every character outside
+# ASCII, lone surrogates included, becomes bytes >= 0x80 and so CODE_OTHER.
 _BYTE_TABLE = bytes(
     CHAR_TO_CODE.get(chr(b), CODE_OTHER) for b in range(256)
 )
@@ -31,7 +33,7 @@ _BYTE_TABLE = bytes(
 
 def encode(value: str) -> np.ndarray:
     """Encode one string as a uint8 code array."""
-    raw = value.encode("utf-8", "backslashreplace")
+    raw = value.encode("utf-8", "surrogatepass")
     return np.frombuffer(raw.translate(_BYTE_TABLE), dtype=np.uint8)
 
 
@@ -41,7 +43,7 @@ def encode_many(values) -> tuple[np.ndarray, np.ndarray]:
     ``offsets`` has one extra trailing entry, so string ``j`` occupies
     ``codes[offsets[j]:offsets[j + 1]]``.
     """
-    blobs = [v.encode("utf-8", "backslashreplace").translate(_BYTE_TABLE) for v in values]
+    blobs = [v.encode("utf-8", "surrogatepass").translate(_BYTE_TABLE) for v in values]
     offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
     np.cumsum([len(b) for b in blobs], out=offsets[1:])
     codes = np.frombuffer(b"".join(blobs), dtype=np.uint8)

@@ -198,6 +198,10 @@ def _random_literal_pattern(rng: random.Random) -> Pattern:
 
 def cmd_bench(args) -> int:
     counts = [int(c) for c in args.pattern_counts.split(",") if c != ""]
+    if args.events < 1 or args.repeats < 1:
+        raise ValueError("--events and --repeats must be >= 1")
+    if min(counts, default=0) < 0:
+        raise ValueError("--pattern-counts must be >= 0")
     rng = random.Random(args.seed)
     corpus = [e.value for e in islice(gen_synthetic(DriftConfig(seed=args.seed)), args.events)]
 

@@ -41,20 +41,13 @@ def _atom_code(atom) -> int:
 def pack_patterns(patterns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Flatten patterns into (codes, loop, skip, offsets, flags) kernel arrays."""
     pats = list(patterns)
+    atoms = [atom for pat in pats for atom in pat.atoms]
     offsets = np.zeros(len(pats) + 1, dtype=np.int64)
     np.cumsum([len(p.atoms) for p in pats], out=offsets[1:])
-    total = int(offsets[-1])
-    codes = np.zeros(total, dtype=np.uint8)
-    loop = np.zeros(total, dtype=np.uint8)
-    skip = np.zeros(total, dtype=np.uint8)
-    flags = np.zeros(len(pats), dtype=np.uint8)
-    for p, pat in enumerate(pats):
-        base = int(offsets[p])
-        for i, atom in enumerate(pat.atoms):
-            codes[base + i] = _atom_code(atom)
-            loop[base + i] = atom.quant in _LOOPING
-            skip[base + i] = atom.quant in _SKIPPABLE
-        flags[p] = (1 if pat.anchored_start else 0) | (2 if pat.anchored_end else 0)
+    codes = np.array([_atom_code(atom) for atom in atoms], dtype=np.uint8)
+    loop = np.array([atom.quant in _LOOPING for atom in atoms], dtype=np.uint8)
+    skip = np.array([atom.quant in _SKIPPABLE for atom in atoms], dtype=np.uint8)
+    flags = np.array([p.anchored_start + 2 * p.anchored_end for p in pats], dtype=np.uint8)
     return codes, loop, skip, offsets, flags
 
 

@@ -6,6 +6,10 @@ and quantifier insertion), drop every component that matches a negative,
 then greedily pick a small subset whose union covers all positives.
 Positives no surviving component can reach get an anchored exact-match
 fallback, so the learned model always separates the two sets perfectly.
+
+Components are built directly as pattern ASTs from shared atoms; they
+are rendered to text only to order the pool by canonical text.  The
+filter, the cover matrix and the greedy pick work on whole arrays.
 """
 
 from __future__ import annotations
@@ -15,11 +19,21 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .alphabet import in_alphabet
+from .alphabet import ALPHABET, in_alphabet
 from .engine import DEFAULT_STATE_LIMIT, match_any_of, match_many
 from .errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from .model import Model
-from .patterns import QUANT_CHARS, Pattern, exact_pattern, parse_pattern, render_pattern
+from .patterns import Atom, Pattern, Quant, exact_pattern, render_pattern
+
+# Shared atoms: the wildcard, and per alphabet character its plain atom and
+# its three quantified ones.  Components hold these objects, so equal
+# components share atoms and compare by identity first.
+_ANY = Atom(None)
+_LITERAL = {ch: Atom(ch) for ch in ALPHABET}
+_QUANTIFIED = {
+    ch: tuple(Atom(ch, q) for q in (Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE, Quant.ONE_OR_MORE))
+    for ch in ALPHABET
+}
 
 
 @dataclass(frozen=True)
@@ -66,8 +80,8 @@ def generate_components(positives, cfg: LearnerConfig) -> ComponentPool:
     variants with at most ``max_wildcards`` characters replaced by the
     wildcard (never all of them), each with at most ``max_quantified``
     quantifiers inserted after non-wildcard atoms.  The pool is deduped
-    by canonical text, ordered shortest-text-first, and truncated to
-    ``max_pool``.
+    by value, ordered shortest-canonical-text-first (ties by text), and
+    truncated to ``max_pool``.
     """
     return _generate(positives, cfg, skip_gram=None)
 
@@ -84,7 +98,7 @@ def _generate(positives, cfg: LearnerConfig, skip_gram) -> ComponentPool:
         if not s or not in_alphabet(s):
             raise ValueError(f"positive string outside the event alphabet: {s!r}")
 
-    seen: dict[str, int] = {}
+    seen: dict[Pattern, int] = {}
     done_grams: set[str] = set()
     for src, s in enumerate(ordered):
         top = min(cfg.max_ngram, len(s))
@@ -98,35 +112,38 @@ def _generate(positives, cfg: LearnerConfig, skip_gram) -> ComponentPool:
                     continue
                 _expand_gram(gram, src, cfg, seen)
 
-    items = sorted(seen.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    items = items[: cfg.max_pool]
-    components = tuple(parse_pattern(text) for text, _ in items)
+    items = sorted(seen.items(), key=_text_order)[: cfg.max_pool]
+    components = tuple(p for p, _ in items)
     provenance = tuple(src for _, src in items)
     return ComponentPool(components, provenance)
+
+
+def _text_order(item) -> tuple[int, str]:
+    text = render_pattern(item[0])
+    return len(text), text
 
 
 def _expand_gram(gram: str, src: int, cfg: LearnerConfig, seen: dict) -> None:
     length = len(gram)
     positions = range(length)
-    literal = ["\\." if ch == "." else ch for ch in gram]
+    literal = [_LITERAL[ch] for ch in gram]
     max_wild = min(cfg.max_wildcards, length)
     for n_wild in range(max_wild + 1):
         for wild in combinations(positions, n_wild):
             if n_wild == length:
                 continue  # all-wildcard components are forbidden
-            wild_set = set(wild)
-            base = ["." if i in wild_set else literal[i] for i in positions]
-            plain = [i for i in positions if i not in wild_set]
+            base = list(literal)
+            for i in wild:
+                base[i] = _ANY
+            plain = [i for i in positions if i not in wild]
             max_q = min(cfg.max_quantified, len(plain))
             for n_q in range(max_q + 1):
                 for q_pos in combinations(plain, n_q):
-                    for quants in product(QUANT_CHARS, repeat=n_q):
-                        parts = list(base)
-                        for i, q in zip(q_pos, quants):
-                            parts[i] = parts[i] + q
-                        text = "".join(parts)
-                        if text not in seen:
-                            seen[text] = src
+                    for variant in product(*(_QUANTIFIED[gram[i]] for i in q_pos)):
+                        atoms = list(base)
+                        for i, atom in zip(q_pos, variant):
+                            atoms[i] = atom
+                        seen.setdefault(Pattern(tuple(atoms)), src)
 
 
 def filter_components(pool: ComponentPool, negatives) -> ComponentPool:
@@ -154,19 +171,12 @@ def greedy_set_cover(cover: np.ndarray) -> list[int]:
     if missing.size:
         raise UncoverableElements(missing.tolist())
 
-    packed = np.packbits(cover, axis=1, bitorder="little")
-    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    want = (1 << cover.shape[1]) - 1
-    covered = 0
+    uncovered = np.ones(cover.shape[1], dtype=bool)
     chosen: list[int] = []
-    while covered != want:
-        best, best_gain = -1, 0
-        for i, mask in enumerate(masks):
-            gain = (mask & ~covered).bit_count()
-            if gain > best_gain:
-                best, best_gain = i, gain
+    while uncovered.any():
+        best = int(np.argmax(np.count_nonzero(cover[:, uncovered], axis=1)))
         chosen.append(best)
-        covered |= masks[best]
+        uncovered &= ~cover[best]
     return chosen
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from .alphabet import in_alphabet
@@ -124,7 +125,7 @@ def gen_synthetic(cfg: DriftConfig) -> Iterator[Event]:
             pos_stems.append(stem)
 
     # rare negatives matter: Zipf weights give the pool a long tail
-    neg_weights = [1.0 / (i + 1) ** ZIPF_EXPONENT for i in range(cfg.n_neg_seeds)]
+    neg_cum = list(accumulate(1.0 / (i + 1) ** ZIPF_EXPONENT for i in range(cfg.n_neg_seeds)))
     tld_of = {stem: rng.choice(TLDS) for stem in neg_stems + pos_stems}
 
     def value_of(stem: str) -> str:
@@ -143,7 +144,7 @@ def gen_synthetic(cfg: DriftConfig) -> Iterator[Event]:
             stem = rng.choice(pos_stems)
             truth = 1
         else:
-            stem = rng.choices(neg_stems, weights=neg_weights)[0]
+            stem = rng.choices(neg_stems, cum_weights=neg_cum)[0]
             truth = 0
         yield Event(seq, value_of(stem), truth)
         seq += 1

@@ -6,7 +6,19 @@ from pathlib import Path
 import pytest
 
 import driftsig
+from driftsig import cli
 from driftsig.cli import main
+from driftsig.errors import (
+    CapacityError,
+    DisjointnessViolation,
+    DriftsigError,
+    EmptyPositiveSetError,
+    InsufficientStreamError,
+    LabelError,
+    ParseError,
+    PatternSyntaxError,
+    UncoverableElements,
+)
 from driftsig.metrics import read_report
 from driftsig.model import load_model
 
@@ -210,9 +222,59 @@ def test_bench_capacity_exit_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--events", 0),
+        ("--events", -3),
+        ("--repeats", 0),
+        ("--pattern-counts", "5,-1"),
+    ],
+)
+def test_bench_rejects_bad_values_exit_1(tmp_path, capsys, flags):
+    out = tmp_path / "b.csv"
+    assert run_cli("bench", "--pattern-counts", "5", "--events", 50, "--repeats", 1,
+                   *flags, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "exc,code",
+    [
+        (DisjointnessViolation({"bb", "aa"}), 2),
+        (InsufficientStreamError("stream ended after 1 window"), 3),
+        (CapacityError("more than 5 states"), 4),
+        (DriftsigError("generic"), 1),
+        (EmptyPositiveSetError("no positives"), 1),
+        (UncoverableElements([3]), 1),
+        (ParseError(7, "bad row"), 1),
+        (LabelError("a.com"), 1),
+        (PatternSyntaxError("bad", 2), 1),
+        (OSError("disk full"), 1),
+        (ValueError("bad value"), 1),
+    ],
+)
+def test_error_exit_codes(monkeypatch, capsys, exc, code):
+    def stub(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "gen", stub)
+    assert run_cli("gen", "--events", 1, "--out", "unused.tsv") == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if code == 2:
+        assert err.splitlines()[1:] == ["  aa", "  bb"]
+    else:
+        assert str(exc) in err
+
+
 def test_usage_errors_exit_1():
     assert run_cli("track", "--mode", "bogus", "--out", "x.csv") == 1
     assert run_cli("nonsense") == 1
+    assert run_cli() == 1
+    assert run_cli("bench", "--events", "many", "--out", "x.csv") == 1
 
 
 def test_missing_input_file_exit_1(tmp_path, capsys):

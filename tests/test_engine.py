@@ -50,15 +50,19 @@ def test_non_alphabet_chars_never_match_wildcard():
 
 
 def test_automaton_wildcard_never_reads_outside_alphabet():
-    patterns = [pat("a.c"), pat("^.b"), pat("x.$")]
-    outside = ["a!c", "a c", "a\u00e9c", "!b", "x!"]
-    twins = ["a-c", "a_c", "a.c", ".b", "x9"]
+    patterns = [pat("a.c"), pat("^.b"), pat("x.$"), pat("ud800"), pat("x."), pat("^x.$")]
+    # lone surrogates must not encode to alphabet characters (an escaping
+    # encoder would turn "\ud800" into the text "\\ud800")
+    outside = ["a!c", "a c", "a\u00e9c", "!b", "x!", "\ud800", "x\udcff"]
+    twins = ["a-c", "a_c", "a.c", ".b", "x9", "ud800", "xd"]
     subjects = outside + twins
     m = compile_set(patterns)
     for s in subjects:
         assert m.match_set(s) == match_set_bruteforce(patterns, s), s
     assert not m.match_any_batch(outside).any()
     assert m.match_any_batch(twins).all()
+    expected = [[backtrack_match(p, s) for s in subjects] for p in patterns]
+    assert match_many(patterns, subjects).tolist() == expected
     for p in patterns:
         single = compile_set([p])
         expected = [backtrack_match(p, s) for s in subjects]

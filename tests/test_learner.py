@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -103,6 +104,27 @@ def test_max_pool_truncation_keeps_shortest():
     pool = generate_components({"abcd"}, cfg)
     assert len(pool) == 5
     assert pool.texts() == full.texts()[:5]
+
+
+def test_golden_learned_models():
+    # sha256 over the learned pattern texts of 40 seeded cases with the
+    # regex-golf caps: a change in pool order or cover tie-break changes it
+    rng = random.Random(4040)
+    alphabet = "abcdefgh01.-_"
+    cfg = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=1, max_pool=20_000)
+
+    def draw(lo, hi):
+        return {
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
+            for _ in range(rng.randint(lo, hi))
+        }
+
+    h = hashlib.sha256()
+    for _ in range(40):
+        positives = draw(1, 20)
+        negatives = draw(0, 20) - positives
+        h.update("\n".join(learn(positives, negatives, cfg).texts()).encode() + b"\0")
+    assert h.hexdigest() == "48cb8ff36c0eb9ea2091549a0d561e91deba05e19359be78130d914fac78ae85"
 
 
 def test_filter_components_examples():

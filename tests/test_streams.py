@@ -1,3 +1,4 @@
+import hashlib
 from itertools import islice
 
 import pytest
@@ -30,6 +31,15 @@ def stem_of(value):
 def test_same_seed_same_stream():
     cfg = DriftConfig(seed=13)
     assert take(cfg, 1000) == take(cfg, 1000)
+
+
+def test_golden_stream():
+    # sha256 of the first 5000 events: any change to the draw order or the
+    # weights changes it
+    h = hashlib.sha256()
+    for e in take(DriftConfig(seed=29), 5000):
+        h.update(f"{e.seq}\t{e.value}\t{e.truth}\n".encode())
+    assert h.hexdigest() == "7fca22102d04d35f4984478b2ba39b9facb4dcac2652c262a6908ee69083b9ba"
 
 
 def test_different_seed_different_stream():
