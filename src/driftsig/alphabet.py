@@ -43,13 +43,19 @@ def encode_many(values) -> tuple[np.ndarray, np.ndarray]:
     ``offsets`` has one extra trailing entry, so string ``j`` occupies
     ``codes[offsets[j]:offsets[j + 1]]``.
     """
-    blobs = [v.encode("utf-8", "surrogatepass").translate(_BYTE_TABLE) for v in values]
-    offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
-    np.cumsum([len(b) for b in blobs], out=offsets[1:])
-    codes = np.frombuffer(b"".join(blobs), dtype=np.uint8)
-    return codes, offsets
+    values = list(values)
+    joined = "".join(values)
+    raw = joined.encode("utf-8", "surrogatepass")
+    if len(raw) == len(joined):
+        # all ASCII: one byte per character
+        lengths = [len(v) for v in values]
+    else:
+        lengths = [len(v.encode("utf-8", "surrogatepass")) for v in values]
+    offsets = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return np.frombuffer(raw.translate(_BYTE_TABLE), dtype=np.uint8), offsets
 
 
 def in_alphabet(value: str) -> bool:
     """True when every character of ``value`` is in the event alphabet."""
-    return all(ch in ALPHABET_SET for ch in value)
+    return ALPHABET_SET.issuperset(value)

@@ -155,6 +155,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_track(args) -> int:
+    cfg = _learner_config(args)
     if args.blacklist and not args.in_path:
         raise ValueError("--blacklist needs --in")
     if args.in_path:
@@ -175,7 +176,7 @@ def cmd_track(args) -> int:
             events,
             mode=args.mode,
             window_size=args.window_size,
-            cfg=_learner_config(args),
+            cfg=cfg,
             snapshot_dir=args.snapshots,
             on_record=report.write,
         )
@@ -198,8 +199,8 @@ def _random_literal_pattern(rng: random.Random) -> Pattern:
 
 def cmd_bench(args) -> int:
     counts = [int(c) for c in args.pattern_counts.split(",") if c != ""]
-    if args.events < 1 or args.repeats < 1:
-        raise ValueError("--events and --repeats must be >= 1")
+    if min(args.events, args.repeats, args.state_limit) < 1:
+        raise ValueError("--events, --repeats and --state-limit must be >= 1")
     if min(counts, default=0) < 0:
         raise ValueError("--pattern-counts must be >= 0")
     rng = random.Random(args.seed)

@@ -4,7 +4,11 @@ Each pattern is a short chain of states: state 0 is the start and
 state ``i`` means "first ``i`` atoms consumed".  Quantifiers become two
 flags per atom (may repeat; may be skipped), so simulation is a linear
 scan over states -- no backtracking.  :func:`pack_patterns` is the one
-place that encodes atoms into these flat arrays.  The learner's kernels
+place that encodes atoms into these flat arrays: patterns become token
+strings (one character per atom, see :mod:`driftsig.patterns`), and
+three 256-entry tables turn the joined tokens' bytes into the atoms'
+codes and repeat and skip flags; the learner hands its components over
+as token strings already.  The learner's kernels
 simulate every chain of a batch at once, one bit per atom (bit-parallel
 Shift-And, see :mod:`driftsig._kernels`); :func:`compile_set` lays the
 same chains back to back and glues them into one subset-construction
@@ -26,33 +30,49 @@ import numpy as np
 from . import _kernels
 from .alphabet import CHAR_TO_CODE, CODE_ANY, CODE_OTHER, N_SYMBOLS, encode, encode_many
 from .errors import CapacityError
-from .patterns import Pattern, Quant
+from .patterns import TOKEN_ATOMS, Pattern, Quant, pattern_tokens
 
 DEFAULT_STATE_LIMIT = 1_000_000
 
-_LOOPING = (Quant.ZERO_OR_MORE, Quant.ONE_OR_MORE)
-_SKIPPABLE = (Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE)
+
+def _token_table(value) -> np.ndarray:
+    """``value(atom)`` per token byte (see :mod:`driftsig.patterns`); bytes
+    no token uses are never looked up."""
+    table = np.zeros(256, dtype=np.uint8)
+    for token, atom in TOKEN_ATOMS.items():
+        table[ord(token)] = value(atom)
+    return table
 
 
-def _atom_code(atom) -> int:
-    return CODE_ANY if atom.is_any else CHAR_TO_CODE[atom.char]
+# per token: the atom's symbol code, whether it may repeat (* and +) and
+# whether it may be skipped (? and *)
+_TOKEN_CODE = _token_table(lambda a: CODE_ANY if a.is_any else CHAR_TO_CODE[a.char])
+_TOKEN_LOOP = _token_table(lambda a: a.quant in (Quant.ZERO_OR_MORE, Quant.ONE_OR_MORE))
+_TOKEN_SKIP = _token_table(lambda a: a.quant in (Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE))
 
 
 def pack_patterns(patterns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten patterns into (codes, loop, skip, offsets, flags) kernel arrays."""
+    """Flatten patterns into (codes, loop, skip, offsets, flags) kernel arrays.
+
+    ``patterns`` holds :class:`Pattern` objects, or the token strings of
+    unanchored patterns, as the learner keeps its components.
+    """
     pats = list(patterns)
-    atoms = [atom for pat in pats for atom in pat.atoms]
-    offsets = np.zeros(len(pats) + 1, dtype=np.int64)
-    np.cumsum([len(p.atoms) for p in pats], out=offsets[1:])
-    codes = np.array([_atom_code(atom) for atom in atoms], dtype=np.uint8)
-    loop = np.array([atom.quant in _LOOPING for atom in atoms], dtype=np.uint8)
-    skip = np.array([atom.quant in _SKIPPABLE for atom in atoms], dtype=np.uint8)
-    flags = np.array([p.anchored_start + 2 * p.anchored_end for p in pats], dtype=np.uint8)
-    return codes, loop, skip, offsets, flags
+    if pats and isinstance(pats[0], str):
+        keys = pats
+        flags = np.zeros(len(pats), dtype=np.uint8)
+    else:
+        keys = [pattern_tokens(p) for p in pats]
+        flags = np.array([p.anchored_start + 2 * p.anchored_end for p in pats], dtype=np.uint8)
+    raw = np.frombuffer("".join(keys).encode("latin-1"), dtype=np.uint8)
+    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum([len(k) for k in keys], out=offsets[1:])
+    return _TOKEN_CODE[raw], _TOKEN_LOOP[raw], _TOKEN_SKIP[raw], offsets, flags
 
 
 def match_many(patterns, values) -> np.ndarray:
-    """Boolean matrix: entry [p, j] is True when pattern p matches values[j]."""
+    """Boolean matrix: entry [p, j] is True when pattern p matches values[j].
+    ``patterns`` is as for :func:`pack_patterns`."""
     codes, loop, skip, offsets, flags = pack_patterns(patterns)
     scodes, s_off = encode_many(values)
     return _kernels.nfa_match_matrix(codes, loop, skip, offsets, flags, scodes, s_off)

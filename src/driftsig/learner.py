@@ -7,33 +7,28 @@ then greedily pick a small subset whose union covers all positives.
 Positives no surviving component can reach get an anchored exact-match
 fallback, so the learned model always separates the two sets perfectly.
 
-Components are built directly as pattern ASTs from shared atoms; they
-are rendered to text only to order the pool by canonical text.  The
-filter, the cover matrix and the greedy pick work on whole arrays.
+Components are token strings, one character per atom (see
+:mod:`driftsig.patterns`): a gram is its own literal token string, and
+its variants substitute wildcard and quantifier tokens into it, so
+deduplication is on strings and the pool is ordered by the canonical
+text a translate table gives.  The filter and the cover matrix pack the
+token strings through the engine's per-token tables, and only the
+components greedy picks become pattern ASTs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import itemgetter
 
 import numpy as np
 
-from .alphabet import ALPHABET, in_alphabet
+from .alphabet import in_alphabet
 from .engine import DEFAULT_STATE_LIMIT, match_any_of, match_many
 from .errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from .model import Model
-from .patterns import Atom, Pattern, Quant, exact_pattern, render_pattern
-
-# Shared atoms: the wildcard, and per alphabet character its plain atom and
-# its three quantified ones.  Components hold these objects, so equal
-# components share atoms and compare by identity first.
-_ANY = Atom(None)
-_LITERAL = {ch: Atom(ch) for ch in ALPHABET}
-_QUANTIFIED = {
-    ch: tuple(Atom(ch, q) for q in (Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE, Quant.ONE_OR_MORE))
-    for ch in ALPHABET
-}
+from .patterns import ANY_TOKEN, QUANTIFY, exact_pattern, render_tokens, token_pattern
 
 
 @dataclass(frozen=True)
@@ -56,21 +51,24 @@ class LearnerConfig:
             raise ValueError("max_ngram must be >= 1")
         if min(self.max_wildcards, self.max_quantified, self.max_pool) < 0:
             raise ValueError("caps must be >= 0")
+        if self.state_limit < 1:
+            raise ValueError("state_limit must be >= 1")
 
 
 @dataclass
 class ComponentPool:
-    """Deduplicated candidate components plus, for each, the index (into
-    the sorted positive list) of the string it was generated from."""
+    """Deduplicated candidate components, each an unanchored pattern's
+    token string, plus, for each, the index (into the sorted positive
+    list) of the string it was generated from."""
 
-    components: tuple[Pattern, ...]
+    components: tuple[str, ...]
     provenance: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.components)
 
     def texts(self) -> list[str]:
-        return [render_pattern(p) for p in self.components]
+        return [render_tokens(t) for t in self.components]
 
 
 def generate_components(positives, cfg: LearnerConfig) -> ComponentPool:
@@ -98,52 +96,68 @@ def _generate(positives, cfg: LearnerConfig, skip_gram) -> ComponentPool:
         if not s or not in_alphabet(s):
             raise ValueError(f"positive string outside the event alphabet: {s!r}")
 
-    seen: dict[Pattern, int] = {}
-    done_grams: set[str] = set()
-    for src, s in enumerate(ordered):
-        top = min(cfg.max_ngram, len(s))
-        for length in range(1, top + 1):
-            for start in range(len(s) - length + 1):
-                gram = s[start : start + length]
-                if gram in done_grams:
-                    continue
-                done_grams.add(gram)
-                if skip_gram is not None and skip_gram(gram):
-                    continue
-                _expand_gram(gram, src, cfg, seen)
+    # every distinct gram, with the lowest index of a positive holding it:
+    # the grams of each length are read off all positives at once, joined
+    # by a separator outside the alphabet, and written last to first
+    joined = "\n".join(ordered)
+    src_at = [src for src, s in enumerate(ordered) for _ in range(len(s) + 1)]
+    first: dict[str, int] = {}
+    for n in range(1, min(cfg.max_ngram, max(map(len, ordered))) + 1):
+        subs = [joined[i : i + n] for i in range(len(joined) - n + 1)]
+        first.update(zip(reversed(subs), reversed(src_at[: len(subs)])))
+
+    # grams by length, highest source first (see _expand_grams)
+    groups: dict[int, tuple[list[str], list[int]]] = {}
+    for gram, src in sorted(first.items(), key=itemgetter(1), reverse=True):
+        if "\n" not in gram and (skip_gram is None or not skip_gram(gram)):
+            grams, srcs = groups.setdefault(len(gram), ([], []))
+            grams.append(gram)
+            srcs.append(src)
+
+    seen: dict[str, int] = {}
+    for grams, srcs in groups.values():
+        _expand_grams(grams, srcs, cfg, seen)
 
     items = sorted(seen.items(), key=_text_order)[: cfg.max_pool]
-    components = tuple(p for p, _ in items)
+    components = tuple(t for t, _ in items)
     provenance = tuple(src for _, src in items)
     return ComponentPool(components, provenance)
 
 
 def _text_order(item) -> tuple[int, str]:
-    text = render_pattern(item[0])
+    text = render_tokens(item[0])
     return len(text), text
 
 
-def _expand_gram(gram: str, src: int, cfg: LearnerConfig, seen: dict) -> None:
-    length = len(gram)
+def _expand_grams(grams: list[str], srcs: list[int], cfg: LearnerConfig, seen: dict) -> None:
+    """Add every variant of the equal-length ``grams`` to ``seen``.
+
+    A gram's plain literals are its own token string.  The grams are
+    taken column by column: a variant shape (wildcard positions, then
+    quantifier positions and kinds) swaps some columns for a column of
+    wildcard tokens or a ``str.translate``d column of quantified tokens,
+    and zipping the columns back gives that shape's variant of every gram.
+    A component's tokens fix its shape, so shapes never share a component;
+    within a shape, ``srcs`` runs from the highest source down, so a
+    variant several grams share keeps the lowest.
+    """
+    length = len(grams[0])
+    joined = "".join(grams)
+    columns = [joined[i::length] for i in range(length)]
+    wild_column = ANY_TOKEN * len(grams)
     positions = range(length)
-    literal = [_LITERAL[ch] for ch in gram]
-    max_wild = min(cfg.max_wildcards, length)
-    for n_wild in range(max_wild + 1):
+    # all-wildcard components are forbidden
+    for n_wild in range(min(cfg.max_wildcards, length - 1) + 1):
         for wild in combinations(positions, n_wild):
-            if n_wild == length:
-                continue  # all-wildcard components are forbidden
-            base = list(literal)
-            for i in wild:
-                base[i] = _ANY
+            base = [wild_column if i in wild else col for i, col in enumerate(columns)]
             plain = [i for i in positions if i not in wild]
-            max_q = min(cfg.max_quantified, len(plain))
-            for n_q in range(max_q + 1):
+            for n_q in range(min(cfg.max_quantified, len(plain)) + 1):
                 for q_pos in combinations(plain, n_q):
-                    for variant in product(*(_QUANTIFIED[gram[i]] for i in q_pos)):
-                        atoms = list(base)
-                        for i, atom in zip(q_pos, variant):
-                            atoms[i] = atom
-                        seen.setdefault(Pattern(tuple(atoms)), src)
+                    for kinds in product(QUANTIFY, repeat=n_q):
+                        cols = list(base)
+                        for i, table in zip(q_pos, kinds):
+                            cols[i] = columns[i].translate(table)
+                        seen.update(zip(map("".join, zip(*cols)), srcs))
 
 
 def filter_components(pool: ComponentPool, negatives) -> ComponentPool:
@@ -152,7 +166,7 @@ def filter_components(pool: ComponentPool, negatives) -> ComponentPool:
         return ComponentPool(pool.components, pool.provenance)
     neg = sorted(set(negatives))
     hits = match_any_of(pool.components, neg)
-    keep = [i for i in range(len(pool.components)) if not hits[i]]
+    keep = np.flatnonzero(~hits).tolist()
     return ComponentPool(
         tuple(pool.components[i] for i in keep),
         tuple(pool.provenance[i] for i in keep),
@@ -203,10 +217,11 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
 
     cover = match_many(pool.components, pos)
     unreached = np.flatnonzero(~cover.any(axis=0))
-    components = pool.components + tuple(exact_pattern(pos[j]) for j in unreached)
+    fallbacks = tuple(exact_pattern(pos[j]) for j in unreached)
     fallback = np.zeros((len(unreached), len(pos)), dtype=bool)
     fallback[np.arange(len(unreached)), unreached] = True
 
     order = greedy_set_cover(np.vstack([cover, fallback]))
-    selected = tuple(components[i] for i in order)
+    n = len(pool)
+    selected = tuple(token_pattern(pool.components[i]) if i < n else fallbacks[i - n] for i in order)
     return Model(selected, generation=0, state_limit=cfg.state_limit)

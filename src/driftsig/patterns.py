@@ -10,14 +10,23 @@ Literals are lowercase letters, digits, '-' and '_'.  A literal dot must
 be escaped as ``\\.``; a bare ``.`` is the single-character wildcard and
 may not carry a quantifier.  Disjunction does not exist at this level:
 a model ORs whole patterns together.
+
+Besides the text form, a pattern's atoms have a token form: one
+character per atom, every one below U+0100, so a joined token string
+encodes to one byte per atom.  A plain literal is its own character;
+the wildcard and the quantified literals take the characters from
+U+0080 up.  The learner holds its candidate components as token strings
+and the engine packs patterns through them, so this module owns the one
+atom <-> character table and the per-atom text it renders to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 
-from .alphabet import LITERAL_CHARS
+from .alphabet import ALPHABET, LITERAL_CHARS
 from .errors import PatternSyntaxError
 
 QUANT_CHARS = "?*+"
@@ -141,17 +150,16 @@ def parse_pattern(text: str) -> Pattern:
     return Pattern(tuple(atoms), anchored_start, anchored_end)
 
 
+def _render_atom(atom: Atom) -> str:
+    if atom.is_any:
+        return "."
+    return ("\\." if atom.char == "." else atom.char) + atom.quant.symbol
+
+
 def render_pattern(pattern: Pattern) -> str:
     """Render the canonical text; inverse of :func:`parse_pattern`."""
     parts = ["^"] if pattern.anchored_start else []
-    for atom in pattern.atoms:
-        if atom.is_any:
-            parts.append(".")
-        elif atom.char == ".":
-            parts.append("\\.")
-        else:
-            parts.append(atom.char)
-        parts.append(atom.quant.symbol)
+    parts.extend(_render_atom(atom) for atom in pattern.atoms)
     if pattern.anchored_end:
         parts.append("$")
     return "".join(parts)
@@ -163,3 +171,35 @@ def exact_pattern(value: str) -> Pattern:
         raise ValueError("cannot build an exact pattern for the empty string")
     atoms = tuple(Atom(ch) for ch in value)
     return Pattern(atoms, anchored_start=True, anchored_end=True)
+
+
+# The token table: every atom the grammar allows, each with its character.
+ANY_TOKEN = "\x80"
+_REPEATS = (Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE, Quant.ONE_OR_MORE)
+TOKEN_ATOMS: dict[str, Atom] = {ch: Atom(ch) for ch in ALPHABET}
+TOKEN_ATOMS[ANY_TOKEN] = Atom(None)
+TOKEN_ATOMS.update(
+    (chr(0x81 + n), Atom(ch, q)) for n, (q, ch) in enumerate(product(_REPEATS, ALPHABET))
+)
+# (quantifier symbol, literal or None) -> token
+_TOKEN_OF = {(a.quant.symbol, a.char): t for t, a in TOKEN_ATOMS.items()}
+# str.translate tables from a literal's token to its ``?``, ``*`` and ``+`` tokens
+QUANTIFY = tuple({ord(ch): _TOKEN_OF[q.symbol, ch] for ch in ALPHABET} for q in _REPEATS)
+# str.translate table from tokens to canonical text
+_TOKEN_TEXT = {ord(t): _render_atom(a) for t, a in TOKEN_ATOMS.items()}
+
+
+def pattern_tokens(pattern: Pattern) -> str:
+    """The token string of a pattern's atoms (anchors are not atoms)."""
+    return "".join([_TOKEN_OF[a.quant.symbol, a.char] for a in pattern.atoms])
+
+
+def token_pattern(tokens: str) -> Pattern:
+    """The unanchored pattern whose atoms ``tokens`` encodes."""
+    return Pattern(tuple(map(TOKEN_ATOMS.__getitem__, tokens)))
+
+
+def render_tokens(tokens: str) -> str:
+    """Canonical text of the unanchored pattern ``tokens`` encodes, equal to
+    ``render_pattern(token_pattern(tokens))``."""
+    return tokens.translate(_TOKEN_TEXT)

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from driftsig.alphabet import ALPHABET, ALPHABET_SET
+from driftsig.alphabet import ALPHABET, ALPHABET_SET, CHAR_TO_CODE, CODE_ANY
 from driftsig.patterns import Atom, Pattern, Quant
 
 
@@ -52,6 +52,20 @@ def backtrack_match(pattern: Pattern, s: str) -> bool:
     if pattern.anchored_start:
         return walk(0, 0)
     return any(walk(0, start) for start in range(limit + 1))
+
+
+def pack_patterns_per_atom(patterns):
+    """Reference for engine.pack_patterns: (codes, loop, skip, offsets,
+    flags) filled atom by atom straight from the AST."""
+    pats = list(patterns)
+    atoms = [atom for pat in pats for atom in pat.atoms]
+    offsets = np.zeros(len(pats) + 1, dtype=np.int64)
+    np.cumsum([len(p.atoms) for p in pats], out=offsets[1:])
+    codes = np.array([CODE_ANY if a.is_any else CHAR_TO_CODE[a.char] for a in atoms], dtype=np.uint8)
+    loop = np.array([a.quant in (Quant.ZERO_OR_MORE, Quant.ONE_OR_MORE) for a in atoms], dtype=np.uint8)
+    skip = np.array([a.quant in (Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE) for a in atoms], dtype=np.uint8)
+    flags = np.array([p.anchored_start + 2 * p.anchored_end for p in pats], dtype=np.uint8)
+    return codes, loop, skip, offsets, flags
 
 
 def match_set_bruteforce(patterns, s: str) -> set[int]:

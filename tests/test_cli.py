@@ -201,6 +201,17 @@ def test_track_blacklist_without_in_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("limit", [0, -5])
+def test_track_rejects_state_limit_below_one_exit_1(tmp_path, capsys, limit):
+    out = tmp_path / "m.csv"
+    code = run_cli("track", "--mode", "adaptive", "--events", 2000, "--window-size", 1000,
+                   "--state-limit", limit, "--out", out)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "state_limit" in err
+    assert not out.exists()
+
+
 def test_bench_writes_expected_csv(tmp_path):
     out = tmp_path / "bench.csv"
     code = run_cli("bench", "--pattern-counts", "0,5,20", "--events", 300,
@@ -229,6 +240,7 @@ def test_bench_capacity_exit_4(tmp_path):
         ("--events", -3),
         ("--repeats", 0),
         ("--pattern-counts", "5,-1"),
+        ("--state-limit", 0),
     ],
 )
 def test_bench_rejects_bad_values_exit_1(tmp_path, capsys, flags):

@@ -8,11 +8,17 @@ from hypothesis import strategies as st
 
 from driftsig import _kernels
 from driftsig.engine import compile_set, match_many, match_one, pack_patterns
-from driftsig.alphabet import ALPHABET, encode_many
+from driftsig.alphabet import ALPHABET, encode, encode_many
 from driftsig.errors import CapacityError
-from driftsig.patterns import Atom, Pattern, Quant, parse_pattern
+from driftsig.patterns import Atom, Pattern, Quant, parse_pattern, pattern_tokens
 
-from oracle import backtrack_match, match_set_bruteforce, random_pattern, random_subject
+from oracle import (
+    backtrack_match,
+    match_set_bruteforce,
+    pack_patterns_per_atom,
+    random_pattern,
+    random_subject,
+)
 
 # no example database on disk, and the same examples on every run
 PROPERTY = settings(database=None, derandomize=True, deadline=None)
@@ -311,3 +317,59 @@ def test_match_many_and_match_set_agree_with_oracle(patterns, subjects):
     matcher = compile_set(patterns)
     for j, s in enumerate(subjects):
         assert set(np.flatnonzero(got[:, j]).tolist()) == matcher.match_set(s)
+
+
+# every atom the grammar allows: all of the alphabet (the literal '.'
+# included) under each quantifier, and the wildcard
+_ANY_ATOMS = st.one_of(
+    st.builds(Atom, st.sampled_from(ALPHABET), st.sampled_from(list(Quant))),
+    st.just(Atom(None)),
+)
+_ANY_PATTERNS = st.builds(
+    Pattern,
+    st.lists(_ANY_ATOMS, min_size=1, max_size=8).filter(lambda a: not all(x.is_any for x in a)).map(tuple),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+@PROPERTY
+@given(st.lists(_ANY_PATTERNS, max_size=12))
+def test_pack_patterns_matches_per_atom_packer(patterns):
+    got = pack_patterns(patterns)
+    want = pack_patterns_per_atom(patterns)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    # the learner's form: token strings of unanchored patterns
+    bare = [Pattern(p.atoms) for p in patterns]
+    tokens = pack_patterns([pattern_tokens(p) for p in bare])
+    for g, w in zip(tokens, pack_patterns_per_atom(bare)):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def _encode_each(values):
+    codes = [encode(v) for v in values]
+    offsets = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in codes], out=offsets[1:])
+    return np.concatenate(codes) if codes else np.zeros(0, dtype=np.uint8), offsets
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[], [""], ["a\ud800b"], ["\u00e9"], ["", "ab", ""], ["ab", "\u00e9", "", "a\ud800b", "x.y"],
+     ["\ud800", "\udc00"], ["abc", "-_."]],
+)
+def test_encode_many_matches_per_value_encoding(values):
+    codes, offsets = encode_many(values)
+    want_codes, want_offsets = _encode_each(values)
+    assert np.array_equal(codes, want_codes)
+    assert np.array_equal(offsets, want_offsets)
+
+
+@PROPERTY
+@given(st.lists(st.text(max_size=6), max_size=8))
+def test_encode_many_matches_per_value_encoding_random(values):
+    codes, offsets = encode_many(values)
+    want_codes, want_offsets = _encode_each(values)
+    assert np.array_equal(codes, want_codes)
+    assert np.array_equal(offsets, want_offsets)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from driftsig.learner import (
     greedy_set_cover,
     learn,
 )
-from driftsig.patterns import parse_pattern
+from driftsig.patterns import parse_pattern, pattern_tokens
 
 from oracle import cover_matrix, minimum_cover_size
 
@@ -56,12 +57,13 @@ def test_generate_quantifier_insertions_superset():
 
 def test_generate_enumeration_matches_brute_force():
     # brute-force oracle: expand the production rules literally, with
-    # literal dots written escaped and wildcards written bare
+    # literal dots written escaped and wildcards written bare; each text's
+    # provenance is the first (sorted) positive that produces it
     from itertools import combinations, product
 
     def brute(strings, max_ngram, max_wild, max_quant):
-        out = set()
-        for s in strings:
+        out = {}
+        for src, s in enumerate(sorted(strings)):
             for n in range(1, min(max_ngram, len(s)) + 1):
                 for i in range(len(s) - n + 1):
                     gram = s[i : i + n]
@@ -80,13 +82,13 @@ def test_generate_enumeration_matches_brute_force():
                                         parts = list(base)
                                         for j, sym in zip(qpos, quants):
                                             parts[j] = parts[j] + sym
-                                        out.add("".join(parts))
+                                        out.setdefault("".join(parts), src)
         return out
 
-    strings = {"abc", "b.c", "dd"}
-    cfg = LearnerConfig(max_ngram=3, max_wildcards=2, max_quantified=1)
-    got = texts_of(generate_components(strings, cfg))
-    assert got == brute(strings, 3, 2, 1)
+    for strings, caps in [({"abc", "b.c", "dd"}, (3, 2, 1)), ({"xbcd", "abc", "bcd.", "c"}, (4, 1, 2))]:
+        cfg = LearnerConfig(max_ngram=caps[0], max_wildcards=caps[1], max_quantified=caps[2])
+        pool = generate_components(strings, cfg)
+        assert dict(zip(pool.texts(), pool.provenance)) == brute(strings, *caps)
 
 
 def test_generate_rejects_bad_input():
@@ -96,6 +98,15 @@ def test_generate_rejects_bad_input():
         generate_components({"UPPER"}, LearnerConfig())
     with pytest.raises(ValueError):
         generate_components({""}, LearnerConfig())
+
+
+@pytest.mark.parametrize(
+    "caps",
+    [{"max_ngram": 0}, {"max_wildcards": -1}, {"max_pool": -1}, {"state_limit": 0}, {"state_limit": -5}],
+)
+def test_learner_config_rejects_bad_caps(caps):
+    with pytest.raises(ValueError):
+        LearnerConfig(**caps)
 
 
 def test_max_pool_truncation_keeps_shortest():
@@ -127,11 +138,38 @@ def test_golden_learned_models():
     assert h.hexdigest() == "48cb8ff36c0eb9ea2091549a0d561e91deba05e19359be78130d914fac78ae85"
 
 
+def test_golden_learned_models_drift_caps(monkeypatch):
+    # sha256 over the learned pattern texts of the bootstrap and the first
+    # ten self-training windows of the criterion-4 stream, with the
+    # tracking caps (no quantifiers): wildcard-only pools and self-labels
+    from driftsig import tracking
+    from driftsig.streams import DriftConfig, gen_synthetic
+
+    stream = DriftConfig(
+        seed=29, drift_rate=0.034, mutation_weights=(0.30, 0.10, 0.45, 0.15),
+        n_neg_seeds=600, window_hint=1000,
+    )
+    cfg = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=0)
+    h = hashlib.sha256()
+    calls = []
+
+    def recorded(positives, negatives, cfg):
+        model = learn(positives, negatives, cfg)
+        calls.append(model.size)
+        h.update("\n".join(model.texts()).encode() + b"\0")
+        return model
+
+    monkeypatch.setattr(tracking, "learn", recorded)
+    tracking.run_tracking(islice(gen_synthetic(stream), 11_000), "adaptive", 1000, cfg)
+    assert len(calls) == 11
+    assert h.hexdigest() == "86d88b27d716ef8a3a5cfb1416e6086bb8584533bc4870301928a34015af5300"
+
+
 def test_filter_components_examples():
-    pool = ComponentPool(tuple(parse_pattern(t) for t in ["a", "b", "ab"]), (0, 0, 0))
+    pool = ComponentPool(tuple(pattern_tokens(parse_pattern(t)) for t in ["a", "b", "ab"]), (0, 0, 0))
     assert filter_components(pool, {"ba"}).texts() == ["ab"]
     assert filter_components(pool, set()).texts() == ["a", "b", "ab"]
-    single = ComponentPool((parse_pattern("x"),), (0,))
+    single = ComponentPool((pattern_tokens(parse_pattern("x")),), (0,))
     assert filter_components(single, {"axb"}).texts() == []
 
 

@@ -1,14 +1,22 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftsig.alphabet import ALPHABET
 from driftsig.patterns import (
+    TOKEN_ATOMS,
     Atom,
     Pattern,
     Quant,
     exact_pattern,
     parse_pattern,
+    pattern_tokens,
     render_pattern,
+    render_tokens,
+    token_pattern,
 )
 from driftsig.errors import PatternSyntaxError
 
@@ -86,3 +94,47 @@ def test_round_trip_random_patterns():
     for _ in range(500):
         p = random_pattern(rng)
         assert parse_pattern(render_pattern(p)) == p
+
+
+# every atom the grammar allows: all of the alphabet (the literal '.'
+# included) under each quantifier, and the wildcard
+_ATOMS = st.one_of(
+    st.builds(Atom, st.sampled_from(ALPHABET), st.sampled_from(list(Quant))),
+    st.just(Atom(None)),
+)
+_PATTERNS = st.builds(
+    Pattern,
+    st.lists(_ATOMS, min_size=1, max_size=8).filter(lambda a: not all(x.is_any for x in a)).map(tuple),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+def test_token_table_is_one_byte_per_atom():
+    assert len(TOKEN_ATOMS) == 1 + 4 * len(ALPHABET)
+    assert len(set(TOKEN_ATOMS.values())) == len(TOKEN_ATOMS)
+    assert all(len(t) == 1 and ord(t) < 256 for t in TOKEN_ATOMS)
+    # a plain literal is its own token
+    assert all(TOKEN_ATOMS[ch] == Atom(ch) for ch in ALPHABET)
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(st.lists(_PATTERNS, min_size=1, max_size=12))
+def test_token_encoding_round_trips_and_keeps_text_order(patterns):
+    keys = [pattern_tokens(p) for p in patterns]
+    for p, key in zip(patterns, keys):
+        assert len(key) == len(p.atoms)
+        back = token_pattern(key)
+        assert not back.anchored_start and not back.anchored_end
+        assert replace(back, anchored_start=p.anchored_start, anchored_end=p.anchored_end) == p
+        assert render_tokens(key) == render_pattern(back)
+
+    def by_text(t):
+        return len(t), t
+
+    bare = [Pattern(p.atoms) for p in patterns]
+    want = sorted(bare, key=lambda p: by_text(render_pattern(p)))
+    got = sorted(keys, key=lambda k: by_text(render_tokens(k)))
+    assert [token_pattern(k) for k in got] == want
+    # the token strings of equal patterns are equal, and of distinct ones distinct
+    assert len(set(keys)) == len(set(bare))
