@@ -125,7 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_events(args) -> None:
+    if args.events < 0:
+        raise ValueError("--events must be >= 0")
+
+
 def cmd_gen(args) -> int:
+    _check_events(args)
     events = islice(gen_synthetic(_drift_config(args)), args.events)
     n = write_tsv(events, args.out)
     print(f"wrote {n} events to {args.out}")
@@ -155,6 +161,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_track(args) -> int:
+    _check_events(args)
     cfg = _learner_config(args)
     if args.blacklist and not args.in_path:
         raise ValueError("--blacklist needs --in")

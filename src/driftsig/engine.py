@@ -18,6 +18,10 @@ patterns are loaded.  The construction is table-driven: each chain
 state lists once, per symbol it can read, the skip-closed states it
 moves to, and an automaton state's successors on all symbols are the
 unions of its members' entries, gathered in one pass.
+:func:`extend_set` appends patterns to a compiled set without a second
+subset construction: it takes the reachable product of the set's
+automaton and the appended patterns' own, which is the automaton
+:func:`compile_set` builds for the joined list, state for state.
 """
 
 from __future__ import annotations
@@ -100,8 +104,8 @@ def match_one(pattern: Pattern, value: str) -> bool:
 class MultiMatcher:
     """Immutable combined automaton over an ordered pattern set.
 
-    Built once by :func:`compile_set`; matching never mutates state, so
-    instances can be shared freely across threads.
+    Built once by :func:`compile_set` or :func:`extend_set`; matching
+    never mutates state, so instances can be shared freely across threads.
     """
 
     def __init__(self, trans, hit_run, hit_end, run_ids, end_ids, always):
@@ -272,3 +276,70 @@ def compile_set(patterns, state_limit: int = DEFAULT_STATE_LIMIT) -> MultiMatche
     hit_end = np.array([1 if ids else 0 for ids in end_ids], dtype=np.uint8)
 
     return MultiMatcher(trans, hit_run, hit_end, tuple(run_ids), tuple(end_ids), always)
+
+
+def extend_set(
+    base: MultiMatcher, addition: MultiMatcher, n_base: int, state_limit: int = DEFAULT_STATE_LIMIT
+) -> MultiMatcher:
+    """The automaton ``compile_set(base_patterns + added_patterns)`` builds,
+    from ``base`` (compiled from the first ``n_base`` patterns) and
+    ``addition`` (compiled from the rest).
+
+    The two sets' chains share no NFA state, so the combined subset a
+    string reaches is the union of the subsets it reaches in each
+    automaton: the combined automaton is the reachable part of the
+    product of the two, its state for the pair ``(a, b)`` storing
+    ``S_a | S_b``.  The pairs are explored one breadth-first level at a
+    time and numbered in the order compile_set's search meets their
+    stores, by (parent state, symbol), so every field of the result
+    equals compile_set's.  Raises :class:`CapacityError` exactly when
+    compile_set would.
+    """
+    trans_a, trans_b = base._trans, addition._trans
+    n_add = trans_b.shape[0]
+    # pair (a, b) is keyed a * n_add + b; by_id holds the keys of the
+    # pairs met so far in state order, the start pair (0, 0) being state 0
+    by_id = level = np.zeros(1, dtype=np.int64)
+    rows = []
+    while len(level):
+        rank = by_id.argsort()
+        known = by_id[rank]
+        # successors of the level's pairs, row by row: (parent, symbol) order
+        keys = (trans_a[level // n_add].astype(np.int64) * n_add + trans_b[level % n_add]).ravel()
+        order = keys.argsort(kind="stable")
+        sorted_keys = keys[order]
+        head = np.ones(len(keys), dtype=bool)
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+        uniq = sorted_keys[head]
+        at = np.minimum(known.searchsorted(uniq), len(known) - 1)
+        ids = rank[at]
+        fresh = np.flatnonzero(known[at] != uniq)
+        # new pairs are numbered in the order of their first occurrence
+        fresh = fresh[order[head][fresh].argsort()]
+        if len(fresh) and len(by_id) + len(fresh) > state_limit:
+            raise CapacityError(f"combined automaton needs more than {state_limit} states")
+        ids[fresh] = np.arange(len(by_id), len(by_id) + len(fresh))
+        row = np.empty(len(keys), dtype=np.int32)
+        row[order] = ids[np.cumsum(head) - 1]
+        rows.append(row)
+        level = uniq[fresh]
+        by_id = np.concatenate([by_id, level])
+
+    trans = np.concatenate(rows).reshape(-1, N_SYMBOLS)
+    pa = by_id // n_add
+    pb = by_id % n_add
+
+    def shifted(ids):
+        return tuple(i + n_base for i in ids)
+
+    run_b = [shifted(ids) for ids in addition._run_ids]
+    end_b = [shifted(ids) for ids in addition._end_ids]
+    pairs = list(zip(pa.tolist(), pb.tolist()))
+    return MultiMatcher(
+        trans,
+        base._hit_run[pa] | addition._hit_run[pb],
+        base._hit_end[pa] | addition._hit_end[pb],
+        tuple(base._run_ids[a] + run_b[b] for a, b in pairs),
+        tuple(base._end_ids[a] + end_b[b] for a, b in pairs),
+        base._always + shifted(addition._always),
+    )

@@ -2,7 +2,9 @@
 
 A model predicts positive when any of its patterns matches the event
 string; the empty model predicts negative for everything.  Updates never
-drop patterns -- new ones are unioned in, ensemble style.
+drop patterns -- new ones are unioned in, ensemble style -- so a
+generation's automaton extends the previous one's rather than being
+rebuilt (see :func:`driftsig.engine.extend_set`).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import DEFAULT_STATE_LIMIT, MultiMatcher, compile_set
+from .engine import DEFAULT_STATE_LIMIT, MultiMatcher, compile_set, extend_set
 from .patterns import Pattern, parse_pattern, render_pattern
 
 
@@ -21,6 +23,9 @@ class Model:
     generation: int = 0
     state_limit: int = DEFAULT_STATE_LIMIT
     _matcher: MultiMatcher | None = field(default=None, repr=False, compare=False)
+    # (compiled matcher, pattern count) of the model this one was unioned
+    # from, until this model's own matcher is built
+    _base: tuple[MultiMatcher, int] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.patterns)) != len(self.patterns):
@@ -35,9 +40,22 @@ class Model:
 
     @property
     def matcher(self) -> MultiMatcher:
-        # compiled once per model generation, then reused
+        """The combined automaton, built once per model generation.
+
+        A model unioned from a compiled one compiles only the appended
+        patterns and extends the base automaton with them, then drops
+        its reference to the base; any other model compiles all of its
+        patterns.  Either way the result equals
+        ``compile_set(self.patterns, self.state_limit)``.
+        """
         if self._matcher is None:
-            self._matcher = compile_set(self.patterns, self.state_limit)
+            if self._base is None:
+                self._matcher = compile_set(self.patterns, self.state_limit)
+            else:
+                base, n_base = self._base
+                added = compile_set(self.patterns[n_base:], self.state_limit)
+                self._matcher = extend_set(base, added, n_base, self.state_limit)
+                self._base = None
         return self._matcher
 
     def predict(self, value: str) -> int:
@@ -50,9 +68,18 @@ class Model:
         return self.matcher.match_any_batch(values).astype(np.int8)
 
     def union(self, new_patterns) -> "Model":
-        """Next-generation model with ``new_patterns`` appended, duplicates dropped."""
-        merged = dict.fromkeys(self.patterns + tuple(new_patterns))
-        return Model(tuple(merged), self.generation + 1, self.state_limit)
+        """Next-generation model with ``new_patterns`` appended, duplicates dropped.
+
+        If this model's matcher is built, the new model reuses it: as it
+        is when nothing new was appended, else as the base that its own
+        matcher extends.
+        """
+        merged = tuple(dict.fromkeys(self.patterns + tuple(new_patterns)))
+        if self._matcher is None:
+            return Model(merged, self.generation + 1, self.state_limit)
+        if len(merged) == len(self.patterns):
+            return Model(merged, self.generation + 1, self.state_limit, _matcher=self._matcher)
+        return Model(merged, self.generation + 1, self.state_limit, _base=(self._matcher, len(self.patterns)))
 
 
 def save_model(model: Model, path) -> None:

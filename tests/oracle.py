@@ -149,3 +149,18 @@ def spearman_rho(xs, ys) -> float:
     if dx == 0 or dy == 0:
         return 0.0
     return num / (dx * dy)
+
+
+def automaton_fields(matcher):
+    """The six fields of a compiled automaton, as one comparable value:
+    the transition table (dtype and shape included), both hit flags, the
+    per-state run and end-anchored pattern ids and the always-matching ids."""
+    trans = matcher._trans
+    return (
+        (trans.dtype.str, trans.shape, trans.tobytes()),
+        (matcher._hit_run.dtype.str, matcher._hit_run.tobytes()),
+        (matcher._hit_end.dtype.str, matcher._hit_end.tobytes()),
+        matcher._run_ids,
+        matcher._end_ids,
+        matcher._always,
+    )

@@ -212,6 +212,25 @@ def test_track_rejects_state_limit_below_one_exit_1(tmp_path, capsys, limit):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("gen", "--events", -3), ("track", "--mode", "naive", "--events", -5),
+     ("track", "--mode", "adaptive", "--events", -1, "--window-size", 10)],
+)
+def test_negative_events_rejected_exit_1(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run_cli(*command, "--out", out) == 1
+    assert capsys.readouterr().err == "error: --events must be >= 0\n"
+    assert not out.exists()
+
+
+def test_track_zero_events_exit_3(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    assert run_cli("track", "--mode", "naive", "--events", 0, "--out", out) == 3
+    assert capsys.readouterr().err.startswith("error: need at least")
+    assert not out.exists()
+
+
 def test_bench_writes_expected_csv(tmp_path):
     out = tmp_path / "bench.csv"
     code = run_cli("bench", "--pattern-counts", "0,5,20", "--events", 300,

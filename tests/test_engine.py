@@ -3,16 +3,17 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftsig import _kernels
-from driftsig.engine import compile_set, match_many, match_one, pack_patterns
+from driftsig.engine import compile_set, extend_set, match_many, match_one, pack_patterns
 from driftsig.alphabet import ALPHABET, encode, encode_many
 from driftsig.errors import CapacityError
 from driftsig.patterns import Atom, Pattern, Quant, parse_pattern, pattern_tokens
 
 from oracle import (
+    automaton_fields,
     backtrack_match,
     match_set_bruteforce,
     pack_patterns_per_atom,
@@ -345,6 +346,54 @@ def test_pack_patterns_matches_per_atom_packer(patterns):
     tokens = pack_patterns([pattern_tokens(p) for p in bare])
     for g, w in zip(tokens, pack_patterns_per_atom(bare)):
         assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+# patterns whose every atom may be skipped match the empty string, so an
+# unanchored one lands in the automaton's always-matching ids
+_EMPTY_MATCHING = st.builds(
+    Pattern,
+    st.lists(
+        st.builds(Atom, st.sampled_from(ALPHABET), st.sampled_from([Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE])),
+        min_size=1,
+        max_size=3,
+    ).map(tuple),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+# a pattern list and a point to split it at, empty halves included
+_SPLIT_LISTS = st.lists(st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING), max_size=12).flatmap(
+    lambda ps: st.tuples(st.just(ps), st.integers(0, len(ps)))
+)
+
+
+@PROPERTY
+@given(_SPLIT_LISTS)
+@example(([], 0))
+@example(([pat("a?"), pat("^b.c"), pat("0*$")], 0))
+@example(([pat("a?"), pat("^b.c"), pat("0*$")], 3))
+# always-matching ids on both sides; more than ten states
+@example(([pat("^a.c"), pat("b?d*e+"), pat("x?"), pat("x.y$"), pat("^q+z?$"), pat("..0"), pat("y*")], 3))
+def test_extend_set_equals_compile_set(case):
+    patterns, split = case
+    head, tail = patterns[:split], patterns[split:]
+    want = compile_set(patterns)
+    n = want.n_states
+    got = extend_set(compile_set(head), compile_set(tail), len(head), n)
+    assert automaton_fields(got) == automaton_fields(want)
+    # one state short, extend_set fails exactly when compile_set does
+    # (a one-state automaton fits any limit), with the same message
+    try:
+        compile_set(patterns, n - 1)
+    except CapacityError as exc:
+        with pytest.raises(CapacityError) as err:
+            extend_set(compile_set(head), compile_set(tail), len(head), n - 1)
+        assert str(err.value) == str(exc)
+    else:
+        assert n == 1
+        got = extend_set(compile_set(head), compile_set(tail), len(head), n - 1)
+        assert automaton_fields(got) == automaton_fields(want)
 
 
 def _encode_each(values):

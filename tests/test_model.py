@@ -1,7 +1,14 @@
+import gc
+import weakref
+
 import pytest
 
+from driftsig import model as model_mod
+from driftsig.engine import compile_set
 from driftsig.model import Model, load_model, save_model
 from driftsig.patterns import parse_pattern
+
+from oracle import automaton_fields
 
 
 def pats(*texts):
@@ -37,6 +44,57 @@ def test_union_dedups_and_bumps_generation():
 def test_matcher_cached_per_model():
     model = Model(pats("xy"))
     assert model.matcher is model.matcher
+
+
+def test_union_of_compiled_model_compiles_only_appended_patterns(monkeypatch):
+    compiled = []
+
+    def recording(patterns, state_limit):
+        compiled.append(tuple(patterns))
+        return compile_set(patterns, state_limit)
+
+    model = Model(pats("ab", "^c.d", "e*$"))
+    model.matcher
+    monkeypatch.setattr(model_mod, "compile_set", recording)
+    merged = model.union(pats("e*$", "x?y", "^q"))
+    assert automaton_fields(merged.matcher) == automaton_fields(compile_set(merged.patterns))
+    assert compiled == [pats("x?y", "^q")]
+
+
+def test_union_adding_only_duplicates_serves_the_same_matcher():
+    model = Model(pats("ab", "cd"))
+    matcher = model.matcher
+    merged = model.union(pats("cd", "ab"))
+    assert merged.generation == 1
+    assert merged.matcher is matcher
+
+
+def test_union_of_never_compiled_model_compiles_from_scratch(monkeypatch):
+    def no_extension(*args):
+        raise AssertionError("extend_set called without a compiled base")
+
+    monkeypatch.setattr(model_mod, "extend_set", no_extension)
+    model = Model(pats("ab", "cd"))
+    merged = model.union(pats("ef"))
+    assert automaton_fields(merged.matcher) == automaton_fields(compile_set(merged.patterns))
+    assert model._matcher is None
+    # nor does a union that adds nothing compile the base on its behalf
+    again = model.union(pats("ab"))
+    assert automaton_fields(again.matcher) == automaton_fields(model.matcher)
+    assert again.matcher is not model.matcher
+
+
+def test_extended_model_drops_its_base():
+    # a long adaptive run must not keep every generation's automaton alive
+    model = Model(pats("ab", "c.d"))
+    base = weakref.ref(model.matcher)
+    merged = model.union(pats("x+y"))
+    del model
+    gc.collect()
+    assert base() is not None  # held until the new matcher is built
+    merged.matcher
+    gc.collect()
+    assert base() is None
 
 
 def test_save_load_round_trip(tmp_path):

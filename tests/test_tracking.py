@@ -2,12 +2,17 @@ from itertools import islice
 
 import pytest
 
+from driftsig import model as model_mod
+from driftsig import tracking
+from driftsig.engine import compile_set
 from driftsig.errors import InsufficientStreamError
 from driftsig.learner import LearnerConfig
 from driftsig.model import Model
 from driftsig.patterns import parse_pattern
 from driftsig.streams import DriftConfig, Event, gen_synthetic
 from driftsig.tracking import run_tracking, run_window
+
+from oracle import automaton_fields
 
 FAST = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=0)
 
@@ -113,6 +118,30 @@ def test_adaptive_beats_naive_on_constructed_drift():
     assert naive[-1].tpr == 0.0  # every post-bootstrap positive is new
     assert adaptive[-1].tpr > naive[-1].tpr
     assert adaptive[-1].tpr == 1.0
+
+
+def test_every_generation_automaton_equals_compile_set(monkeypatch):
+    models, extended = [], []
+    extend_set = model_mod.extend_set
+
+    def recording_window(model, events, cfg=None):
+        new_model, outcome = run_window(model, events, cfg)
+        models.append(new_model)
+        return new_model, outcome
+
+    def recording_extend(*args):
+        extended.append(args[2])
+        return extend_set(*args)
+
+    monkeypatch.setattr(tracking, "run_window", recording_window)
+    monkeypatch.setattr(model_mod, "extend_set", recording_extend)
+    stream = islice(gen_synthetic(DriftConfig(seed=29, drift_rate=0.1, window_hint=200)), 2000)
+    run_tracking(stream, "adaptive", 200, FAST)
+    assert [m.generation for m in models] == list(range(1, 10))
+    for model in models:
+        want = compile_set(model.patterns, model.state_limit)
+        assert automaton_fields(model.matcher) == automaton_fields(want), model.generation
+    assert len(extended) >= 5  # most generations extended their predecessor
 
 
 def test_run_tracking_requires_two_windows():
