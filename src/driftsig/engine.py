@@ -20,8 +20,15 @@ moves to, and an automaton state's successors on all symbols are the
 unions of its members' entries, gathered in one pass.
 :func:`extend_set` appends patterns to a compiled set without a second
 subset construction: it takes the reachable product of the set's
-automaton and the appended patterns' own, which is the automaton
-:func:`compile_set` builds for the joined list, state for state.
+automaton and the appended patterns' own, which is the automaton one
+construction builds for the joined list, state for state.
+:func:`compile_set` uses the same join to build a long list as a
+balanced tree: lists of at most ``_LEAF_PATTERNS`` patterns take one
+construction, longer ones are halved by count and their halves'
+automata joined.  A half's automaton is a projection of the whole
+one's (a string reaches the same subset of the half's chains in
+both), so no intermediate automaton has more states than the result
+and the state limit trips exactly when one construction's would.
 """
 
 from __future__ import annotations
@@ -151,13 +158,41 @@ class MultiMatcher:
         return _kernels.dfa_match_any(self._trans, self._hit_run, self._hit_end, scodes, s_off)
 
 
+# Lists longer than this compile as a balanced tree of extend_set joins.
+_LEAF_PATTERNS = 512
+
+
 def compile_set(patterns, state_limit: int = DEFAULT_STATE_LIMIT) -> MultiMatcher:
     """Compile patterns into one shared automaton.
 
-    Raises :class:`CapacityError` if subset construction needs more than
-    ``state_limit`` states.
+    A list of at most ``_LEAF_PATTERNS`` patterns takes one subset
+    construction.  A longer one is split in half by count, each half is
+    compiled the same way, and the halves' automata are joined with
+    :func:`extend_set`, so the work is a balanced tree of small
+    constructions and numpy product searches; the result is the single
+    construction's automaton, field for field.
+
+    Raises :class:`CapacityError` if the automaton needs more than
+    ``state_limit`` states.  The tree raises exactly when the single
+    construction would: a string reaches the same subset of a half's
+    chains in the half's automaton as in the whole one, so every
+    intermediate automaton is a projection of the final one and never
+    has more states.
     """
-    pats = list(patterns)
+    return _compile_tree(list(patterns), state_limit)
+
+
+def _compile_tree(pats: list, state_limit: int) -> MultiMatcher:
+    if len(pats) <= _LEAF_PATTERNS:
+        return _subset_construction(pats, state_limit)
+    half = len(pats) // 2
+    left = _compile_tree(pats[:half], state_limit)
+    right = _compile_tree(pats[half:], state_limit)
+    return extend_set(left, right, half, state_limit)
+
+
+def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
+    """One table-driven subset construction over the whole list."""
     codes, loop, skip, offsets, flags = pack_patterns(pats)
 
     # chain NFA over the packed atoms: a start state is inserted before
@@ -290,10 +325,10 @@ def extend_set(
     automaton: the combined automaton is the reachable part of the
     product of the two, its state for the pair ``(a, b)`` storing
     ``S_a | S_b``.  The pairs are explored one breadth-first level at a
-    time and numbered in the order compile_set's search meets their
-    stores, by (parent state, symbol), so every field of the result
-    equals compile_set's.  Raises :class:`CapacityError` exactly when
-    compile_set would.
+    time and numbered in the order one subset construction's search
+    meets their stores, by (parent state, symbol), so every field of the
+    result equals compile_set's.  Raises :class:`CapacityError` exactly
+    when compile_set would.
     """
     trans_a, trans_b = base._trans, addition._trans
     n_add = trans_b.shape[0]

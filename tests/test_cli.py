@@ -237,13 +237,14 @@ def test_bench_writes_expected_csv(tmp_path):
                    "--repeats", 1, "--seed", 2, "--out", out)
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "k,naive_ns_per_event,combined_ns_per_event"
+    assert lines[0] == "k,naive_ns_per_event,combined_ns_per_event,compile_ms"
     ks = [int(line.split(",")[0]) for line in lines[1:]]
     assert ks == [0, 5, 20]
     for line in lines[1:]:
-        _, naive_ns, combined_ns = line.split(",")
+        _, naive_ns, combined_ns, compile_ms = line.split(",")
         assert float(naive_ns) >= 0.0
         assert float(combined_ns) >= 0.0
+        assert float(compile_ms) >= 0.0
 
 
 def test_bench_capacity_exit_4(tmp_path):

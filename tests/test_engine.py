@@ -1,16 +1,17 @@
 import hashlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftsig import _kernels
-from driftsig.engine import compile_set, extend_set, match_many, match_one, pack_patterns
+from driftsig import _kernels, engine
+from driftsig.engine import DEFAULT_STATE_LIMIT, compile_set, extend_set, match_many, match_one, pack_patterns
 from driftsig.alphabet import ALPHABET, encode, encode_many
 from driftsig.errors import CapacityError
-from driftsig.patterns import Atom, Pattern, Quant, parse_pattern, pattern_tokens
+from driftsig.patterns import Atom, Pattern, Quant, exact_pattern, parse_pattern, pattern_tokens
 
 from oracle import (
     automaton_fields,
@@ -238,12 +239,60 @@ def test_golden_automaton():
     assert any(p.anchored_start and not p.anchored_end for p in patterns)
     assert any(p.anchored_end and not p.anchored_start for p in patterns)
     m = compile_set(patterns)
+    assert m.n_states == 2110
+    assert _digest(m) == "39f4be09ca218394bf7dbc7cfd4f27110ef2cf5981cc65d097009c817c84162f"
+
+
+def _digest(m):
     h = hashlib.sha256()
     for arr in (m._trans.astype("<i4"), m._hit_run, m._hit_end):
         h.update(arr.tobytes())
     h.update(repr((m._run_ids, m._end_ids, m._always)).encode())
-    assert m.n_states == 2110
-    assert h.hexdigest() == "39f4be09ca218394bf7dbc7cfd4f27110ef2cf5981cc65d097009c817c84162f"
+    return h.hexdigest()
+
+
+def _large_golden_patterns():
+    """1500 fixed distinct patterns, two in three of them exact-match
+    entries and the rest random: quantified literals, wildcards and
+    anchors."""
+    rng = random.Random(20261019)
+    quants = [Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE, Quant.ONE_OR_MORE]
+    letters = ALPHABET[:36]
+    patterns = []
+    seen = set()
+    while len(patterns) < 1500:
+        if len(patterns) % 3 != 0:
+            p = exact_pattern("".join(rng.choice(ALPHABET) for _ in range(rng.randint(4, 9))))
+        else:
+            atoms = []
+            for _ in range(rng.randint(3, 7)):
+                r = rng.random()
+                if r < 0.04:
+                    atoms.append(Atom(None))
+                elif r < 0.10:
+                    atoms.append(Atom(rng.choice(ALPHABET), rng.choice(quants)))
+                else:
+                    atoms.append(Atom(rng.choice(letters)))
+            if all(a.is_any for a in atoms):
+                atoms[0] = Atom(rng.choice(letters))
+            p = Pattern(tuple(atoms), rng.random() < 0.15, rng.random() < 0.15)
+        if p not in seen:
+            seen.add(p)
+            patterns.append(p)
+    return patterns
+
+
+def test_golden_automaton_above_leaf_size():
+    # recorded from one subset construction over the whole list; the
+    # list is long enough that compile_set builds it as a join tree
+    patterns = _large_golden_patterns()
+    assert len(patterns) > 2 * engine._LEAF_PATTERNS
+    atoms = [a for p in patterns for a in p.atoms]
+    assert {a.quant for a in atoms} == set(Quant) and any(a.is_any for a in atoms)
+    assert any(p.anchored_start != p.anchored_end for p in patterns)
+    m = compile_set(patterns)
+    assert m.n_states == 13167
+    assert _digest(m) == "6681b0f7cc066fb3d9c79ab0b545b9e23927b4f3b56010d9f46bfb2aa287d0e2"
 
 
 def test_match_many_matrix_shape_and_content():
@@ -394,6 +443,28 @@ def test_extend_set_equals_compile_set(case):
         assert n == 1
         got = extend_set(compile_set(head), compile_set(tail), len(head), n - 1)
         assert automaton_fields(got) == automaton_fields(want)
+
+
+@PROPERTY
+@given(st.lists(st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING), max_size=12), st.integers(1, 3))
+@example([pat("^a.c"), pat("b?d*e+"), pat("x?"), pat("x.y$"), pat("^q+z?$"), pat("..0"), pat("y*")], 1)
+def test_compile_tree_equals_single_construction(patterns, leaf):
+    # patched here, not in a fixture: Hypothesis reruns the body per example
+    with mock.patch.object(engine, "_LEAF_PATTERNS", leaf):
+        want = engine._subset_construction(patterns, DEFAULT_STATE_LIMIT)
+        assert automaton_fields(compile_set(patterns)) == automaton_fields(want)
+        # one state short, the tree fails exactly when the single
+        # construction does, with the same message
+        limit = want.n_states - 1
+        try:
+            engine._subset_construction(patterns, limit)
+        except CapacityError as exc:
+            with pytest.raises(CapacityError) as err:
+                compile_set(patterns, limit)
+            assert str(err.value) == str(exc)
+        else:
+            assert want.n_states == 1
+            assert automaton_fields(compile_set(patterns, limit)) == automaton_fields(want)
 
 
 def _encode_each(values):
