@@ -6,15 +6,21 @@ events.  Both take flat arrays: patterns as packed by
 ``engine.pack_patterns`` and subjects as encoded by
 ``alphabet.encode_many``.
 
-The match matrix is a bit-parallel extended Shift-And simulation
+Patterns are matched by one bit-parallel extended Shift-And recurrence
 (Baeza-Yates & Gonnet, CACM 1992; optional and repeatable atoms as in
-Navarro & Raffinot, *Flexible Pattern Matching in Strings*, 2002).
-Every atom of every pattern is one bit, the patterns lie back to back
-in uint64 words, and each input character updates all patterns against
-all live strings with a few whole-array operations.
+Navarro & Raffinot, *Flexible Pattern Matching in Strings*, 2002):
+every atom of every pattern is one bit, and :func:`shift_and_masks` is
+the one place that derives the recurrence's masks from the packed
+patterns.  It has two consumers.  The match matrix lays the masks out
+in uint64 words and updates all patterns against all live strings with
+a few whole-array operations per input character; the engine's subset
+construction turns them into Python ints and runs the recurrence once
+per automaton state and symbol.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,40 +117,69 @@ def _chunks(pat_off):
         p0 = p1
 
 
-def _simulate(codes, loop, skip, pat_off, pat_flags, cols, live):
-    """Run one chunk of patterns over every string.
+class Masks(NamedTuple):
+    """The Shift-And masks of a run of whole patterns, one bool per atom slot."""
 
-    Returns ``(matched, last)``: ``matched`` has one row of words per
-    sorted string, with bit ``last[p]`` set when pattern p matched it.
-    """
+    first: np.ndarray       # slot of each pattern's first atom
+    last: np.ndarray        # slot of each pattern's last atom
+    table: np.ndarray       # (N_SYMBOLS, n): the atoms that read each symbol
+    loops: np.ndarray       # atoms that may repeat (* and +)
+    skips: np.ndarray       # atoms that may be skipped (? and *)
+    start_all: np.ndarray   # every pattern's first atom
+    start_free: np.ndarray  # first atoms of patterns not anchored at the start
+    last_run: np.ndarray    # last atoms of patterns not anchored at the end
+    last_end: np.ndarray    # last atoms of patterns anchored at the end
+
+
+def shift_and_masks(codes, loop, skip, pat_off, pat_flags) -> Masks:
+    """Masks of the patterns in atom slots ``pat_off[0]:pat_off[-1]``,
+    slot ``pat_off[0]`` being bit 0."""
     lo = int(pat_off[0])
     n = int(pat_off[-1]) - lo
-    n_words = -(-n // 64)
     first = pat_off[:-1] - lo
     last = pat_off[1:] - lo - 1
 
     def mask(slots):
         bits = np.zeros(n, dtype=bool)
         bits[slots] = True
-        return _words(bits, n_words)
+        return bits
 
     pcodes = codes[lo : lo + n]
     sym = np.arange(N_SYMBOLS)[:, None]
-    table = _words((pcodes == sym) | ((pcodes == CODE_ANY) & (sym != CODE_OTHER)), n_words)
-    skippable = skip[lo : lo + n] != 0
-    loops = _words(loop[lo : lo + n] != 0, n_words)
-    skips = _words(skippable, n_words)
-    not_first = ~mask(first)
-    start_all = mask(first)
-    start_free = mask(first[(pat_flags & 1) == 0])
-    last_run = mask(last[(pat_flags & 2) == 0])
-    last_end = mask(last[(pat_flags & 2) != 0])
+    return Masks(
+        first,
+        last,
+        # the wildcard reads every alphabet code, never CODE_OTHER
+        (pcodes == sym) | ((pcodes == CODE_ANY) & (sym != CODE_OTHER)),
+        loop[lo : lo + n] != 0,
+        skip[lo : lo + n] != 0,
+        mask(first),
+        mask(first[(pat_flags & 1) == 0]),
+        mask(last[(pat_flags & 2) == 0]),
+        mask(last[(pat_flags & 2) != 0]),
+    )
+
+
+def _simulate(codes, loop, skip, pat_off, pat_flags, cols, live):
+    """Run one chunk of patterns over every string.
+
+    Returns ``(matched, last)``: ``matched`` has one row of words per
+    sorted string, with bit ``last[p]`` set when pattern p matched it.
+    """
+    m = shift_and_masks(codes, loop, skip, pat_off, pat_flags)
+    n = len(m.skips)
+    n_words = -(-n // 64)
+    table, loops, skips, start_all, start_free, last_run, last_end = (
+        _words(bits, n_words)
+        for bits in (m.table, m.loops, m.skips, m.start_all, m.start_free, m.last_run, m.last_end)
+    )
+    not_first = ~start_all
 
     # longest run of skippable atoms inside one pattern: the closure moves
     # each bit one atom further per round
     slot = np.arange(n)
-    brk = np.where(skippable, -1, slot)
-    brk[first] = np.maximum(brk[first], first - 1)
+    brk = np.where(m.skips, -1, slot)
+    brk[m.first] = np.maximum(brk[m.first], m.first - 1)
     n_closure = int((slot - np.maximum.accumulate(brk)).max())
     follow = not_first & skips
     free_skip = start_free & skips
@@ -166,7 +201,7 @@ def _simulate(codes, loop, skip, pat_off, pat_flags, cols, live):
         matched[:k] |= nxt & last_run
         start = start_free
     matched |= d & last_end
-    return matched, last
+    return matched, m.last
 
 
 def nfa_match_matrix(codes, loop, skip, pat_off, pat_flags, scodes, s_off):

@@ -10,14 +10,16 @@ three 256-entry tables turn the joined tokens' bytes into the atoms'
 codes and repeat and skip flags; the learner hands its components over
 as token strings already.  The learner's kernels
 simulate every chain of a batch at once, one bit per atom (bit-parallel
-Shift-And, see :mod:`driftsig._kernels`); :func:`compile_set` lays the
-same chains back to back and glues them into one subset-construction
-automaton, so a whole pattern set is matched in a single pass over the
-input, with one table lookup per character regardless of how many
-patterns are loaded.  The construction is table-driven: each chain
-state lists once, per symbol it can read, the skip-closed states it
-moves to, and an automaton state's successors on all symbols are the
-unions of its members' entries, gathered in one pass.
+Shift-And, see :mod:`driftsig._kernels`); :func:`compile_set` runs
+the same recurrence, on the same masks, as a subset construction, so a
+whole pattern set is matched in a single pass over the input, with one
+table lookup per character regardless of how many patterns are loaded.
+An automaton state is the Shift-And state of all the chains at once,
+a Python int with one bit per atom, and its successor on a symbol is a
+few integer operations.  The chains' start states are implicit: the
+unanchored ones are live in every state, the anchored ones only in
+state 0, so state 0 is a state of its own exactly when some pattern is
+anchored at the start.
 :func:`extend_set` appends patterns to a compiled set without a second
 subset construction: it takes the reachable product of the set's
 automaton and the appended patterns' own, which is the automaton one
@@ -39,7 +41,7 @@ from collections import deque
 import numpy as np
 
 from . import _kernels
-from .alphabet import CHAR_TO_CODE, CODE_ANY, CODE_OTHER, N_SYMBOLS, encode, encode_many
+from .alphabet import CHAR_TO_CODE, CODE_ANY, N_SYMBOLS, encode, encode_many
 from .errors import CapacityError
 from .patterns import TOKEN_ATOMS, Pattern, Quant, pattern_tokens
 
@@ -191,126 +193,88 @@ def _compile_tree(pats: list, state_limit: int) -> MultiMatcher:
     return extend_set(left, right, half, state_limit)
 
 
+def _bitset(bits) -> int:
+    """A bool array as a Python int, element i being bit i."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
-    """One table-driven subset construction over the whole list."""
+    """One subset construction over the whole list, on Python-int bitsets.
+
+    A state is the Shift-And state of the packed atoms (see
+    :mod:`driftsig._kernels`): bit i is set when the atoms up to slot i
+    have been consumed.  Each pattern's start is implicit: all of them
+    are live in state 0, the unanchored ones in every state, so ``core``
+    -- the unanchored starts' skip closure -- is in every state and a
+    state's bits key it uniquely, except that state 0 holds the anchored
+    starts besides its bits.  State 0 therefore gets a key no bitset has
+    when some pattern is anchored at the start, and is the state holding
+    only ``core`` otherwise.  States are numbered breadth first, by
+    (parent state, symbol).
+    """
     codes, loop, skip, offsets, flags = pack_patterns(pats)
+    m = _kernels.shift_and_masks(codes, loop, skip, offsets, flags)
+    table = [_bitset(row) for row in m.table]
+    loops, skips, first, start_free = (_bitset(b) for b in (m.loops, m.skips, m.start_all, m.start_free))
+    follow = skips & ~first
+    may_follow = follow >> 1
 
-    # chain NFA over the packed atoms: a start state is inserted before
-    # each pattern's first atom, so pattern p starts at offsets[p] + p and
-    # accepts at offsets[p + 1] + p.  The subset construction indexes
-    # these one element at a time, which is much faster on Python lists
-    # than on numpy arrays.
-    first = offsets[:-1]
-    code = np.insert(codes, first, 0).tolist()
-    loop = np.insert(loop, first, 0).tolist()
-    skip = np.insert(skip, first, 0).tolist()
-    is_start = np.insert(np.zeros(len(codes), dtype=bool), first, True).tolist()
-    n_states = len(code)
-    pids = np.arange(len(pats))
-    starts = (first + pids).tolist()
-    accept_of = [-1] * n_states
-    for pid, state in enumerate((offsets[1:] + pids).tolist()):
-        accept_of[state] = pid
-    anchored_start = (flags & 1).tolist()
-    anchored_end = (flags & 2).tolist()
+    def closed(x: int) -> int:
+        # skip closure: a consumed atom passes over the skippable ones after it
+        y = x | ((x << 1) & follow)
+        while y != x:
+            x, y = y, y | ((y << 1) & follow)
+        return x
 
-    def closed(states) -> set[int]:
-        out = set(states)
-        for t in states:
-            v = t + 1
-            while v < n_states and not is_start[v] and skip[v]:
-                out.add(v)
-                v += 1
-        return out
-
-    def reads(c: int):
-        # the wildcard reads every alphabet code, never CODE_OTHER
-        return range(CODE_OTHER) if c == CODE_ANY else (c,)
-
-    # Successor table, built once: for each NFA state u, one (sym, targets)
-    # pair per symbol u can read, targets being the skip closure of u's
-    # successors on sym (u itself when its atom repeats, and u + 1 unless
-    # that starts the next pattern; start states never repeat).  Closure
-    # and move distribute over union, so a subset's successors on every
-    # symbol are gathered in one pass over its members.
-    table = []
-    for u in range(n_states):
-        succ: dict[int, set[int]] = {}
-        if loop[u]:
-            for sym in reads(code[u]):
-                succ.setdefault(sym, set()).add(u)
-        v = u + 1
-        if v < n_states and not is_start[v]:
-            for sym in reads(code[v]):
-                succ.setdefault(sym, set()).add(v)
-        table.append(tuple((sym, tuple(closed(vs))) for sym, vs in succ.items()))
-
-    def successors(states) -> dict[int, set[int]]:
-        out: dict[int, set[int]] = {}
-        for u in states:
-            for sym, targets in table[u]:
-                found = out.get(sym)
-                if found is None:
-                    out[sym] = set(targets)
-                else:
-                    found.update(targets)
-        return out
-
-    # States live while the scan runs regardless of position: the start
-    # states of unanchored patterns plus their skip closures.  They are in
-    # every subset, so they are factored out of the stored sets and their
-    # per-symbol moves are computed once.
-    core = frozenset(closed({s for s, anchored in zip(starts, anchored_start) if not anchored}))
-    core_succ = successors(core)
-    core_move = [frozenset(core_succ.get(sym, ())) - core for sym in range(N_SYMBOLS)]
-
-    start_store = frozenset(closed(set(starts)) - core)
-    index = {start_store: 0}
-    stores = [start_store]
+    core = closed(start_free & skips)
+    states = [closed(first & skips)]
+    index = {core if start_free == first else -1: 0}
     # rows of the transition table, back to back, in state order
     flat = array("i")
     work = deque([0])
     while work:
-        succ = successors(stores[work.popleft()])
-        for sym in range(N_SYMBOLS):
-            found = succ.get(sym)
-            if found:
-                found -= core
-            if found:
-                found |= core_move[sym]
-                target = frozenset(found)
-            else:
-                # nothing beyond the core's own move: reuse its frozenset
-                target = core_move[sym]
-            nid = index.get(target)
+        sid = work.popleft()
+        d = states[sid]
+        moved = ((d << 1) & ~first) | (start_free if sid else first) | (d & loops)
+        for row in table:
+            x = moved & row
+            if x & may_follow:
+                x = closed(x)
+            x |= core
+            nid = index.get(x)
             if nid is None:
-                nid = len(stores)
+                nid = len(states)
                 if nid >= state_limit:
                     raise CapacityError(
                         f"combined automaton needs more than {state_limit} states"
                     )
-                index[target] = nid
-                stores.append(target)
+                index[x] = nid
+                states.append(x)
                 work.append(nid)
             flat.append(nid)
 
     trans = np.frombuffer(flat, dtype=np.int32).reshape(-1, N_SYMBOLS)
 
-    always = tuple(sorted(accept_of[t] for t in core if accept_of[t] >= 0))
-    run_ids = []
-    end_ids = []
-    for store in stores:
-        run, endl = [], []
-        for t in store:
-            pid = accept_of[t]
-            if pid >= 0:
-                (endl if anchored_end[pid] else run).append(pid)
-        run_ids.append(tuple(sorted(run)))
-        end_ids.append(tuple(sorted(endl)))
-    hit_run = np.array([1 if ids else 0 for ids in run_ids], dtype=np.uint8)
-    hit_end = np.array([1 if ids else 0 for ids in end_ids], dtype=np.uint8)
+    # accepts are the last atoms' bits; ascending bits are ascending ids
+    pid_of = {slot: pid for pid, slot in enumerate(m.last.tolist())}
 
-    return MultiMatcher(trans, hit_run, hit_end, tuple(run_ids), tuple(end_ids), always)
+    def ids(x: int) -> tuple[int, ...]:
+        out = []
+        while x:
+            low = x & -x
+            out.append(pid_of[low.bit_length() - 1])
+            x ^= low
+        return tuple(out)
+
+    last_run, last_end = _bitset(m.last_run) & ~core, _bitset(m.last_end) & ~core
+    # built from lists: tuple() over a generator resizes as it goes, and
+    # over repeated compiles that raised the peak RSS by about 2 MB
+    run_ids = tuple([ids(d & last_run) for d in states])
+    end_ids = tuple([ids(d & last_end) for d in states])
+    hit_run = np.array([1 if r else 0 for r in run_ids], dtype=np.uint8)
+    hit_end = np.array([1 if e else 0 for e in end_ids], dtype=np.uint8)
+    always = ids(core & _bitset(m.last_run | m.last_end))
+    return MultiMatcher(trans, hit_run, hit_end, run_ids, end_ids, always)
 
 
 def extend_set(
@@ -320,15 +284,14 @@ def extend_set(
     from ``base`` (compiled from the first ``n_base`` patterns) and
     ``addition`` (compiled from the rest).
 
-    The two sets' chains share no NFA state, so the combined subset a
-    string reaches is the union of the subsets it reaches in each
-    automaton: the combined automaton is the reachable part of the
-    product of the two, its state for the pair ``(a, b)`` storing
-    ``S_a | S_b``.  The pairs are explored one breadth-first level at a
-    time and numbered in the order one subset construction's search
-    meets their stores, by (parent state, symbol), so every field of the
-    result equals compile_set's.  Raises :class:`CapacityError` exactly
-    when compile_set would.
+    The two sets' chains share no atom, so the combined state a string
+    reaches is the union of the states it reaches in each automaton: the
+    combined automaton is the reachable part of the product of the two,
+    its state for the pair ``(a, b)`` holding ``S_a | S_b``.  The pairs
+    are explored one breadth-first level at a time and numbered in the
+    order one subset construction's search meets them, by (parent
+    state, symbol), so every field of the result equals compile_set's.
+    Raises :class:`CapacityError` exactly when compile_set would.
     """
     trans_a, trans_b = base._trans, addition._trans
     n_add = trans_b.shape[0]

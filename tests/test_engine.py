@@ -359,8 +359,27 @@ _PATTERNS = st.builds(
 _SUBJECTS = st.text(alphabet="ab0.X", max_size=10)
 
 
+# atom slots run well past one 64-bit word: 20 patterns over 129 slots,
+# every one of them matched by some subject
+_WIDE_PATTERNS = [
+    pat(t)
+    for t in [
+        "a?b*0.ab", "b+a?0ab0", "0*b.ab0a", "a.b?0*ba", "ba0?b+a.", "00a*b.0b", "b.0*a?ba",
+        "a+0b?.ab", "0b*a.b0a", "a\\.b0?ab", "b?a?0+ba", "ab.0a*b0", "0.a?bb0a", "^ab?0.ab",
+        "b0a.a+0b", "a*0*b.0a", "0a.b?ba0", "bb0+a.ba", "a0.b*0ab$", "0?0?b.a.b",
+    ]
+]
+_WIDE_SUBJECTS = [
+    "", "X", "b0aab", "bb0ab0", "b0baab0a", "bab0ba", "bba0bba0", "b00aba0b", "bba00aba",
+    "ab0bab", "Xaa0b0ab", "b0aaaa0b0", "0ba0a0", "0abba00", "bb0aaba0", "a.bab", "ab00b0", "00abb0a",
+]
+_LONG_EXACT = "ab0." * 17 + "ba"
+
+
 @PROPERTY
 @given(st.lists(_PATTERNS, max_size=8), st.lists(_SUBJECTS, max_size=8))
+@example(_WIDE_PATTERNS, _WIDE_SUBJECTS)
+@example([exact_pattern(_LONG_EXACT)], [_LONG_EXACT, "a" + _LONG_EXACT, _LONG_EXACT[:-1]])
 def test_match_many_and_match_set_agree_with_oracle(patterns, subjects):
     got = match_many(patterns, subjects)
     assert got.tolist() == [[backtrack_match(p, s) for s in subjects] for p in patterns]
