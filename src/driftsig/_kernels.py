@@ -1,10 +1,10 @@
 """Hot matching loops, vectorized with numpy.
 
 Two kernels dominate runtime: the pattern-set x string-set match matrix
-used by the learner, and the combined-automaton scan used to label
-events.  Both take flat arrays: patterns as packed by
-``engine.pack_patterns`` and subjects as encoded by
-``alphabet.encode_many``.
+used by the learner, and the combined-automaton scan that labels events,
+:func:`dfa_states`, the one loop that steps the automaton.  Both take
+flat arrays: patterns as packed by ``engine.pack_patterns`` and subjects
+as encoded by ``alphabet.encode_many``.
 
 Patterns are matched by one bit-parallel extended Shift-And recurrence
 (Baeza-Yates & Gonnet, CACM 1992; optional and repeatable atoms as in
@@ -230,24 +230,26 @@ def nfa_match_any(codes, loop, skip, pat_off, pat_flags, scodes, s_off):
 
 # ---------------------------------------------------------------------------
 # Combined-automaton scan: one transition-table lookup per input char.
-# hit_run[s] marks states holding an accept that may fire anywhere;
-# hit_end[s] marks accepts valid only at the end of the subject.
+# dfa_states is the one stepping loop; every reading of the automaton
+# derives from the states it returns.  hit_run[s] marks states holding an
+# accept that may fire anywhere, hit_end[s] one valid only at the end of
+# the subject; MultiMatcher derives both from its CSR accept offsets.
 # ---------------------------------------------------------------------------
+
+
+def dfa_states(trans, scodes, s_off):
+    """The ``(n_str, max_len + 1)`` matrix of the states each string
+    visits, from state 0 in column 0; a string that has ended stays in
+    its last state."""
+    padded, lengths = _pad_strings(scodes, s_off)
+    # time-major, so each step writes one contiguous row
+    visited = np.zeros((padded.shape[1] + 1, len(lengths)), dtype=np.intp)
+    for t in range(padded.shape[1]):
+        visited[t + 1] = np.where(t < lengths, trans[visited[t], padded[:, t]], visited[t])
+    return visited.T
 
 
 def dfa_match_any(trans, hit_run, hit_end, scodes, s_off):
     """For each string, True when the automaton reports any match."""
-    n_str = len(s_off) - 1
-    if n_str == 0:
-        return np.zeros(0, dtype=bool)
-    padded, lengths = _pad_strings(scodes, s_off)
-    max_len = padded.shape[1]
-    states = np.zeros(n_str, dtype=np.int64)
-    matched = np.full(n_str, hit_run[0] != 0)
-    for t in range(max_len):
-        ok = t < lengths
-        nxt = trans[states, padded[:, t]]
-        states = np.where(ok, nxt, states)
-        matched |= (hit_run[states] != 0) & ok
-    matched |= hit_end[states] != 0
-    return matched
+    visited = dfa_states(trans, scodes, s_off)
+    return (hit_run[visited] != 0).any(axis=1) | (hit_end[visited[:, -1]] != 0)

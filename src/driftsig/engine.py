@@ -19,7 +19,9 @@ a Python int with one bit per atom, and its successor on a symbol is a
 few integer operations.  The chains' start states are implicit: the
 unanchored ones are live in every state, the anchored ones only in
 state 0, so state 0 is a state of its own exactly when some pattern is
-anchored at the start.
+anchored at the start.  Each state's accepts, the ids of the patterns it
+matches, are stored once as CSR arrays, and one numpy scan
+(:func:`driftsig._kernels.dfa_states`) reads every automaton.
 :func:`extend_set` appends patterns to a compiled set without a second
 subset construction: it takes the reachable product of the set's
 automaton and the appended patterns' own, which is the automaton one
@@ -41,7 +43,7 @@ from collections import deque
 import numpy as np
 
 from . import _kernels
-from .alphabet import CHAR_TO_CODE, CODE_ANY, N_SYMBOLS, encode, encode_many
+from .alphabet import CHAR_TO_CODE, CODE_ANY, N_SYMBOLS, encode_many
 from .errors import CapacityError
 from .patterns import TOKEN_ATOMS, Pattern, Quant, pattern_tokens
 
@@ -113,44 +115,35 @@ def match_one(pattern: Pattern, value: str) -> bool:
 class MultiMatcher:
     """Immutable combined automaton over an ordered pattern set.
 
-    Built once by :func:`compile_set` or :func:`extend_set`; matching
-    never mutates state, so instances can be shared freely across threads.
+    Built once by :func:`compile_set` or :func:`extend_set`.  State s
+    matches ``run_pid[run_off[s]:run_off[s + 1]]`` wherever it is reached
+    and ``end_pid[end_off[s]:end_off[s + 1]]`` at the end of the subject
+    (CSR arrays, ids ascending); the scan's hit flags derive from the
+    offsets.  Every array is read-only and matching never mutates state,
+    so instances can be shared freely across threads.
     """
 
-    def __init__(self, trans, hit_run, hit_end, run_ids, end_ids, always):
+    def __init__(self, trans, run_off, run_pid, end_off, end_pid, always):
         self._trans = trans
-        self._hit_run = hit_run
-        self._hit_end = hit_end
-        self._run_ids = run_ids
-        self._end_ids = end_ids
+        self._run_off, self._run_pid = run_off, run_pid
+        self._end_off, self._end_pid = end_off, end_pid
+        self._hit_run = (run_off[1:] != run_off[:-1]).view(np.uint8)
+        self._hit_end = (end_off[1:] != end_off[:-1]).view(np.uint8)
         self._always = always
-        trans.setflags(write=False)
-        hit_run.setflags(write=False)
-        hit_end.setflags(write=False)
+        for arr in (trans, run_off, run_pid, end_off, end_pid, self._hit_run, self._hit_end):
+            arr.setflags(write=False)
 
     @property
     def n_states(self) -> int:
         return self._trans.shape[0]
 
-    def scan_states(self, value: str):
-        """Automaton states visited while reading ``value``, including the
-        initial one -- exactly ``len(value) + 1`` entries, one shared pass."""
-        states = [0]
-        state = 0
-        trans = self._trans
-        for c in encode(value):
-            state = int(trans[state, c])
-            states.append(state)
-        return states
-
     def match_set(self, value: str) -> set[int]:
         """Indices of all patterns matching ``value``."""
-        matched = set(self._always)
-        states = self.scan_states(value)
-        for state in states:
-            matched.update(self._run_ids[state])
-        matched.update(self._end_ids[states[-1]])
-        return matched
+        visited = _kernels.dfa_states(self._trans, *encode_many([value]))[0].tolist()
+        last = visited[-1]
+        ids = [self._run_pid[self._run_off[s] : self._run_off[s + 1]] for s in visited]
+        ids.append(self._end_pid[self._end_off[last] : self._end_off[last + 1]])
+        return set(self._always).union(np.concatenate(ids).tolist())
 
     def match_any_batch(self, values) -> np.ndarray:
         """Per string: True when at least one pattern matches it."""
@@ -258,23 +251,23 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
     # accepts are the last atoms' bits; ascending bits are ascending ids
     pid_of = {slot: pid for pid, slot in enumerate(m.last.tolist())}
 
-    def ids(x: int) -> tuple[int, ...]:
-        out = []
+    def ids(x: int):
         while x:
             low = x & -x
-            out.append(pid_of[low.bit_length() - 1])
+            yield pid_of[low.bit_length() - 1]
             x ^= low
-        return tuple(out)
+
+    def accepts(mask: int):
+        off, pid = array("i", [0]), array("i")
+        for d in states:
+            if hit := d & mask:  # most states accept nothing
+                pid.extend(ids(hit))
+            off.append(len(pid))
+        return np.frombuffer(off, dtype=np.int32), np.frombuffer(pid, dtype=np.int32)
 
     last_run, last_end = _bitset(m.last_run) & ~core, _bitset(m.last_end) & ~core
-    # built from lists: tuple() over a generator resizes as it goes, and
-    # over repeated compiles that raised the peak RSS by about 2 MB
-    run_ids = tuple([ids(d & last_run) for d in states])
-    end_ids = tuple([ids(d & last_end) for d in states])
-    hit_run = np.array([1 if r else 0 for r in run_ids], dtype=np.uint8)
-    hit_end = np.array([1 if e else 0 for e in end_ids], dtype=np.uint8)
-    always = ids(core & _bitset(m.last_run | m.last_end))
-    return MultiMatcher(trans, hit_run, hit_end, run_ids, end_ids, always)
+    always = tuple(ids(core & _bitset(m.last_run | m.last_end)))
+    return MultiMatcher(trans, *accepts(last_run), *accepts(last_end), always)
 
 
 def extend_set(
@@ -327,17 +320,20 @@ def extend_set(
     pa = by_id // n_add
     pb = by_id % n_add
 
-    def shifted(ids):
-        return tuple(i + n_base for i in ids)
+    def accepts(off_a, pid_a, off_b, pid_b):
+        # pair (a, b) holds a's ids, then b's shifted past the base's:
+        # two segments per pair, gathered from the two id arrays end to end
+        starts = np.stack([off_a[pa], off_b[pb] + len(pid_a)], axis=1).ravel()
+        lens = np.stack([np.diff(off_a)[pa], np.diff(off_b)[pb]], axis=1).ravel()
+        ends = np.cumsum(lens)
+        pool = np.concatenate([pid_a, pid_b + n_base])
+        off = np.zeros(len(pa) + 1, dtype=np.int32)
+        off[1:] = ends[1::2]
+        return off, pool[np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)]
 
-    run_b = [shifted(ids) for ids in addition._run_ids]
-    end_b = [shifted(ids) for ids in addition._end_ids]
-    pairs = list(zip(pa.tolist(), pb.tolist()))
     return MultiMatcher(
         trans,
-        base._hit_run[pa] | addition._hit_run[pb],
-        base._hit_end[pa] | addition._hit_end[pb],
-        tuple(base._run_ids[a] + run_b[b] for a, b in pairs),
-        tuple(base._end_ids[a] + end_b[b] for a, b in pairs),
-        base._always + shifted(addition._always),
+        *accepts(base._run_off, base._run_pid, addition._run_off, addition._run_pid),
+        *accepts(base._end_off, base._end_pid, addition._end_off, addition._end_pid),
+        base._always + tuple(i + n_base for i in addition._always),
     )

@@ -151,6 +151,11 @@ def spearman_rho(xs, ys) -> float:
     return num / (dx * dy)
 
 
+def state_ids(off, pid):
+    """CSR accept arrays as per-state tuples of pattern ids."""
+    return tuple(tuple(pid[off[s] : off[s + 1]].tolist()) for s in range(len(off) - 1))
+
+
 def automaton_fields(matcher):
     """The six fields of a compiled automaton, as one comparable value:
     the transition table (dtype and shape included), both hit flags, the
@@ -160,7 +165,7 @@ def automaton_fields(matcher):
         (trans.dtype.str, trans.shape, trans.tobytes()),
         (matcher._hit_run.dtype.str, matcher._hit_run.tobytes()),
         (matcher._hit_end.dtype.str, matcher._hit_end.tobytes()),
-        matcher._run_ids,
-        matcher._end_ids,
+        state_ids(matcher._run_off, matcher._run_pid),
+        state_ids(matcher._end_off, matcher._end_pid),
         matcher._always,
     )

@@ -20,6 +20,7 @@ from oracle import (
     pack_patterns_per_atom,
     random_pattern,
     random_subject,
+    state_ids,
 )
 
 # no example database on disk, and the same examples on every run
@@ -151,8 +152,8 @@ def test_single_shared_pass_over_input():
             patterns.append(pat(text))
     m = compile_set(patterns)
     event = "".join(rng.choice("abcdefgh") for _ in range(64))
-    trace = m.scan_states(event)
-    assert len(trace) == 65
+    scodes, s_off = encode_many([event])
+    assert _kernels.dfa_states(m._trans, scodes, s_off).shape == (1, 65)
     assert m.match_set(event) == match_set_bruteforce(patterns, event)
 
 
@@ -194,13 +195,29 @@ def test_kernel_paths_agree():
 
     # always-matching patterns short-circuit before the kernel runs, so
     # compare the automaton kernel on a set without them
-    plain = [p for i, p in enumerate(patterns)
-             if i not in set(compile_set(patterns)._always)]
+    full = compile_set(patterns)
+    plain = [p for i, p in enumerate(patterns) if i not in set(full._always)]
     m = compile_set(plain)
     assert not m._always
     dfa = _kernels.dfa_match_any(m._trans, m._hit_run, m._hit_end, scodes, s_off)
     expected = np.array([len(match_set_bruteforce(plain, s)) > 0 for s in subjects])
     assert np.array_equal(dfa, expected)
+
+    # the shared scan: state 0 first, then one state per character read
+    # by stepping the table, the last one repeated past the string's end
+    visited = _kernels.dfa_states(m._trans, scodes, s_off)
+    max_len = max(len(s) for s in subjects)
+    assert visited.shape == (len(subjects), max_len + 1)
+    assert not visited[:, 0].any()
+    for row, s in zip(visited, subjects):
+        state, walk = 0, [0]
+        for c in encode(s):
+            state = int(m._trans[state, c])
+            walk.append(state)
+        assert row.tolist() == walk + [state] * (max_len - len(s)), s
+    for s in subjects:
+        assert full.match_set(s) == match_set_bruteforce(patterns, s), s
+        assert m.match_set(s) == match_set_bruteforce(plain, s), s
 
 
 def _golden_patterns():
@@ -241,13 +258,17 @@ def test_golden_automaton():
     m = compile_set(patterns)
     assert m.n_states == 2110
     assert _digest(m) == "39f4be09ca218394bf7dbc7cfd4f27110ef2cf5981cc65d097009c817c84162f"
+    # shared across threads: no array the matcher holds can be written
+    for arr in (m._trans, m._run_off, m._run_pid, m._end_off, m._end_pid, m._hit_run, m._hit_end):
+        assert not arr.flags.writeable
 
 
 def _digest(m):
     h = hashlib.sha256()
     for arr in (m._trans.astype("<i4"), m._hit_run, m._hit_end):
         h.update(arr.tobytes())
-    h.update(repr((m._run_ids, m._end_ids, m._always)).encode())
+    run_ids, end_ids = state_ids(m._run_off, m._run_pid), state_ids(m._end_off, m._end_pid)
+    h.update(repr((run_ids, end_ids, m._always)).encode())
     return h.hexdigest()
 
 
