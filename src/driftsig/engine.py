@@ -16,12 +16,17 @@ whole pattern set is matched in a single pass over the input, with one
 table lookup per character regardless of how many patterns are loaded.
 An automaton state is the Shift-And state of all the chains at once,
 a Python int with one bit per atom, and its successor on a symbol is a
-few integer operations.  The chains' start states are implicit: the
-unanchored ones are live in every state, the anchored ones only in
-state 0, so state 0 is a state of its own exactly when some pattern is
-anchored at the start.  Each state's accepts, the ids of the patterns it
-matches, are stored once as CSR arrays, and one numpy scan
-(:func:`driftsig._kernels.dfa_states`) reads every automaton.
+few integer operations.  Most successors are shared: on a symbol that
+none of a state's own atoms reads, every state moves to the same
+state, so each compile fills the table with one base row and a state
+overwrites only the entries of the symbols its atoms read (a state
+holding a live wildcard, and state 0, write their whole row).  The
+chains' start states are implicit: the unanchored ones are live in
+every state, the anchored ones only in state 0, so state 0 is a state
+of its own exactly when some pattern is anchored at the start.  Each
+state's accepts, the ids of the patterns it matches, are stored once
+as CSR arrays, and one numpy scan (:func:`driftsig._kernels.dfa_states`)
+reads every automaton.
 :func:`extend_set` appends patterns to a compiled set without a second
 subset construction: it takes the reachable product of the set's
 automaton and the appended patterns' own, which is the automaton one
@@ -186,9 +191,9 @@ def _compile_tree(pats: list, state_limit: int) -> MultiMatcher:
     return extend_set(left, right, half, state_limit)
 
 
-def _bitset(bits) -> int:
-    """A bool array as a Python int, element i being bit i."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+def _bitsets(rows) -> list[int]:
+    """Each row of a 2-D bool array as a Python int, element i being bit i."""
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(rows, axis=1, bitorder="little")]
 
 
 def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
@@ -204,13 +209,30 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
     when some pattern is anchored at the start, and is the state holding
     only ``core`` otherwise.  States are numbered breadth first, by
     (parent state, symbol).
+
+    The skip closure distributes over OR, so a state's successor on
+    symbol c is ``base[c] | closed(rest & table[c])``.  ``base[c]``, the
+    closure of the unanchored starts that read c plus ``core``, is the
+    same for every state; ``rest`` holds the state's own atoms: the
+    consumed ones moved on a slot, the repeating ones kept and, in state
+    0, every start.  On a symbol no atom of ``rest`` reads, the
+    successor is base[c]'s state, whose id the first whole row to meet
+    it records.  Once every base id is known, they fill the table as one
+    base row, and a state with no wildcard in ``rest`` computes and
+    overwrites only the entries of the symbols its literal atoms read.
+    The other states, state 0 first among them, write their whole row.
     """
     codes, loop, skip, offsets, flags = pack_patterns(pats)
     m = _kernels.shift_and_masks(codes, loop, skip, offsets, flags)
-    table = [_bitset(row) for row in m.table]
-    loops, skips, first, start_free = (_bitset(b) for b in (m.loops, m.skips, m.start_all, m.start_free))
+    masks = (m.loops, m.skips, m.start_all, m.start_free, codes == CODE_ANY, m.last_run, m.last_end)
+    bitsets = _bitsets(np.vstack((m.table, *masks)))
+    table = bitsets[:N_SYMBOLS]
+    loops, skips, first, start_free, wild, last_run, last_end = bitsets[N_SYMBOLS:]
     follow = skips & ~first
     may_follow = follow >> 1
+    # where a consumed atom moves on to: not to a first atom, nor past the last slot
+    inner = ((1 << len(codes)) - 1) & ~first
+    code_of = codes.tolist()
 
     def closed(x: int) -> int:
         # skip closure: a consumed atom passes over the skippable ones after it
@@ -220,20 +242,39 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
         return x
 
     core = closed(start_free & skips)
+    base = [closed(start_free & row) | core for row in table]
+    base_row = [0] * N_SYMBOLS
+    missing = set(range(N_SYMBOLS))  # symbols whose base state has no id yet
     states = [closed(first & skips)]
     index = {core if start_free == first else -1: 0}
-    # rows of the transition table, back to back, in state order
-    flat = array("i")
+    # whole rows back to back with their states, and the sparse states'
+    # (state, symbol, successor) overwrites of the base row
+    full_sid, full = array("i"), array("i")
+    patch_sid, patch_sym, patch = array("i"), array("i"), array("i")
     work = deque([0])
     while work:
         sid = work.popleft()
         d = states[sid]
-        moved = ((d << 1) & ~first) | (start_free if sid else first) | (d & loops)
-        for row in table:
-            x = moved & row
+        rest = ((d << 1) & inner) | (d & loops)
+        if not sid:
+            rest |= first
+        if missing or rest & wild:
+            symbols, out = range(N_SYMBOLS), full
+            full_sid.append(sid)
+        else:
+            read, r = set(), rest
+            while r:
+                low = r & -r
+                read.add(code_of[low.bit_length() - 1])
+                r ^= low
+            symbols, out = sorted(read), patch
+            patch_sid.extend([sid] * len(symbols))
+            patch_sym.extend(symbols)
+        for c in symbols:
+            x = rest & table[c]
             if x & may_follow:
                 x = closed(x)
-            x |= core
+            x |= base[c]
             nid = index.get(x)
             if nid is None:
                 nid = len(states)
@@ -244,9 +285,19 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
                 index[x] = nid
                 states.append(x)
                 work.append(nid)
-            flat.append(nid)
+            out.append(nid)
+        if missing:  # so this row was written whole, at the end of ``full``
+            for c in [c for c in missing if not rest & table[c]]:
+                base_row[c] = full[c - N_SYMBOLS]
+                missing.discard(c)
 
-    trans = np.frombuffer(flat, dtype=np.int32).reshape(-1, N_SYMBOLS)
+    def ints(buf: array) -> np.ndarray:
+        return np.frombuffer(buf, dtype=np.int32)
+
+    trans = np.empty((len(states), N_SYMBOLS), dtype=np.int32)
+    trans[:] = base_row
+    trans[ints(full_sid)] = ints(full).reshape(-1, N_SYMBOLS)
+    trans[ints(patch_sid), ints(patch_sym)] = ints(patch)
 
     # accepts are the last atoms' bits; ascending bits are ascending ids
     pid_of = {slot: pid for pid, slot in enumerate(m.last.tolist())}
@@ -263,11 +314,10 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
             if hit := d & mask:  # most states accept nothing
                 pid.extend(ids(hit))
             off.append(len(pid))
-        return np.frombuffer(off, dtype=np.int32), np.frombuffer(pid, dtype=np.int32)
+        return ints(off), ints(pid)
 
-    last_run, last_end = _bitset(m.last_run) & ~core, _bitset(m.last_end) & ~core
-    always = tuple(ids(core & _bitset(m.last_run | m.last_end)))
-    return MultiMatcher(trans, *accepts(last_run), *accepts(last_end), always)
+    always = tuple(ids(core & (last_run | last_end)))
+    return MultiMatcher(trans, *accepts(last_run & ~core), *accepts(last_end & ~core), always)
 
 
 def extend_set(

@@ -2,18 +2,21 @@
 
 The matcher here is a naive recursive backtracker over the pattern AST,
 written without looking at the engine's simulation: quantifiers consume
-greedily and give back one repetition at a time.  Slow and obviously
-correct is the whole point.
+greedily and give back one repetition at a time.  The automaton here is
+a textbook subset construction over sets of (pattern, atoms consumed)
+positions, with no bitsets.  Slow and obviously correct is the whole
+point.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 
 import numpy as np
 
-from driftsig.alphabet import ALPHABET, ALPHABET_SET, CHAR_TO_CODE, CODE_ANY
+from driftsig.alphabet import ALPHABET, ALPHABET_SET, CHAR_TO_CODE, CODE_ANY, N_SYMBOLS
 from driftsig.patterns import Atom, Pattern, Quant
 
 
@@ -168,4 +171,81 @@ def automaton_fields(matcher):
         state_ids(matcher._run_off, matcher._run_pid),
         state_ids(matcher._end_off, matcher._end_pid),
         matcher._always,
+    )
+
+
+def subset_construction_fields(patterns):
+    """Reference for engine._subset_construction, as automaton_fields.
+
+    A state is the frozenset of (pattern, atoms consumed) positions that
+    a string can reach, skip closure included.  Every unanchored
+    pattern's start (p, 0) is in every state; the anchored ones' starts
+    are only in the start state.  States are numbered breadth first, by
+    (parent, symbol); symbol ``len(ALPHABET)`` is any character outside
+    the alphabet.  Patterns that match the empty string everywhere go to
+    the always-matching ids and out of the per-state ids.
+    """
+    pats = list(patterns)
+    chars = list(ALPHABET) + [None]
+
+    def skippable(atom):
+        return atom.quant in (Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE)
+
+    def repeats(atom):
+        return atom.quant in (Quant.ZERO_OR_MORE, Quant.ONE_OR_MORE)
+
+    def reads(atom, ch):
+        return ch is not None and _atom_accepts(atom, ch)
+
+    def closure(positions):
+        out = set(positions)
+        todo = list(out)
+        while todo:
+            p, k = todo.pop()
+            atoms = pats[p].atoms
+            if k < len(atoms) and skippable(atoms[k]) and (p, k + 1) not in out:
+                out.add((p, k + 1))
+                todo.append((p, k + 1))
+        return frozenset(out)
+
+    free = [(p, 0) for p, pat in enumerate(pats) if not pat.anchored_start]
+    start = closure((p, 0) for p in range(len(pats)))
+    states, index, rows = [start], {start: 0}, []
+    work = deque([start])
+    while work:
+        state = work.popleft()
+        for ch in chars:
+            nxt = set(free)
+            for p, k in state:
+                atoms = pats[p].atoms
+                if k < len(atoms) and reads(atoms[k], ch):
+                    nxt.add((p, k + 1))
+                if k > 0 and repeats(atoms[k - 1]) and reads(atoms[k - 1], ch):
+                    nxt.add((p, k))
+            nxt = closure(nxt)
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+                work.append(nxt)
+            rows.append(index[nxt])
+
+    always = tuple(p for p, pat in enumerate(pats)
+                   if not pat.anchored_start and all(map(skippable, pat.atoms)))
+
+    def ids(state, anchored_end):
+        done = [p for p, k in state if k == len(pats[p].atoms) and pats[p].anchored_end == anchored_end]
+        return tuple(sorted(p for p in done if p not in always))
+
+    run = tuple(ids(s, False) for s in states)
+    end = tuple(ids(s, True) for s in states)
+    trans = np.array(rows, dtype=np.int32).reshape(-1, N_SYMBOLS)
+    hit_run = np.array([bool(r) for r in run], dtype=np.uint8)
+    hit_end = np.array([bool(e) for e in end], dtype=np.uint8)
+    return (
+        (trans.dtype.str, trans.shape, trans.tobytes()),
+        (hit_run.dtype.str, hit_run.tobytes()),
+        (hit_end.dtype.str, hit_end.tobytes()),
+        run,
+        end,
+        always,
     )

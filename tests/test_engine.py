@@ -21,6 +21,7 @@ from oracle import (
     random_pattern,
     random_subject,
     state_ids,
+    subset_construction_fields,
 )
 
 # no example database on disk, and the same examples on every run
@@ -168,6 +169,17 @@ def test_capacity_error():
     assert compile_set(patterns, state_limit=m.n_states).n_states == m.n_states
     with pytest.raises(CapacityError):
         compile_set(patterns, state_limit=m.n_states - 1)
+    # exact-match entries: past the first states, rows overwrite only the
+    # base row's entries for the symbols their atoms read
+    entries = [exact_pattern(v) for v in ["abc.com", "abd.net", "x-y.org", "q0_9.io", "bca.co", "zzz.com"]]
+    n = engine._subset_construction(entries, DEFAULT_STATE_LIMIT).n_states
+    assert n > 30
+    with mock.patch.object(engine, "_LEAF_PATTERNS", 2):
+        for build in (engine._subset_construction, compile_set):
+            assert build(entries, n).n_states == n
+            with pytest.raises(CapacityError) as err:
+                build(entries, n - 1)
+            assert str(err.value) == f"combined automaton needs more than {n - 1} states"
 
 
 def test_anchored_and_empty_matching_patterns_in_sets():
@@ -505,6 +517,19 @@ def test_compile_tree_equals_single_construction(patterns, leaf):
         else:
             assert want.n_states == 1
             assert automaton_fields(compile_set(patterns, limit)) == automaton_fields(want)
+
+
+@PROPERTY
+@given(st.lists(st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING), max_size=8))
+@example([])
+@example([pat("^ab0"), pat("b0a"), pat("0ab")])  # state 0 has its own row
+@example([pat("ab.0"), pat("b0a"), pat("0ab")])  # a wildcard live in a state: a whole row
+@example([pat("a+b"), pat("b0a")])  # a repeating first atom, in rest and in the starts
+@example([pat("0ba"), pat("ab+")])  # a repeating last atom: d << 1 sets the bit past the last slot
+@example([pat("a?"), pat("b*"), pat("^0?$"), pat("a?b*$")])  # all skippable
+def test_subset_construction_equals_reference(patterns):
+    got = engine._subset_construction(patterns, DEFAULT_STATE_LIMIT)
+    assert automaton_fields(got) == subset_construction_fields(patterns)
 
 
 def _encode_each(values):
