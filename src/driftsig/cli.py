@@ -60,8 +60,6 @@ def _add_learner_flags(p):
     p.add_argument("--max-wildcards", type=int, default=2, help="max '.' substitutions per component")
     p.add_argument("--max-quantified", type=int, default=1, help="max quantifier insertions per component")
     p.add_argument("--max-pool", type=int, default=200_000, help="component pool cap after dedup")
-    p.add_argument("--state-limit", type=int, default=DEFAULT_STATE_LIMIT,
-                   help="combined automaton state limit")
 
 
 def _drift_config(args) -> DriftConfig:
@@ -81,7 +79,6 @@ def _learner_config(args) -> LearnerConfig:
         max_wildcards=args.max_wildcards,
         max_quantified=args.max_quantified,
         max_pool=args.max_pool,
-        state_limit=args.state_limit,
     )
 
 
@@ -111,6 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_track.add_argument("--blacklist", help="category<TAB>domain file relabeling the --in stream")
     p_track.add_argument("--positive-categories", default="ads",
                          help="comma-separated blacklist categories treated as positive")
+    p_track.add_argument("--state-limit", type=int, default=DEFAULT_STATE_LIMIT,
+                         help="combined automaton state limit")
     _add_drift_flags(p_track)
     _add_learner_flags(p_track)
 
@@ -187,6 +186,7 @@ def cmd_track(args) -> int:
             cfg=cfg,
             snapshot_dir=args.snapshots,
             on_record=report.write,
+            state_limit=args.state_limit,
         )
 
     first, last = records[0], records[-1]

@@ -25,7 +25,7 @@ from operator import itemgetter
 import numpy as np
 
 from .alphabet import in_alphabet
-from .engine import DEFAULT_STATE_LIMIT, match_any_of, match_many
+from .engine import match_any_of, match_many
 from .errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from .model import Model
 from .patterns import ANY_TOKEN, QUANTIFY, exact_pattern, render_tokens, token_pattern
@@ -44,15 +44,12 @@ class LearnerConfig:
     max_wildcards: int = 2
     max_quantified: int = 1
     max_pool: int = 200_000
-    state_limit: int = DEFAULT_STATE_LIMIT
 
     def __post_init__(self):
         if self.max_ngram < 1:
             raise ValueError("max_ngram must be >= 1")
         if min(self.max_wildcards, self.max_quantified, self.max_pool) < 0:
             raise ValueError("caps must be >= 0")
-        if self.state_limit < 1:
-            raise ValueError("state_limit must be >= 1")
 
 
 @dataclass
@@ -224,4 +221,4 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
     order = greedy_set_cover(np.vstack([cover, fallback]))
     n = len(pool)
     selected = tuple(token_pattern(pool.components[i]) if i < n else fallbacks[i - n] for i in order)
-    return Model(selected, generation=0, state_limit=cfg.state_limit)
+    return Model(selected)

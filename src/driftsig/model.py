@@ -4,7 +4,8 @@ A model predicts positive when any of its patterns matches the event
 string; the empty model predicts negative for everything.  Updates never
 drop patterns -- new ones are unioned in, ensemble style -- so a
 generation's automaton extends the previous one's rather than being
-rebuilt (see :func:`driftsig.engine.extend_set`).
+rebuilt (see :func:`driftsig.engine.extend_set`).  The model owns the
+automaton's state limit.
 """
 
 from __future__ import annotations
@@ -22,14 +23,16 @@ class Model:
     patterns: tuple[Pattern, ...] = ()
     generation: int = 0
     state_limit: int = DEFAULT_STATE_LIMIT
-    _matcher: MultiMatcher | None = field(default=None, repr=False, compare=False)
-    # (compiled matcher, pattern count) of the model this one was unioned
-    # from, until this model's own matcher is built
-    _base: tuple[MultiMatcher, int] | None = field(default=None, repr=False, compare=False)
+    _matcher: MultiMatcher | None = field(default=None, init=False, repr=False, compare=False)
+    # the compiled matcher of the model this one was unioned from, until
+    # this model's own matcher is built
+    _base: MultiMatcher | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.patterns)) != len(self.patterns):
             raise ValueError("model patterns must be unique")
+        if self.state_limit < 1:
+            raise ValueError("state_limit must be >= 1")
 
     @property
     def size(self) -> int:
@@ -42,20 +45,22 @@ class Model:
     def matcher(self) -> MultiMatcher:
         """The combined automaton, built once per model generation.
 
-        A model unioned from a compiled one compiles only the appended
-        patterns and extends the base automaton with them, then drops
-        its reference to the base; any other model compiles all of its
+        A model unioned from a compiled one drops its reference to that
+        base automaton and serves it as it is when the union appended
+        nothing, or else compiles only the appended patterns and extends
+        the base with them.  Any other model compiles all of its
         patterns.  Either way the result equals
         ``compile_set(self.patterns, self.state_limit)``.
         """
         if self._matcher is None:
-            if self._base is None:
+            base, self._base = self._base, None
+            if base is None:
                 self._matcher = compile_set(self.patterns, self.state_limit)
+            elif base.n_patterns == self.size:
+                self._matcher = base
             else:
-                base, n_base = self._base
-                added = compile_set(self.patterns[n_base:], self.state_limit)
-                self._matcher = extend_set(base, added, n_base, self.state_limit)
-                self._base = None
+                added = compile_set(self.patterns[base.n_patterns :], self.state_limit)
+                self._matcher = extend_set(base, added, self.state_limit)
         return self._matcher
 
     def predict(self, value: str) -> int:
@@ -63,23 +68,13 @@ class Model:
 
     def predict_batch(self, values) -> np.ndarray:
         """Labels (0/1) for a sequence of event strings."""
-        if not self.patterns:
-            return np.zeros(len(values), dtype=np.int8)
         return self.matcher.match_any_batch(values).astype(np.int8)
 
     def union(self, new_patterns) -> "Model":
-        """Next-generation model with ``new_patterns`` appended, duplicates dropped.
-
-        If this model's matcher is built, the new model reuses it: as it
-        is when nothing new was appended, else as the base that its own
-        matcher extends.
-        """
+        """Next-generation model with ``new_patterns`` appended, duplicates
+        dropped; its matcher starts from this model's, if that is built."""
         merged = tuple(dict.fromkeys(self.patterns + tuple(new_patterns)))
-        if self._matcher is None:
-            return Model(merged, self.generation + 1, self.state_limit)
-        if len(merged) == len(self.patterns):
-            return Model(merged, self.generation + 1, self.state_limit, _matcher=self._matcher)
-        return Model(merged, self.generation + 1, self.state_limit, _base=(self._matcher, len(self.patterns)))
+        return Model(merged, self.generation + 1, self.state_limit, _base=self._matcher)
 
 
 def save_model(model: Model, path) -> None:

@@ -11,9 +11,10 @@ the learner's output is unioned into the model at the window boundary.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 
+from .engine import DEFAULT_STATE_LIMIT
 from .errors import InsufficientStreamError
 from .learner import LearnerConfig, learn
 from .metrics import Counts, WindowRecord, accumulate_pairs, auc_point, rates
@@ -63,6 +64,7 @@ def run_tracking(
     cfg: LearnerConfig | None = None,
     snapshot_dir=None,
     on_record=None,
+    state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> list[WindowRecord]:
     """Consume a labeled event source and score it window by window.
 
@@ -72,12 +74,16 @@ def run_tracking(
     events or raises :class:`InsufficientStreamError`.  ``on_record``,
     when given, is called with each record as soon as its window is
     scored, so a caller can persist it before the next window runs.
+    ``state_limit`` caps every generation's automaton (see
+    :class:`Model`); a limit below 1 raises before any event is read.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
     cfg = cfg or LearnerConfig()
+    # built first, so a bad state limit fails before any event is read
+    empty = Model(state_limit=state_limit)
 
     stream = iter(source)
     bootstrap = list(islice(stream, window_size))
@@ -89,11 +95,10 @@ def run_tracking(
     pos0 = sorted({e.value for e in bootstrap if e.truth == 1})
     neg0 = sorted({e.value for e in bootstrap if e.truth == 0})
     if mode == "naive":
-        model = Model(tuple(exact_pattern(v) for v in pos0), state_limit=cfg.state_limit)
-    elif pos0:
-        model = learn(set(pos0), set(neg0), cfg)
+        patterns = tuple(exact_pattern(v) for v in pos0)
     else:
-        model = Model(state_limit=cfg.state_limit)
+        patterns = learn(set(pos0), set(neg0), cfg).patterns if pos0 else ()
+    model = replace(empty, patterns=patterns)
     _snapshot(model, snapshot_dir)
 
     counts = Counts()

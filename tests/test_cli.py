@@ -212,6 +212,42 @@ def test_track_rejects_state_limit_below_one_exit_1(tmp_path, capsys, limit):
     assert not out.exists()
 
 
+def test_track_capacity_exit_4_keeps_rows_and_snapshots_before_it(tmp_path, capsys):
+    flags = ["track", "--mode", "adaptive", "--events", 6000, "--seed", 0, "--window-size", 1000,
+             "--max-ngram", 3, "--max-wildcards", 1, "--max-quantified", 0]
+    assert run_cli(*flags, "--out", tmp_path / "full.csv", "--snapshots", tmp_path / "full") == 0
+    full = (tmp_path / "full.csv").read_text().splitlines(keepends=True)
+    n_gens = len(list((tmp_path / "full").iterdir()))
+    gens = [load_model(tmp_path / "full" / f"model_gen{g}.txt") for g in range(n_gens)]
+    states = [m.matcher.n_states for m in gens]
+    # the first generation after window 1 whose automaton outgrows its
+    # predecessor's; the limit admits the predecessor and trips on it
+    k = next(k for k in range(2, len(gens)) if states[k] > states[k - 1])
+    limit = states[k] - 1
+    # each row is scored before its window's union, and generation k's
+    # automaton is first compiled by the window after the one that made it
+    kept = 1 + sum(int(line.rsplit(",", 1)[1]) <= gens[k].size for line in full[1:])
+    assert kept < len(full)  # the limit trips partway through the run
+
+    out, snaps = tmp_path / "m.csv", tmp_path / "snaps"
+    assert run_cli(*flags, "--state-limit", limit, "--out", out, "--snapshots", snaps) == 4
+    assert f"more than {limit} states" in capsys.readouterr().err
+    assert out.read_text().splitlines(keepends=True) == full[:kept]
+    assert {p.name for p in snaps.iterdir()} == {f"model_gen{g}.txt" for g in range(k + 1)}
+    for g in range(k + 1):
+        assert (snaps / f"model_gen{g}.txt").read_text() == (tmp_path / "full" / f"model_gen{g}.txt").read_text()
+
+
+def test_learn_has_no_state_limit_flag(tmp_path, capsys):
+    (tmp_path / "p.txt").write_text("ads\n")
+    (tmp_path / "n.txt").write_text("news\n")
+    code = run_cli("learn", "--positives", tmp_path / "p.txt", "--negatives", tmp_path / "n.txt",
+                   "--out", tmp_path / "m.txt", "--state-limit", 5)
+    assert code == 1
+    assert "unrecognized arguments: --state-limit 5" in capsys.readouterr().err
+    assert not (tmp_path / "m.txt").exists()
+
+
 @pytest.mark.parametrize(
     "command",
     [("gen", "--events", -3), ("track", "--mode", "naive", "--events", -5),

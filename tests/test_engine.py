@@ -481,19 +481,20 @@ def test_extend_set_equals_compile_set(case):
     head, tail = patterns[:split], patterns[split:]
     want = compile_set(patterns)
     n = want.n_states
-    got = extend_set(compile_set(head), compile_set(tail), len(head), n)
+    got = extend_set(compile_set(head), compile_set(tail), n)
     assert automaton_fields(got) == automaton_fields(want)
+    assert got.n_patterns == want.n_patterns == len(patterns)
     # one state short, extend_set fails exactly when compile_set does
     # (a one-state automaton fits any limit), with the same message
     try:
         compile_set(patterns, n - 1)
     except CapacityError as exc:
         with pytest.raises(CapacityError) as err:
-            extend_set(compile_set(head), compile_set(tail), len(head), n - 1)
+            extend_set(compile_set(head), compile_set(tail), n - 1)
         assert str(err.value) == str(exc)
     else:
         assert n == 1
-        got = extend_set(compile_set(head), compile_set(tail), len(head), n - 1)
+        got = extend_set(compile_set(head), compile_set(tail), n - 1)
         assert automaton_fields(got) == automaton_fields(want)
 
 

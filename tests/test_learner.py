@@ -102,7 +102,7 @@ def test_generate_rejects_bad_input():
 
 @pytest.mark.parametrize(
     "caps",
-    [{"max_ngram": 0}, {"max_wildcards": -1}, {"max_pool": -1}, {"state_limit": 0}, {"state_limit": -5}],
+    [{"max_ngram": 0}, {"max_wildcards": -1}, {"max_pool": -1}],
 )
 def test_learner_config_rejects_bad_caps(caps):
     with pytest.raises(ValueError):

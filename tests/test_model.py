@@ -2,6 +2,8 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftsig import model as model_mod
 from driftsig.engine import compile_set
@@ -28,6 +30,12 @@ def test_model_prediction_rule():
 def test_model_rejects_duplicate_patterns():
     with pytest.raises(ValueError):
         Model(pats("a", "a"))
+
+
+@pytest.mark.parametrize("limit", [0, -5])
+def test_model_rejects_state_limit_below_one(limit):
+    with pytest.raises(ValueError, match="state_limit"):
+        Model(pats("a"), state_limit=limit)
 
 
 def test_union_dedups_and_bumps_generation():
@@ -95,6 +103,33 @@ def test_extended_model_drops_its_base():
     merged.matcher
     gc.collect()
     assert base() is None
+
+
+# anchors, wildcards, quantifiers and empty-matching (always-matching) patterns
+_POOL = pats("ab", "^c.d", "e*$", "x?y", "^q", "a?", "b+c", "..9", "^z$", "d*")
+# a step is a union of a few pool patterns (duplicates likely) or, as
+# None, a read of the current model's matcher
+_STEPS = st.lists(st.one_of(st.none(), st.lists(st.sampled_from(_POOL), max_size=3)), max_size=8)
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(_POOL), max_size=3, unique=True), _STEPS)
+@example([], [None, [_POOL[0]], None, [_POOL[0]], None, [_POOL[1]]])
+@example([_POOL[2]], [None, [], [_POOL[3], _POOL[4]], None, [_POOL[5]]])
+def test_any_union_and_read_order_gives_compile_set(first, steps):
+    # covers all three of Model.matcher's paths: a fresh compile (no
+    # compiled base), the base served as is (nothing appended) and an
+    # extension of the base
+    models = [Model(tuple(first))]
+    for step in steps:
+        if step is None:
+            models[-1].matcher
+        else:
+            models.append(models[-1].union(step))
+    for model in models:
+        want = compile_set(model.patterns)
+        assert automaton_fields(model.matcher) == automaton_fields(want), model.generation
+        assert model.matcher.n_patterns == model.size
 
 
 def test_save_load_round_trip(tmp_path):

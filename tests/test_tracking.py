@@ -5,7 +5,7 @@ import pytest
 from driftsig import model as model_mod
 from driftsig import tracking
 from driftsig.engine import compile_set
-from driftsig.errors import InsufficientStreamError
+from driftsig.errors import CapacityError, InsufficientStreamError
 from driftsig.learner import LearnerConfig
 from driftsig.model import Model
 from driftsig.patterns import parse_pattern
@@ -129,9 +129,9 @@ def test_every_generation_automaton_equals_compile_set(monkeypatch):
         models.append(new_model)
         return new_model, outcome
 
-    def recording_extend(*args):
-        extended.append(args[2])
-        return extend_set(*args)
+    def recording_extend(base, *args):
+        extended.append(base.n_patterns)
+        return extend_set(base, *args)
 
     monkeypatch.setattr(tracking, "run_window", recording_window)
     monkeypatch.setattr(model_mod, "extend_set", recording_extend)
@@ -142,6 +142,23 @@ def test_every_generation_automaton_equals_compile_set(monkeypatch):
         want = compile_set(model.patterns, model.state_limit)
         assert automaton_fields(model.matcher) == automaton_fields(want), model.generation
     assert len(extended) >= 5  # most generations extended their predecessor
+
+
+@pytest.mark.parametrize("limit", [0, -5])
+def test_run_tracking_rejects_state_limit_before_reading(limit):
+    def unread():
+        raise AssertionError("an event was read")
+        yield
+
+    with pytest.raises(ValueError, match="state_limit"):
+        run_tracking(unread(), "adaptive", 100, FAST, state_limit=limit)
+
+
+@pytest.mark.parametrize("mode", ["naive", "adaptive"])
+def test_run_tracking_caps_the_bootstrap_model(mode):
+    stream = islice(gen_synthetic(DriftConfig(seed=29, window_hint=200)), 400)
+    with pytest.raises(CapacityError, match="more than 2 states"):
+        run_tracking(stream, mode, 200, FAST, state_limit=2)
 
 
 def test_run_tracking_requires_two_windows():
