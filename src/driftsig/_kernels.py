@@ -73,9 +73,9 @@ _TOP = np.uint64(63)
 
 def _words(bits, n_words):
     """Pack a bool array's last axis into ``n_words`` uint64 words."""
-    pad = [(0, 0)] * (bits.ndim - 1) + [(0, n_words * 64 - bits.shape[-1])]
-    packed = np.packbits(np.pad(bits, pad), axis=-1, bitorder="little")
-    return packed.view("<u8")
+    padded = np.zeros(bits.shape[:-1] + (n_words * 64,), dtype=bool)
+    padded[..., : bits.shape[-1]] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
 
 
 def _bits(words):
@@ -169,10 +169,10 @@ def _simulate(codes, loop, skip, pat_off, pat_flags, cols, live):
     m = shift_and_masks(codes, loop, skip, pat_off, pat_flags)
     n = len(m.skips)
     n_words = -(-n // 64)
-    table, loops, skips, start_all, start_free, last_run, last_end = (
-        _words(bits, n_words)
-        for bits in (m.table, m.loops, m.skips, m.start_all, m.start_free, m.last_run, m.last_end)
-    )
+    rows = (m.table, m.loops, m.skips, m.start_all, m.start_free, m.last_run, m.last_end)
+    words = _words(np.vstack(rows), n_words)
+    table = words[:N_SYMBOLS]
+    loops, skips, start_all, start_free, last_run, last_end = words[N_SYMBOLS:]
     not_first = ~start_all
 
     # longest run of skippable atoms inside one pattern: the closure moves

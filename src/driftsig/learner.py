@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from operator import itemgetter
 
 import numpy as np
 
-from .alphabet import in_alphabet
+from .alphabet import CHAR_TO_CODE, in_alphabet
 from .engine import match_any_of, match_many
 from .errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from .model import Model
@@ -78,12 +77,12 @@ def generate_components(positives, cfg: LearnerConfig) -> ComponentPool:
     by value, ordered shortest-canonical-text-first (ties by text), and
     truncated to ``max_pool``.
     """
-    return _generate(positives, cfg, skip_gram=None)
+    return _generate(positives, cfg)
 
 
-def _generate(positives, cfg: LearnerConfig, skip_gram) -> ComponentPool:
-    """Shared enumeration; ``skip_gram`` (when given) drops whole n-grams
-    early.  Safe inside :func:`learn` because every variant of a gram
+def _generate(positives, cfg: LearnerConfig, negatives=()) -> ComponentPool:
+    """Shared enumeration; grams found in ``negatives`` are dropped before
+    expansion.  Safe inside :func:`learn` because every variant of a gram
     matches a superset of that gram's language, so a gram that hits a
     negative can only produce components the filter would drop anyway."""
     if not positives:
@@ -93,27 +92,9 @@ def _generate(positives, cfg: LearnerConfig, skip_gram) -> ComponentPool:
         if not s or not in_alphabet(s):
             raise ValueError(f"positive string outside the event alphabet: {s!r}")
 
-    # every distinct gram, with the lowest index of a positive holding it:
-    # the grams of each length are read off all positives at once, joined
-    # by a separator outside the alphabet, and written last to first
-    joined = "\n".join(ordered)
-    src_at = [src for src, s in enumerate(ordered) for _ in range(len(s) + 1)]
-    first: dict[str, int] = {}
-    for n in range(1, min(cfg.max_ngram, max(map(len, ordered))) + 1):
-        subs = [joined[i : i + n] for i in range(len(joined) - n + 1)]
-        first.update(zip(reversed(subs), reversed(src_at[: len(subs)])))
-
-    # grams by length, highest source first (see _expand_grams)
-    groups: dict[int, tuple[list[str], list[int]]] = {}
-    for gram, src in sorted(first.items(), key=itemgetter(1), reverse=True):
-        if "\n" not in gram and (skip_gram is None or not skip_gram(gram)):
-            grams, srcs = groups.setdefault(len(gram), ([], []))
-            grams.append(gram)
-            srcs.append(src)
-
     seen: dict[str, int] = {}
-    for grams, srcs in groups.values():
-        _expand_grams(grams, srcs, cfg, seen)
+    for length, grams, srcs in _grams(ordered, negatives, cfg.max_ngram):
+        _expand_grams(grams, length, srcs, cfg, seen)
 
     items = sorted(seen.items(), key=_text_order)[: cfg.max_pool]
     components = tuple(t for t, _ in items)
@@ -121,13 +102,58 @@ def _generate(positives, cfg: LearnerConfig, skip_gram) -> ComponentPool:
     return ComponentPool(components, provenance)
 
 
+# byte -> gram code: the alphabet's characters are 1..39, and every other
+# byte (the separator, characters outside the alphabet and each byte of a
+# non-ASCII character's UTF-8) is 0, which ends a gram
+_GRAM_CODES = bytes(CHAR_TO_CODE.get(chr(b), -1) + 1 for b in range(256))
+_EXACT_KEY_LEN = 10  # grams an int64 key holds exactly at 6 bits a character
+
+
+def _grams(ordered, negatives, max_ngram):
+    """For each gram length up to ``max_ngram``, the distinct grams of the
+    sorted positives ``ordered`` that occur in no negative.
+
+    Yields ``(length, grams, srcs)``: the grams joined into one string,
+    highest source first, and the source of each, the lowest index of a
+    positive holding it.  The positives and negatives are encoded once,
+    joined by a separator, and every window of one length is keyed at
+    once: a window's key is its prefix's key times 64 plus its last code,
+    so equal keys are equal grams.  Past ``_EXACT_KEY_LEN`` characters
+    that product would overflow int64, so the prefix keys are first
+    replaced by their dense ranks, which keeps them distinct.
+    """
+    pos_text = "\n".join(ordered)
+    raw = (pos_text + "\n" + "\n".join(sorted(set(negatives)))).encode("utf-8", "surrogatepass")
+    chars = np.frombuffer(raw, dtype=np.uint8)
+    codes = np.frombuffer(raw.translate(_GRAM_CODES), dtype=np.uint8)
+    # the positives are ASCII, so their windows start before len(pos_text)
+    # and the negatives' after it
+    n_pos = len(pos_text)
+    src_at = np.repeat(np.arange(len(ordered)), [len(s) + 1 for s in ordered])
+    key = np.zeros(len(codes), dtype=np.int64)
+    valid = np.ones(len(codes), dtype=bool)
+    for n in range(1, min(max_ngram, max(map(len, ordered))) + 1):
+        if n > _EXACT_KEY_LEN:
+            key = np.unique(key, return_inverse=True)[1]
+        key = key[: len(codes) - n + 1] * 64 + codes[n - 1 :]
+        valid = valid[: len(key)] & (codes[n - 1 :] != 0)
+        at = np.flatnonzero(valid[:n_pos])
+        uniq, first = np.unique(key[at], return_index=True)
+        # a gram is kept when no negative window has its key
+        neg = np.sort(key[n_pos:][valid[n_pos:]])
+        keep = np.searchsorted(neg, uniq, "right") == np.searchsorted(neg, uniq)
+        starts = np.sort(at[first[keep]])[::-1]
+        grams = chars[starts[:, None] + np.arange(n)].tobytes().decode("ascii")
+        yield n, grams, src_at[starts].tolist()
+
+
 def _text_order(item) -> tuple[int, str]:
     text = render_tokens(item[0])
     return len(text), text
 
 
-def _expand_grams(grams: list[str], srcs: list[int], cfg: LearnerConfig, seen: dict) -> None:
-    """Add every variant of the equal-length ``grams`` to ``seen``.
+def _expand_grams(grams: str, length: int, srcs: list[int], cfg: LearnerConfig, seen: dict) -> None:
+    """Add every variant of the joined ``length``-character ``grams`` to ``seen``.
 
     A gram's plain literals are its own token string.  The grams are
     taken column by column: a variant shape (wildcard positions, then
@@ -138,10 +164,8 @@ def _expand_grams(grams: list[str], srcs: list[int], cfg: LearnerConfig, seen: d
     within a shape, ``srcs`` runs from the highest source down, so a
     variant several grams share keeps the lowest.
     """
-    length = len(grams[0])
-    joined = "".join(grams)
-    columns = [joined[i::length] for i in range(length)]
-    wild_column = ANY_TOKEN * len(grams)
+    columns = [grams[i::length] for i in range(length)]
+    wild_column = ANY_TOKEN * len(srcs)
     positions = range(length)
     # all-wildcard components are forbidden
     for n_wild in range(min(cfg.max_wildcards, length - 1) + 1):
@@ -183,11 +207,16 @@ def greedy_set_cover(cover: np.ndarray) -> list[int]:
         raise UncoverableElements(missing.tolist())
 
     uncovered = np.ones(cover.shape[1], dtype=bool)
+    # each row's count of still-uncovered columns, lowered after each pick
+    # by the columns that pick newly covered
+    gains = cover.sum(axis=1)
     chosen: list[int] = []
     while uncovered.any():
-        best = int(np.argmax(np.count_nonzero(cover[:, uncovered], axis=1)))
+        best = int(np.argmax(gains))
         chosen.append(best)
-        uncovered &= ~cover[best]
+        newly = cover[best] & uncovered
+        uncovered ^= newly
+        gains -= cover[:, newly].sum(axis=1)
     return chosen
 
 
@@ -208,9 +237,7 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
         raise DisjointnessViolation(overlap)
 
     pos = sorted(set(positives))
-    # the separator is outside the alphabet, so grams cannot straddle values
-    blob = "\n".join(sorted(set(negatives)))
-    pool = filter_components(_generate(pos, cfg, skip_gram=lambda g: g in blob), negatives)
+    pool = filter_components(_generate(pos, cfg, negatives), negatives)
 
     cover = match_many(pool.components, pos)
     unreached = np.flatnonzero(~cover.any(axis=0))

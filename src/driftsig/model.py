@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import DEFAULT_STATE_LIMIT, MultiMatcher, compile_set, extend_set
-from .patterns import Pattern, parse_pattern, render_pattern
+from .patterns import Pattern, parse_pattern
 
 
 @dataclass
@@ -39,7 +39,7 @@ class Model:
         return len(self.patterns)
 
     def texts(self) -> list[str]:
-        return [render_pattern(p) for p in self.patterns]
+        return [p.text for p in self.patterns]
 
     @property
     def matcher(self) -> MultiMatcher:

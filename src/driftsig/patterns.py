@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import product
 
 from .alphabet import ALPHABET, LITERAL_CHARS
@@ -86,13 +87,25 @@ class Pattern:
             raise ValueError("pattern needs at least one atom")
         if all(a.is_any for a in self.atoms):
             raise ValueError("pattern of only wildcards is forbidden")
+        # a model's patterns are hashed again at each union, so the hash
+        # dataclass would generate is computed once, here
+        object.__setattr__(self, "_hash", hash((self.atoms, self.anchored_start, self.anchored_end)))
 
-    @property
+    def __hash__(self) -> int:
+        return self._hash
+
+    # rendered again at each model save, so rendered once, when first read
+    @cached_property
     def text(self) -> str:
         return render_pattern(self)
 
     def __str__(self) -> str:
-        return render_pattern(self)
+        return self.text
+
+    def __reduce__(self):
+        # rebuilt through __init__, since string hashes differ between
+        # processes: a copy or a pickle carries the fields alone
+        return Pattern, (self.atoms, self.anchored_start, self.anchored_end)
 
 
 def parse_pattern(text: str) -> Pattern:

@@ -125,6 +125,35 @@ def minimum_cover_size(universe: frozenset, subsets) -> int | None:
     return None
 
 
+def greedy_cover_reference(cover: np.ndarray) -> list[int]:
+    """Greedy set cover that counts every row's uncovered columns afresh
+    at each pick (ties to the lowest row)."""
+    uncovered = np.ones(cover.shape[1], dtype=bool)
+    chosen = []
+    while uncovered.any():
+        best = int(np.argmax(np.count_nonzero(cover[:, uncovered], axis=1)))
+        chosen.append(best)
+        uncovered &= ~cover[best]
+    return chosen
+
+
+def kept_grams_reference(positives, negatives, max_ngram: int) -> dict[str, int]:
+    """Every distinct substring of 1..max_ngram characters of the sorted
+    positives that is a substring of no negative, with the lowest index of
+    a sorted positive holding it: one dict entry and one substring search
+    of the joined negatives per gram."""
+    ordered = sorted(set(positives))
+    blob = "\n".join(sorted(set(negatives)))
+    kept: dict[str, int] = {}
+    for src, s in enumerate(ordered):
+        for n in range(1, max_ngram + 1):
+            for i in range(len(s) - n + 1):
+                gram = s[i : i + n]
+                if gram not in kept and gram not in blob:
+                    kept[gram] = src
+    return kept
+
+
 def spearman_rho(xs, ys) -> float:
     """Spearman rank correlation, small-n, no tie correction beyond averaging."""
 

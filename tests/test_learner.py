@@ -4,7 +4,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -13,6 +13,8 @@ from driftsig.errors import DisjointnessViolation, EmptyPositiveSetError, Uncove
 from driftsig.learner import (
     ComponentPool,
     LearnerConfig,
+    _generate,
+    _grams,
     filter_components,
     generate_components,
     greedy_set_cover,
@@ -20,7 +22,7 @@ from driftsig.learner import (
 )
 from driftsig.patterns import parse_pattern, pattern_tokens
 
-from oracle import cover_matrix, minimum_cover_size
+from oracle import cover_matrix, greedy_cover_reference, kept_grams_reference, minimum_cover_size
 
 
 # no example database on disk, and the same examples on every run
@@ -292,10 +294,7 @@ def test_learn_pool_matches_literal_composition():
         neg = {"".join(rng.choice("abc0.") for _ in range(rng.randint(1, 9))) for _ in range(5)} - pos
         cfg = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=1)
         full = filter_components(generate_components(pos, cfg), neg)
-        from driftsig.learner import _generate
-
-        blob = "\n".join(sorted(neg))
-        fused = filter_components(_generate(pos, cfg, skip_gram=lambda g: g in blob), neg)
+        fused = filter_components(_generate(pos, cfg, neg), neg)
         assert full.texts() == fused.texts()
         assert full.provenance == fused.provenance
 
@@ -322,6 +321,45 @@ def test_greedy_cover_properties(cover):
     assert covered.all()
     if chosen:
         assert chosen[0] == int(np.argmax(cover.sum(axis=1)))
+    # the running gains pick what a fresh count at every pick picks
+    assert chosen == greedy_cover_reference(cover)
+
+
+# negatives mix the alphabet with characters that must end a gram: the
+# separator, upper case, non-ASCII characters and a lone surrogate
+_NEG_CHARS = "abc0.\nAZ\xe9\u20ac\U0001f600\ud800"
+
+
+@st.composite
+def gram_inputs(draw):
+    ordered = sorted(draw(st.sets(st.text("abc0.", min_size=1, max_size=14), min_size=1, max_size=6)))
+    negatives = draw(st.lists(st.text(_NEG_CHARS, max_size=16), max_size=6))
+    # negatives holding pieces of the positives, so grams of every length drop
+    for _ in range(draw(st.integers(0, 3))):
+        s = draw(st.sampled_from(ordered))
+        i = draw(st.integers(0, len(s) - 1))
+        j = draw(st.integers(i + 1, len(s)))
+        negatives.append(draw(st.text(_NEG_CHARS, max_size=3)) + s[i:j] + draw(st.text(_NEG_CHARS, max_size=3)))
+    return ordered, negatives, draw(st.integers(1, 12))
+
+
+@PROPERTY
+@given(gram_inputs())
+@example((["ab"], [], 3))
+# past ten characters the keys are ranks: 'a' and 'q' differ only above
+# the low 4 bits of their codes, which an int64 key of 11 characters loses
+@example((["qbbbbbbbbbbb"], ["abbbbbbbbbbb", "\ud800bbbbbbbbbb\xe9"], 12))
+def test_gram_stage_equals_reference(inp):
+    ordered, negatives, max_ngram = inp
+    got: dict[str, int] = {}
+    count = 0
+    for length, grams, srcs in _grams(ordered, negatives, max_ngram):
+        assert len(grams) == length * len(srcs)
+        assert srcs == sorted(srcs, reverse=True)
+        got.update(zip((grams[i : i + length] for i in range(0, len(grams), length)), srcs))
+        count += len(srcs)
+    assert count == len(got), "each gram once"
+    assert got == kept_grams_reference(ordered, negatives, max_ngram)
 
 
 _WORDS = st.text(alphabet="abc0.", min_size=1, max_size=8)

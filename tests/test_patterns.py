@@ -1,3 +1,4 @@
+import pickle
 import random
 from dataclasses import replace
 
@@ -138,3 +139,20 @@ def test_token_encoding_round_trips_and_keeps_text_order(patterns):
     assert [token_pattern(k) for k in got] == want
     # the token strings of equal patterns are equal, and of distinct ones distinct
     assert len(set(keys)) == len(set(bare))
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(_PATTERNS)
+def test_cached_hash_and_text_equal_a_fresh_parse(p):
+    assert p.text == render_pattern(p) == str(p)
+    q = parse_pattern(p.text)
+    assert q == p and hash(q) == hash(p)
+    assert hash(p) == hash((p.atoms, p.anchored_start, p.anchored_end))
+    flipped = replace(p, anchored_end=not p.anchored_end)
+    assert flipped.text == render_pattern(flipped) != p.text
+    # a pickle holds the fields alone, since string hashes differ between
+    # processes: a hash cached elsewhere is not carried over
+    stale = replace(p)
+    object.__setattr__(stale, "_hash", hash(p) + 1)
+    back = pickle.loads(pickle.dumps(stale))
+    assert back == p and hash(back) == hash(p) and "text" not in vars(back)
