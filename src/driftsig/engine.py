@@ -4,11 +4,11 @@ Each pattern is a short chain of states: state 0 is the start and
 state ``i`` means "first ``i`` atoms consumed".  Quantifiers become two
 flags per atom (may repeat; may be skipped), so simulation is a linear
 scan over states -- no backtracking.  :func:`pack_patterns` is the one
-place that encodes atoms into these flat arrays: patterns become token
-strings (one character per atom, see :mod:`driftsig.patterns`), and
-three 256-entry tables turn the joined tokens' bytes into the atoms'
-codes and repeat and skip flags; the learner hands its components over
-as token strings already.  The learner's kernels
+place that encodes atoms into these flat arrays: a pattern is stored as
+its token string (one character per atom, see :mod:`driftsig.patterns`),
+the learner hands its components over as bare token strings, and three
+256-entry tables turn the joined tokens' bytes into the atoms' codes and
+repeat and skip flags.  The learner's kernels
 simulate every chain of a batch at once, one bit per atom (bit-parallel
 Shift-And, see :mod:`driftsig._kernels`); :func:`compile_set` runs
 the same recurrence, on the same masks, as a subset construction, so a
@@ -52,7 +52,7 @@ import numpy as np
 from . import _kernels
 from .alphabet import CHAR_TO_CODE, CODE_ANY, N_SYMBOLS, encode_many
 from .errors import CapacityError
-from .patterns import TOKEN_ATOMS, Pattern, Quant, pattern_tokens
+from .patterns import TOKEN_ATOMS, Pattern, Quant
 
 DEFAULT_STATE_LIMIT = 1_000_000
 
@@ -84,7 +84,7 @@ def pack_patterns(patterns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
         keys = pats
         flags = np.zeros(len(pats), dtype=np.uint8)
     else:
-        keys = [pattern_tokens(p) for p in pats]
+        keys = [p.tokens for p in pats]
         flags = np.array([p.anchored_start + 2 * p.anchored_end for p in pats], dtype=np.uint8)
     raw = np.frombuffer("".join(keys).encode("latin-1"), dtype=np.uint8)
     offsets = np.zeros(len(keys) + 1, dtype=np.int64)

@@ -12,8 +12,8 @@ Components are token strings, one character per atom (see
 its variants substitute wildcard and quantifier tokens into it, so
 deduplication is on strings and the pool is ordered by the canonical
 text a translate table gives.  The filter and the cover matrix pack the
-token strings through the engine's per-token tables, and only the
-components greedy picks become pattern ASTs.
+token strings through the engine's per-token tables, and the components
+greedy picks become patterns as they are, with no anchors.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .alphabet import CHAR_TO_CODE, in_alphabet
 from .engine import match_any_of, match_many
 from .errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from .model import Model
-from .patterns import ANY_TOKEN, QUANTIFY, exact_pattern, render_tokens, token_pattern
+from .patterns import ANY_TOKEN, QUANTIFY, Pattern, exact_pattern, render_tokens
 
 
 @dataclass(frozen=True)
@@ -67,24 +67,19 @@ class ComponentPool:
         return [render_tokens(t) for t in self.components]
 
 
-def generate_components(positives, cfg: LearnerConfig) -> ComponentPool:
+def generate_components(positives, cfg: LearnerConfig, negatives=()) -> ComponentPool:
     """Enumerate candidate components from positive-set n-grams.
 
-    For every substring of length 1..max_ngram of every positive: all
-    variants with at most ``max_wildcards`` characters replaced by the
-    wildcard (never all of them), each with at most ``max_quantified``
-    quantifiers inserted after non-wildcard atoms.  The pool is deduped
-    by value, ordered shortest-canonical-text-first (ties by text), and
-    truncated to ``max_pool``.
+    For every substring of length 1..max_ngram of every positive that
+    occurs in no string of ``negatives``: all variants with at most
+    ``max_wildcards`` characters replaced by the wildcard (never all of
+    them), each with at most ``max_quantified`` quantifiers inserted
+    after non-wildcard atoms.  The pool is deduped by value, ordered
+    shortest-canonical-text-first (ties by text), and truncated to
+    ``max_pool``.  Dropping a gram found in a negative before expansion
+    is safe inside :func:`learn`: every variant of a gram matches a
+    superset of that gram's language, so the filter would drop them all.
     """
-    return _generate(positives, cfg)
-
-
-def _generate(positives, cfg: LearnerConfig, negatives=()) -> ComponentPool:
-    """Shared enumeration; grams found in ``negatives`` are dropped before
-    expansion.  Safe inside :func:`learn` because every variant of a gram
-    matches a superset of that gram's language, so a gram that hits a
-    negative can only produce components the filter would drop anyway."""
     if not positives:
         raise EmptyPositiveSetError("no positive strings to learn from")
     ordered = sorted(set(positives))
@@ -237,7 +232,7 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
         raise DisjointnessViolation(overlap)
 
     pos = sorted(set(positives))
-    pool = filter_components(_generate(pos, cfg, negatives), negatives)
+    pool = filter_components(generate_components(pos, cfg, negatives), negatives)
 
     cover = match_many(pool.components, pos)
     unreached = np.flatnonzero(~cover.any(axis=0))
@@ -247,5 +242,5 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
 
     order = greedy_set_cover(np.vstack([cover, fallback]))
     n = len(pool)
-    selected = tuple(token_pattern(pool.components[i]) if i < n else fallbacks[i - n] for i in order)
+    selected = tuple(Pattern(pool.components[i]) if i < n else fallbacks[i - n] for i in order)
     return Model(selected)

@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from driftsig.alphabet import ALPHABET, ALPHABET_SET, CHAR_TO_CODE, CODE_ANY, N_SYMBOLS
-from driftsig.patterns import Atom, Pattern, Quant
+from driftsig.patterns import TOKEN_ATOMS, Atom, Pattern, Quant
 
 
 def _atom_accepts(atom: Atom, ch: str) -> bool:
@@ -76,6 +76,14 @@ def match_set_bruteforce(patterns, s: str) -> set[int]:
     return {i for i, p in enumerate(patterns) if backtrack_match(p, s)}
 
 
+_ATOM_TOKEN = {atom: token for token, atom in TOKEN_ATOMS.items()}
+
+
+def atom_pattern(atoms, start: bool = False, end: bool = False) -> Pattern:
+    """The pattern of a sequence of atoms, through the token table."""
+    return Pattern("".join(_ATOM_TOKEN[a] for a in atoms), start, end)
+
+
 def random_pattern(rng: random.Random, max_atoms: int = 8) -> Pattern:
     """Random well-formed pattern biased toward collisions on few letters."""
     chars = "ab01.-_c"
@@ -89,11 +97,7 @@ def random_pattern(rng: random.Random, max_atoms: int = 8) -> Pattern:
             atoms.append(Atom(rng.choice(chars), quant))
     if all(a.is_any for a in atoms):
         atoms[rng.randrange(n)] = Atom("a")
-    return Pattern(
-        tuple(atoms),
-        anchored_start=rng.random() < 0.25,
-        anchored_end=rng.random() < 0.25,
-    )
+    return atom_pattern(atoms, start=rng.random() < 0.25, end=rng.random() < 0.25)
 
 
 def random_subject(rng: random.Random, max_len: int = 16) -> str:

@@ -11,9 +11,10 @@ from driftsig import _kernels, engine
 from driftsig.engine import DEFAULT_STATE_LIMIT, compile_set, extend_set, match_many, match_one, pack_patterns
 from driftsig.alphabet import ALPHABET, encode, encode_many
 from driftsig.errors import CapacityError
-from driftsig.patterns import Atom, Pattern, Quant, exact_pattern, parse_pattern, pattern_tokens
+from driftsig.patterns import Atom, Pattern, Quant, exact_pattern, parse_pattern
 
 from oracle import (
+    atom_pattern,
     automaton_fields,
     backtrack_match,
     match_set_bruteforce,
@@ -241,7 +242,7 @@ def _golden_patterns():
     for i in range(300):
         if i % 60 == 0:
             text = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(40, 70)))
-            patterns.append(Pattern(tuple(Atom(c) for c in text), True, True))
+            patterns.append(atom_pattern([Atom(c) for c in text], True, True))
             continue
         atoms = []
         for _ in range(rng.randint(2, 6)):
@@ -254,7 +255,7 @@ def _golden_patterns():
                 atoms.append(Atom(rng.choice(ALPHABET)))
         if all(a.is_any for a in atoms):
             atoms[0] = Atom(rng.choice(ALPHABET))
-        patterns.append(Pattern(tuple(atoms), rng.random() < 0.2, rng.random() < 0.2))
+        patterns.append(atom_pattern(atoms, rng.random() < 0.2, rng.random() < 0.2))
     return patterns
 
 
@@ -308,7 +309,7 @@ def _large_golden_patterns():
                     atoms.append(Atom(rng.choice(letters)))
             if all(a.is_any for a in atoms):
                 atoms[0] = Atom(rng.choice(letters))
-            p = Pattern(tuple(atoms), rng.random() < 0.15, rng.random() < 0.15)
+            p = atom_pattern(atoms, rng.random() < 0.15, rng.random() < 0.15)
         if p not in seen:
             seen.add(p)
             patterns.append(p)
@@ -383,8 +384,8 @@ _ATOMS = st.one_of(
     st.just(Atom(None)),
 )
 _PATTERNS = st.builds(
-    Pattern,
-    st.lists(_ATOMS, min_size=1, max_size=6).filter(lambda a: not all(x.is_any for x in a)).map(tuple),
+    atom_pattern,
+    st.lists(_ATOMS, min_size=1, max_size=6).filter(lambda a: not all(x.is_any for x in a)),
     st.booleans(),
     st.booleans(),
 )
@@ -428,8 +429,8 @@ _ANY_ATOMS = st.one_of(
     st.just(Atom(None)),
 )
 _ANY_PATTERNS = st.builds(
-    Pattern,
-    st.lists(_ANY_ATOMS, min_size=1, max_size=8).filter(lambda a: not all(x.is_any for x in a)).map(tuple),
+    atom_pattern,
+    st.lists(_ANY_ATOMS, min_size=1, max_size=8).filter(lambda a: not all(x.is_any for x in a)),
     st.booleans(),
     st.booleans(),
 )
@@ -443,8 +444,8 @@ def test_pack_patterns_matches_per_atom_packer(patterns):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
     # the learner's form: token strings of unanchored patterns
-    bare = [Pattern(p.atoms) for p in patterns]
-    tokens = pack_patterns([pattern_tokens(p) for p in bare])
+    bare = [Pattern(p.tokens) for p in patterns]
+    tokens = pack_patterns([p.tokens for p in bare])
     for g, w in zip(tokens, pack_patterns_per_atom(bare)):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
@@ -452,12 +453,12 @@ def test_pack_patterns_matches_per_atom_packer(patterns):
 # patterns whose every atom may be skipped match the empty string, so an
 # unanchored one lands in the automaton's always-matching ids
 _EMPTY_MATCHING = st.builds(
-    Pattern,
+    atom_pattern,
     st.lists(
         st.builds(Atom, st.sampled_from(ALPHABET), st.sampled_from([Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE])),
         min_size=1,
         max_size=3,
-    ).map(tuple),
+    ),
     st.booleans(),
     st.booleans(),
 )

@@ -13,14 +13,13 @@ from driftsig.errors import DisjointnessViolation, EmptyPositiveSetError, Uncove
 from driftsig.learner import (
     ComponentPool,
     LearnerConfig,
-    _generate,
     _grams,
     filter_components,
     generate_components,
     greedy_set_cover,
     learn,
 )
-from driftsig.patterns import parse_pattern, pattern_tokens
+from driftsig.patterns import parse_pattern
 
 from oracle import cover_matrix, greedy_cover_reference, kept_grams_reference, minimum_cover_size
 
@@ -168,10 +167,10 @@ def test_golden_learned_models_drift_caps(monkeypatch):
 
 
 def test_filter_components_examples():
-    pool = ComponentPool(tuple(pattern_tokens(parse_pattern(t)) for t in ["a", "b", "ab"]), (0, 0, 0))
+    pool = ComponentPool(tuple(parse_pattern(t).tokens for t in ["a", "b", "ab"]), (0, 0, 0))
     assert filter_components(pool, {"ba"}).texts() == ["ab"]
     assert filter_components(pool, set()).texts() == ["a", "b", "ab"]
-    single = ComponentPool((pattern_tokens(parse_pattern("x")),), (0,))
+    single = ComponentPool((parse_pattern("x").tokens,), (0,))
     assert filter_components(single, {"axb"}).texts() == []
 
 
@@ -294,7 +293,7 @@ def test_learn_pool_matches_literal_composition():
         neg = {"".join(rng.choice("abc0.") for _ in range(rng.randint(1, 9))) for _ in range(5)} - pos
         cfg = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=1)
         full = filter_components(generate_components(pos, cfg), neg)
-        fused = filter_components(_generate(pos, cfg, neg), neg)
+        fused = filter_components(generate_components(pos, cfg, neg), neg)
         assert full.texts() == fused.texts()
         assert full.provenance == fused.provenance
 

@@ -1,11 +1,14 @@
-import pickle
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import driftsig
 from driftsig.alphabet import ALPHABET
 from driftsig.patterns import (
     TOKEN_ATOMS,
@@ -14,14 +17,12 @@ from driftsig.patterns import (
     Quant,
     exact_pattern,
     parse_pattern,
-    pattern_tokens,
     render_pattern,
     render_tokens,
-    token_pattern,
 )
 from driftsig.errors import PatternSyntaxError
 
-from oracle import random_pattern
+from oracle import atom_pattern, random_pattern
 
 
 def test_parse_quantifier_and_literals():
@@ -45,9 +46,9 @@ def test_parse_escaped_dot_vs_wildcard():
 
 
 def test_render_examples():
-    assert render_pattern(Pattern((Atom("."),))) == "\\."
+    assert render_pattern(atom_pattern([Atom(".")])) == "\\."
     assert render_pattern(exact_pattern("ab")) == "^ab$"
-    assert render_pattern(Pattern((Atom("a", Quant.ZERO_OR_MORE), Atom(None)))) == "a*."
+    assert render_pattern(atom_pattern([Atom("a", Quant.ZERO_OR_MORE), Atom(None)])) == "a*."
 
 
 @pytest.mark.parametrize(
@@ -79,10 +80,20 @@ def test_atom_invariants():
         Atom(None, Quant.ONE_OR_MORE)
     with pytest.raises(ValueError):
         Atom("A")
+
+
+# the empty string, only wildcards, and characters no token uses
+@pytest.mark.parametrize("tokens", ["", "\x80\x80", "A", "\x7f", "ab\x7f"])
+def test_pattern_rejects_bad_token_strings(tokens):
     with pytest.raises(ValueError):
-        Pattern(())
+        Pattern(tokens)
+
+
+# 'é' is a token character (a quantified literal), not an event character
+@pytest.mark.parametrize("value", ["", "aB", "aé"])
+def test_exact_pattern_rejects_values_outside_the_alphabet(value):
     with pytest.raises(ValueError):
-        Pattern((Atom(None), Atom(None)))
+        exact_pattern(value)
 
 
 def test_round_trip_canonical_texts():
@@ -104,8 +115,8 @@ _ATOMS = st.one_of(
     st.just(Atom(None)),
 )
 _PATTERNS = st.builds(
-    Pattern,
-    st.lists(_ATOMS, min_size=1, max_size=8).filter(lambda a: not all(x.is_any for x in a)).map(tuple),
+    atom_pattern,
+    st.lists(_ATOMS, min_size=1, max_size=8).filter(lambda a: not all(x.is_any for x in a)),
     st.booleans(),
     st.booleans(),
 )
@@ -122,23 +133,20 @@ def test_token_table_is_one_byte_per_atom():
 @settings(database=None, derandomize=True, deadline=None)
 @given(st.lists(_PATTERNS, min_size=1, max_size=12))
 def test_token_encoding_round_trips_and_keeps_text_order(patterns):
-    keys = [pattern_tokens(p) for p in patterns]
-    for p, key in zip(patterns, keys):
-        assert len(key) == len(p.atoms)
-        back = token_pattern(key)
-        assert not back.anchored_start and not back.anchored_end
-        assert replace(back, anchored_start=p.anchored_start, anchored_end=p.anchored_end) == p
-        assert render_tokens(key) == render_pattern(back)
+    for p in patterns:
+        assert len(p.tokens) == len(p.atoms)
+        assert atom_pattern(p.atoms, p.anchored_start, p.anchored_end) == p
+        assert render_tokens(p.tokens) == render_pattern(replace(p, anchored_start=False, anchored_end=False))
 
     def by_text(t):
         return len(t), t
 
-    bare = [Pattern(p.atoms) for p in patterns]
+    bare = [Pattern(p.tokens) for p in patterns]
     want = sorted(bare, key=lambda p: by_text(render_pattern(p)))
-    got = sorted(keys, key=lambda k: by_text(render_tokens(k)))
-    assert [token_pattern(k) for k in got] == want
-    # the token strings of equal patterns are equal, and of distinct ones distinct
-    assert len(set(keys)) == len(set(bare))
+    got = sorted((p.tokens for p in patterns), key=lambda k: by_text(render_tokens(k)))
+    assert [Pattern(k) for k in got] == want
+    # the token strings of equal atom sequences are equal, and of distinct ones distinct
+    assert len({p.tokens for p in patterns}) == len({p.atoms for p in patterns})
 
 
 @settings(database=None, derandomize=True, deadline=None)
@@ -147,12 +155,41 @@ def test_cached_hash_and_text_equal_a_fresh_parse(p):
     assert p.text == render_pattern(p) == str(p)
     q = parse_pattern(p.text)
     assert q == p and hash(q) == hash(p)
-    assert hash(p) == hash((p.atoms, p.anchored_start, p.anchored_end))
+    assert hash(p) == hash((p.tokens, p.anchored_start, p.anchored_end))
     flipped = replace(p, anchored_end=not p.anchored_end)
     assert flipped.text == render_pattern(flipped) != p.text
-    # a pickle holds the fields alone, since string hashes differ between
-    # processes: a hash cached elsewhere is not carried over
-    stale = replace(p)
-    object.__setattr__(stale, "_hash", hash(p) + 1)
-    back = pickle.loads(pickle.dumps(stale))
-    assert back == p and hash(back) == hash(p) and "text" not in vars(back)
+
+
+# pickles the patterns of argv[2]'s texts to argv[3], or loads them back
+# and looks each text's pattern up in the loaded set
+_PICKLE_SCRIPT = """
+import pickle, sys
+from driftsig.patterns import parse_pattern
+texts = open(sys.argv[2]).read().split()
+if sys.argv[1] == "dump":
+    patterns = {parse_pattern(t) for t in texts}
+    assert all(p.text for p in patterns)  # cached, so pickled along
+    open(sys.argv[3], "wb").write(pickle.dumps(patterns))
+else:
+    loaded = pickle.loads(open(sys.argv[3], "rb").read())
+    assert all(parse_pattern(t) in loaded for t in texts)
+"""
+
+
+def test_pickled_pattern_set_is_found_under_another_hash_seed(tmp_path):
+    # string hashes differ between processes, so a pickled pattern must
+    # carry no hash of its own: a set pickled under one hash seed still
+    # finds every pattern under another
+    rng = random.Random(99)
+    texts = tmp_path / "texts"
+    texts.write_text("\n".join(sorted({random_pattern(rng).text for _ in range(300)})))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(driftsig.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for step, seed in [("dump", "1"), ("load", "2")]:
+        proc = subprocess.run(
+            [sys.executable, "-c", _PICKLE_SCRIPT, step, str(texts), str(tmp_path / "set.pkl")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
