@@ -168,13 +168,7 @@ def cmd_track(args) -> int:
     if args.in_path:
         events = load_tsv(args.in_path)
         if args.blacklist:
-            blacklist = load_blacklist(args.blacklist)
-            categories = [c for c in args.positive_categories.split(",") if c]
-            positive = set().union(*(blacklist.get(c, ()) for c in categories))
-            events = (
-                e.__class__(e.seq, e.value, bootstrap_label(e.value, positive))
-                for e in events
-            )
+            events = _relabel(events, _positive_domains(args.blacklist, args.positive_categories))
     else:
         events = islice(gen_synthetic(_drift_config(args)), args.events)
 
@@ -197,6 +191,31 @@ def cmd_track(args) -> int:
     print(f"final auc: {last.auc:.6f}")
     print(f"tpr decrease: {decrease:.6f}")
     return EXIT_OK
+
+
+def _positive_domains(path, names: str) -> set[str]:
+    """The union of the blacklist categories named in the comma-separated
+    ``names``; naming no category, or one the blacklist lacks, is an error."""
+    blacklist = load_blacklist(path)
+    categories = [c for c in names.split(",") if c]
+    if not categories:
+        raise ValueError("--positive-categories names no category")
+    missing = [c for c in categories if c not in blacklist]
+    if missing:
+        raise ValueError(f"--positive-categories not in the blacklist: {', '.join(missing)}")
+    return set().union(*(blacklist[c] for c in categories))
+
+
+def _relabel(events, positive: set[str]):
+    """The events with each label replaced by the blacklist's; each
+    distinct value is looked up once, and an event whose label does not
+    change is passed on as it is."""
+    labels: dict[str, int] = {}
+    for e in events:
+        label = labels.get(e.value)
+        if label is None:
+            label = labels[e.value] = bootstrap_label(e.value, positive)
+        yield e if label == e.truth else e.__class__(e.seq, e.value, label)
 
 
 def _random_literal_pattern(rng: random.Random) -> Pattern:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterator
+from itertools import accumulate, islice
+from typing import Iterable, Iterator
 
-from .alphabet import in_alphabet
+from .alphabet import ALPHABET, in_alphabet
 from .errors import LabelError, ParseError
 
 # Shape of generated values.  Stems are letters-only (the single digit that
@@ -35,6 +35,16 @@ ZIPF_EXPONENT = 1.0
 SWAP_KEEP = 2
 
 MUTATION_KINDS = ("substitution", "insertion", "suffix_swap", "rotation")
+
+# Replay files are read in blocks of lines of about this many characters
+# (the ``readlines`` hint).
+_BLOCK_BYTES = 1 << 16
+_ALPHABET_BYTES = ALPHABET.encode("ascii")
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b"\t\n")
+_LABEL_TEXTS = frozenset(("0", "1"))
+# int() refuses more digits than sys.get_int_max_str_digits(), a limit
+# that is never set below 640; shorter digit strings always parse
+_INT_SAFE_DIGITS = 640
 
 
 @dataclass(frozen=True)
@@ -157,29 +167,93 @@ def load_tsv(path) -> Iterator[Event]:
     index.  Raises :class:`ParseError` (1-based line number) on malformed
     rows and :class:`LabelError` when a value reappears with a different
     label.
+
+    The file is read a block of lines at a time, and the events of a
+    block are yielded before the next block is read.  A block that
+    passes the whole-block checks of :func:`_parse_tsv_block` becomes
+    events in bulk; any other block goes through :func:`_parse_tsv_rows`,
+    the row-by-row reader that defines every error.  Bytes that are not
+    UTF-8 raise :class:`UnicodeDecodeError` after the events of the rows
+    before them.
     """
     labels: dict[str, int] = {}
+    line_no = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            row = line.rstrip("\n").rstrip("\r")
-            if not row:
-                continue
-            parts = row.split("\t")
-            if len(parts) != 3:
-                raise ParseError(line_no, f"expected 3 tab-separated fields, got {len(parts)}")
-            seq_text, value, label_text = parts
+        while True:
             try:
-                int(seq_text)
-            except ValueError:
-                raise ParseError(line_no, f"bad sequence number {seq_text!r}") from None
-            if label_text not in ("0", "1"):
-                raise ParseError(line_no, f"label must be 0 or 1, got {label_text!r}")
-            if not value or not in_alphabet(value):
-                raise ParseError(line_no, f"value outside the event alphabet: {value!r}")
-            truth = int(label_text)
-            if labels.setdefault(value, truth) != truth:
-                raise LabelError(value)
-            yield Event(line_no - 1, value, truth)
+                lines = fh.readlines(_BLOCK_BYTES)
+            except UnicodeDecodeError:
+                break
+            if not lines:
+                return
+            bulk = _parse_tsv_block(lines, labels)
+            if bulk is None:
+                yield from _parse_tsv_rows(lines, line_no, labels)
+            else:
+                yield from map(Event, range(line_no, line_no + len(lines)), *bulk)
+            line_no += len(lines)
+    # The next block holds bytes that are not UTF-8.  Read the file again
+    # row by row from that block's first line, so that the rows before
+    # those bytes are yielded and the decoder raises where a row-by-row
+    # read meets them.
+    with open(path, "r", encoding="utf-8") as fh:
+        yield from _parse_tsv_rows(islice(fh, line_no, None), line_no, labels)
+
+
+def _parse_tsv_block(lines: list[str], labels: dict[str, int]) -> tuple[list[str], list[int]] | None:
+    """(values, truths) of a block of TSV lines, or None when a row needs
+    :func:`_parse_tsv_rows`: a malformed or blank row, a sequence number
+    that only ``int()`` reads (``" 3"``, ``"+3"``, ``"٣"``) or a label
+    conflict.  ``labels`` (first label of each value) gains the block's
+    values only when the block is accepted."""
+    text = "".join(lines)
+    if text.endswith("\n"):
+        text = text[:-1]
+    # with every alphabet character deleted, good rows leave only their
+    # separators: two tabs per row and a newline between rows
+    layout = b"\t\t\n" * (len(lines) - 1) + b"\t\t"
+    if text.encode("utf-8").translate(None, _ALPHABET_BYTES) != layout:
+        return None
+    fields = text.replace("\n", "\t").split("\t")
+    seqs, values, marks = fields[0::3], fields[1::3], fields[2::3]
+    if not (all(seqs) and "".join(seqs).isdigit() and max(map(len, seqs)) <= _INT_SAFE_DIGITS):
+        return None
+    if not (all(values) and _LABEL_TEXTS.issuperset(marks)):
+        return None
+    truths = list(map(int, marks))
+    block = dict(zip(values, truths))
+    if len(set(zip(values, truths))) != len(block):
+        return None  # a value with both labels within the block
+    seen = block.keys() & labels.keys()
+    if list(map(block.__getitem__, seen)) != list(map(labels.__getitem__, seen)):
+        return None  # a value relabeled since an earlier block
+    labels.update(block)
+    return values, truths
+
+
+def _parse_tsv_rows(lines: Iterable[str], line_no: int, labels: dict[str, int]) -> Iterator[Event]:
+    """Events of TSV lines, one row at a time; the first line is line
+    ``line_no + 1``.  Raises on the first bad row."""
+    for line_no, line in enumerate(lines, start=line_no + 1):
+        row = line.rstrip("\n").rstrip("\r")
+        if not row:
+            continue
+        parts = row.split("\t")
+        if len(parts) != 3:
+            raise ParseError(line_no, f"expected 3 tab-separated fields, got {len(parts)}")
+        seq_text, value, label_text = parts
+        try:
+            int(seq_text)
+        except ValueError:
+            raise ParseError(line_no, f"bad sequence number {seq_text!r}") from None
+        if label_text not in ("0", "1"):
+            raise ParseError(line_no, f"label must be 0 or 1, got {label_text!r}")
+        if not value or not in_alphabet(value):
+            raise ParseError(line_no, f"value outside the event alphabet: {value!r}")
+        truth = int(label_text)
+        if labels.setdefault(value, truth) != truth:
+            raise LabelError(value)
+        yield Event(line_no - 1, value, truth)
 
 
 def write_tsv(events, path) -> int:
@@ -193,19 +267,46 @@ def write_tsv(events, path) -> int:
 
 
 def load_blacklist(path) -> dict[str, set[str]]:
-    """Read a ``category<TAB>domain`` file into a category map."""
+    """Read a ``category<TAB>domain`` file into a category map.
+
+    Each row is stripped of surrounding whitespace; blank rows and rows
+    starting with ``#`` are skipped.  Raises :class:`ParseError` on a row
+    that is not two tab-separated fields.  The file is read a block of
+    lines at a time; a block with such a row goes through
+    :func:`_parse_blacklist_rows`, which raises at its line.
+    """
     categories: dict[str, set[str]] = {}
+    line_no = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            row = line.strip()
-            if not row or row.startswith("#"):
-                continue
-            parts = row.split("\t")
-            if len(parts) != 2:
-                raise ParseError(line_no, "expected category<TAB>domain")
-            category, domain = parts
-            categories.setdefault(category, set()).add(domain)
+        while lines := fh.readlines(_BLOCK_BYTES):
+            rows = [row for row in map(str.strip, lines) if row and row[0] != "#"]
+            text = "\n".join(rows)
+            # one tab per row, a newline between rows
+            if text.encode("utf-8").translate(None, _NOT_SEPARATORS) != (b"\t\n" * len(rows))[:-1]:
+                _parse_blacklist_rows(lines, line_no, categories)
+            else:
+                fields = text.replace("\n", "\t").split("\t")
+                for category, domain in zip(fields[0::2], fields[1::2]):
+                    domains = categories.get(category)
+                    if domains is None:
+                        domains = categories[category] = set()
+                    domains.add(domain)
+            line_no += len(lines)
     return categories
+
+
+def _parse_blacklist_rows(lines: list[str], line_no: int, categories: dict[str, set[str]]) -> None:
+    """Add a block of blacklist lines to ``categories`` one row at a time;
+    the first line is line ``line_no + 1``.  Raises on the first bad row."""
+    for line_no, line in enumerate(lines, start=line_no + 1):
+        row = line.strip()
+        if not row or row.startswith("#"):
+            continue
+        parts = row.split("\t")
+        if len(parts) != 2:
+            raise ParseError(line_no, "expected category<TAB>domain")
+        category, domain = parts
+        categories.setdefault(category, set()).add(domain)
 
 
 def bootstrap_label(value: str, positive: set[str]) -> int:
@@ -213,10 +314,15 @@ def bootstrap_label(value: str, positive: set[str]) -> int:
 
     ``positive`` is the union of the blacklist's positive categories,
     built once per stream.  Suffix semantics: ``x.doubleclick.net``
-    inherits the label of ``doubleclick.net``.
+    inherits the label of ``doubleclick.net``.  The suffixes tried are
+    the whole value and the text after each dot (empty after a trailing
+    dot).
     """
-    parts = value.split(".")
-    for i in range(len(parts)):
-        if ".".join(parts[i:]) in positive:
+    start = 0
+    while True:
+        if value[start:] in positive:
             return 1
-    return 0
+        dot = value.find(".", start)
+        if dot < 0:
+            return 0
+        start = dot + 1

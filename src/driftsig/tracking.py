@@ -46,10 +46,10 @@ def run_window(model: Model, events, cfg: LearnerConfig | None = None):
     if not events:
         raise ValueError("window must contain at least one event")
     values = [e.value for e in events]
-    preds = model.predict_batch(values)
-    positives = [v for v, p in zip(values, preds) if p == 1]
-    negatives = [v for v, p in zip(values, preds) if p == 0]
-    pairs = [(e.truth, int(p)) for e, p in zip(events, preds)]
+    preds = model.predict_batch(values).tolist()
+    positives = [v for v, p in zip(values, preds) if p]
+    negatives = [v for v, p in zip(values, preds) if not p]
+    pairs = [(e.truth, p) for e, p in zip(events, preds)]
     outcome = WindowOutcome(positives, negatives, pairs)
     if not positives:
         return model, outcome
@@ -110,8 +110,8 @@ def run_tracking(
             break
         window += 1
         if mode == "naive":
-            preds = model.predict_batch([e.value for e in chunk])
-            pairs = [(e.truth, int(p)) for e, p in zip(chunk, preds)]
+            preds = model.predict_batch([e.value for e in chunk]).tolist()
+            pairs = [(e.truth, p) for e, p in zip(chunk, preds)]
         else:
             before = model.generation
             model, outcome = run_window(model, chunk, cfg)

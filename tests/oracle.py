@@ -4,8 +4,8 @@ The matcher here is a naive recursive backtracker over the pattern AST,
 written without looking at the engine's simulation: quantifiers consume
 greedily and give back one repetition at a time.  The automaton here is
 a textbook subset construction over sets of (pattern, atoms consumed)
-positions, with no bitsets.  Slow and obviously correct is the whole
-point.
+positions, with no bitsets.  The replay readers here read one row at a
+time.  Slow and obviously correct is the whole point.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ from itertools import combinations
 
 import numpy as np
 
-from driftsig.alphabet import ALPHABET, ALPHABET_SET, CHAR_TO_CODE, CODE_ANY, N_SYMBOLS
+from driftsig.alphabet import ALPHABET, ALPHABET_SET, CHAR_TO_CODE, CODE_ANY, N_SYMBOLS, in_alphabet
+from driftsig.errors import LabelError, ParseError
 from driftsig.patterns import TOKEN_ATOMS, Atom, Pattern, Quant
+from driftsig.streams import Event
 
 
 def _atom_accepts(atom: Atom, ch: str) -> bool:
@@ -282,3 +284,58 @@ def subset_construction_fields(patterns):
         end,
         always,
     )
+
+
+# The replay readers as they were before block parsing: one row at a time,
+# each row split and checked on its own.
+
+
+def load_tsv_reference(path):
+    """Reference for streams.load_tsv."""
+    labels: dict[str, int] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            row = line.rstrip("\n").rstrip("\r")
+            if not row:
+                continue
+            parts = row.split("\t")
+            if len(parts) != 3:
+                raise ParseError(line_no, f"expected 3 tab-separated fields, got {len(parts)}")
+            seq_text, value, label_text = parts
+            try:
+                int(seq_text)
+            except ValueError:
+                raise ParseError(line_no, f"bad sequence number {seq_text!r}") from None
+            if label_text not in ("0", "1"):
+                raise ParseError(line_no, f"label must be 0 or 1, got {label_text!r}")
+            if not value or not in_alphabet(value):
+                raise ParseError(line_no, f"value outside the event alphabet: {value!r}")
+            truth = int(label_text)
+            if labels.setdefault(value, truth) != truth:
+                raise LabelError(value)
+            yield Event(line_no - 1, value, truth)
+
+
+def load_blacklist_reference(path) -> dict[str, set[str]]:
+    """Reference for streams.load_blacklist."""
+    categories: dict[str, set[str]] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            row = line.strip()
+            if not row or row.startswith("#"):
+                continue
+            parts = row.split("\t")
+            if len(parts) != 2:
+                raise ParseError(line_no, "expected category<TAB>domain")
+            category, domain = parts
+            categories.setdefault(category, set()).add(domain)
+    return categories
+
+
+def bootstrap_label_reference(value: str, positive: set[str]) -> int:
+    """Reference for streams.bootstrap_label."""
+    parts = value.split(".")
+    for i in range(len(parts)):
+        if ".".join(parts[i:]) in positive:
+            return 1
+    return 0

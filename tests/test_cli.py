@@ -22,6 +22,8 @@ from driftsig.errors import (
 from driftsig.metrics import read_report
 from driftsig.model import load_model
 
+from oracle import bootstrap_label_reference, load_blacklist_reference, load_tsv_reference
+
 
 def run_cli(*args):
     return main([str(a) for a in args])
@@ -199,6 +201,59 @@ def test_track_blacklist_without_in_exit_1(tmp_path, capsys):
     assert code == 1
     assert "--blacklist needs --in" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "categories,message",
+    [
+        ("ads,trackng", "--positive-categories not in the blacklist: trackng"),
+        ("", "--positive-categories names no category"),
+    ],
+)
+def test_track_blacklist_unknown_categories_exit_1_before_reading(tmp_path, capsys, categories, message):
+    events = tmp_path / "e.tsv"
+    events.write_text("not a row\n")  # reading it would fail at line 1
+    blacklist = tmp_path / "bl.tsv"
+    blacklist.write_text("ads\tadnet.com\ntracking\tpx.io\n")
+    out = tmp_path / "m.csv"
+    code = run_cli("track", "--in", events, "--mode", "naive", "--window-size", 100, "--out", out,
+                   "--blacklist", blacklist, "--positive-categories", categories)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["naive", "adaptive"])
+def test_track_blacklist_equals_a_relabeled_file(tmp_path, mode):
+    # `--blacklist` gives the bytes of a run on the file relabeled by the
+    # row-by-row reference readers
+    events = tmp_path / "e.tsv"
+    run_cli("gen", "--seed", 3, "--events", 3000, "--out", events)
+    values = [line.split("\t")[1] for line in events.read_text().splitlines()]
+    blacklist = tmp_path / "bl.tsv"
+    blacklist.write_bytes(
+        f"# blocklist\r\nads\t{values[0]}\r\n\r\n  tracking\t{values[7]}  \n"
+        f"news\torg\nads\t{values[1].split('.')[-1]}\n\t ads\t{values[20]}\t\n".encode()
+    )
+    listed = load_blacklist_reference(blacklist)
+    positive = listed["ads"] | listed["tracking"]
+    relabeled = tmp_path / "relabeled.tsv"
+    relabeled.write_text("".join(
+        f"{e.seq}\t{e.value}\t{bootstrap_label_reference(e.value, positive)}\n"
+        for e in load_tsv_reference(events)
+    ))
+    common = ["--mode", mode, "--window-size", 500, "--max-ngram", 3, "--max-quantified", 0]
+    assert run_cli("track", "--in", events, "--blacklist", blacklist, "--positive-categories",
+                   "ads,tracking", *common, "--out", tmp_path / "a.csv", "--snapshots", tmp_path / "a") == 0
+    assert run_cli("track", "--in", relabeled, *common,
+                   "--out", tmp_path / "b.csv", "--snapshots", tmp_path / "b") == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    snaps = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert snaps == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in snaps:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    last = read_report(tmp_path / "a.csv")[-1]
+    assert last.counts.tp + last.counts.fn > 0  # the blacklist marks some events positive
 
 
 @pytest.mark.parametrize("limit", [0, -5])

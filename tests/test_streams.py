@@ -1,8 +1,13 @@
 import hashlib
+import tracemalloc
 from itertools import islice
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from driftsig import streams
 from driftsig.alphabet import in_alphabet
 from driftsig.errors import LabelError, ParseError
 from driftsig.streams import (
@@ -15,7 +20,7 @@ from driftsig.streams import (
     write_tsv,
 )
 
-from oracle import spearman_rho
+from oracle import bootstrap_label_reference, load_blacklist_reference, load_tsv_reference, spearman_rho
 
 
 def take(cfg, n):
@@ -185,3 +190,210 @@ def test_load_blacklist(tmp_path):
     bad.write_text("justonefield\n")
     with pytest.raises(ParseError):
         load_blacklist(bad)
+
+
+# --- block readers against the row-by-row references ---------------------
+
+PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples=300)
+
+# good values, each with a fixed label
+_LABEL_OF = {"a.com": 1, "x.a.com": 0, "b-c_d.net": 1, "0.9": 0, "zz": 0, "q.q.q": 1}
+_TERMINATORS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
+# sequence numbers that int() reads but only the row reader takes
+_ODD_SEQS = ["", " 3", "+3", "-3", "3 ", "1_0", "٣", "7" * 700]  # "" marks a blank row
+# rows the reference rejects
+_BAD_TSV_ROWS = [
+    "{i}\t\t0",             # empty value
+    "{i}\taé.com\t1",       # non-ASCII value
+    "{i}\ta\tb.com\t1",     # a tab inside the value
+    "{i}\tA.com\t0",        # upper case
+    "{i}\ta.com\t2",        # bad label
+    "{i}\ta.com\t 1",       # padded label
+    "{i}\ta.com\t",         # empty label
+    "\ta.com\t1",           # empty sequence number
+    "x{i}\ta.com\t1",       # not a number
+    "²\ta.com\t1",          # a digit int() does not read
+    "1" * 4301 + "\ta.com\t1",  # more digits than int() reads
+    "{i}\ta.com",           # two fields
+    "   ",                  # whitespace only is not blank
+    "{i}\t zz\t0",          # padded value
+    "{i}\tzz\t1",           # zz is labeled 0 elsewhere
+]
+
+
+def _good_row(i, value):
+    return f"{i}\t{value}\t{_LABEL_OF[value]}"
+
+
+@st.composite
+def _tsv_texts(draw):
+    """An events file of good rows, some of them blank or with sequence
+    numbers only int() reads, CRLF and lone-CR ends, and at most one bad
+    row anywhere."""
+    lines = []
+    for i in range(draw(st.integers(0, 60))):
+        value = draw(st.sampled_from(sorted(_LABEL_OF)))
+        if draw(st.integers(0, 19)):
+            lines.append(_good_row(i, value))
+        else:
+            seq = draw(st.sampled_from(_ODD_SEQS))
+            lines.append(seq and f"{seq}\t{value}\t{_LABEL_OF[value]}")
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(_BAD_TSV_ROWS)).format(i=len(lines))
+        lines.insert(draw(st.integers(0, len(lines))), row)
+    ends = [draw(_TERMINATORS) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""  # no newline after the last row
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(events):
+    """Events read until the first reader error, and that error."""
+    got = []
+    try:
+        for e in events:
+            got.append(e)
+    except (ParseError, LabelError, UnicodeDecodeError) as exc:
+        return got, (type(exc), getattr(exc, "line_no", None), str(exc))
+    return got, None
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("readers") / "file.tsv"
+
+
+@PROPERTY
+@given(_tsv_texts(), st.sampled_from([1, 7, 40, 200, streams._BLOCK_BYTES]))
+@example("0\ta.com\t1\n1\ta.com\t0\n", 1)  # a conflict across two blocks
+@example("0\ta.com\t1\n1\tzz\t0\n2\ta.com\t0\n", 20)  # the conflict's block holds a good row first
+@example("0\ta.com\t1\n\n1\ta.com\t1", 1)
+@example("0\ta.com\t1\r\n1\tzz\t0\r\n", streams._BLOCK_BYTES)
+@example("0\ta.com\t1\t1\n1\tzz\n", 100)  # four fields, then two: six in all
+@example("", 1)
+def test_load_tsv_equals_reference(scratch, text, block):
+    scratch.write_bytes(text.encode("utf-8"))
+    with patch.object(streams, "_BLOCK_BYTES", block):
+        got = _outcome(load_tsv(scratch))
+    assert got == _outcome(load_tsv_reference(scratch))
+
+
+@pytest.mark.parametrize("block", [1, 100, None])
+@pytest.mark.parametrize(
+    "odd",
+    _BAD_TSV_ROWS + [seq and f"{seq}\t{{i}}.com\t1" for seq in _ODD_SEQS],
+    ids=lambda row: repr(row)[1:-1][:20],
+)
+def test_load_tsv_odd_row_equals_reference(tmp_path, odd, block):
+    # each bad or odd row in the middle of plain rows, in a block of its
+    # own, in a block with its neighbours and in one block for the file
+    values = sorted(_LABEL_OF)
+    lines = [_good_row(i, values[i % len(values)]) for i in range(12)]
+    lines[6] = odd.format(i=6)
+    path = tmp_path / "e.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    with patch.object(streams, "_BLOCK_BYTES", block or streams._BLOCK_BYTES):
+        got = _outcome(load_tsv(path))
+    assert got == _outcome(load_tsv_reference(path))
+
+
+@pytest.mark.parametrize("block", [1, 100, None])
+@pytest.mark.parametrize("bad_row", [0, 7, 4500, 5999])
+def test_load_tsv_bytes_not_utf8_equal_reference(tmp_path, bad_row, block):
+    # the decoder raises at the same place, after the same events, when a
+    # file of many blocks holds a byte that is not UTF-8
+    rows = [_good_row(i, sorted(_LABEL_OF)[i % len(_LABEL_OF)]).encode() for i in range(6000)]
+    rows[bad_row] = f"{bad_row}\tzz".encode() + b"\xff\t0"
+    path = tmp_path / "e.tsv"
+    path.write_bytes(b"\n".join(rows) + b"\n")
+    with patch.object(streams, "_BLOCK_BYTES", block or streams._BLOCK_BYTES):
+        got = _outcome(load_tsv(path))
+    want = _outcome(load_tsv_reference(path))
+    assert want[1][0] is UnicodeDecodeError
+    assert got == want
+
+
+@st.composite
+def _blacklist_texts(draw):
+    """A blacklist of good rows (comments, blank and padded rows, CRLF,
+    non-ASCII and repeated domains) with up to two bad rows anywhere."""
+    good = st.sampled_from([
+        "ads\ta.com", "ads\tx.a.com", "news\tcnn.com", "ads\tcnn.com", " ads\tb.org ",
+        "\tads\tpad.com\t", "soc ial\tsp ace.com", "ads\tdomaïn.fr", "# a comment",
+        "#ads\tcommented.com", "   # indented comment", "", "  ", "ads\ta.com",
+    ])
+    lines = draw(st.lists(good, max_size=60))
+    bad = st.sampled_from(["justonefield", "ads\ta\tb.com", "ads\t\tb.com", "a b", "ads\tx\t\ty"])
+    for row in draw(st.lists(bad, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), row)
+    ends = [draw(_TERMINATORS) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _blacklist_outcome(path, reader):
+    try:
+        return list(reader(path).items()), None
+    except ParseError as exc:
+        return None, (exc.line_no, str(exc))
+
+
+@PROPERTY
+@given(_blacklist_texts(), st.sampled_from([1, 7, 40, 200, streams._BLOCK_BYTES]))
+@example("# c\n\nads\ta.com\r\n  ads\tb.com  \nbad\n", 1)
+@example("ads\ta\tb.com\njustonefield\n", 100)  # three fields, then one: two tabs in all
+def test_load_blacklist_equals_reference(scratch, text, block):
+    scratch.write_bytes(text.encode("utf-8"))
+    with patch.object(streams, "_BLOCK_BYTES", block):
+        got = _blacklist_outcome(scratch, load_blacklist)
+    assert got == _blacklist_outcome(scratch, load_blacklist_reference)
+
+
+@PROPERTY
+@given(st.text("ab.", max_size=8), st.sets(st.text("ab.", max_size=5), max_size=6))
+@example("..a..", {"", ".a..", "a.."})
+@example("a.", {""})
+@example(".", {"."})
+def test_bootstrap_label_equals_reference(value, positive):
+    assert bootstrap_label(value, positive) == bootstrap_label_reference(value, positive)
+
+
+def _first_event_peak(path) -> int:
+    tracemalloc.start()
+    try:
+        events = load_tsv(path)
+        next(events)
+        peak = tracemalloc.get_traced_memory()[1]
+        events.close()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_reader_memory_is_bounded_by_the_block(tmp_path):
+    # the first event of a 100k-row file (about 36 blocks) costs what it
+    # costs for a file of a few blocks; the whole file held as rows would
+    # be several MB
+    small, large = tmp_path / "small.tsv", tmp_path / "large.tsv"
+    events = take(DriftConfig(seed=4), 100_000)
+    write_tsv(events[:10_000], small)
+    write_tsv(events, large)
+    bound = 32 * streams._BLOCK_BYTES
+    peak = _first_event_peak(large)
+    assert peak < bound
+    assert peak < 1.25 * _first_event_peak(small)
+
+    # the blacklist keeps its sets; what it allocates on top of them is
+    # bounded by the block as well
+    blacklist = tmp_path / "bl.tsv"
+    with open(blacklist, "w", encoding="utf-8") as fh:
+        fh.writelines(f"cat{i % 5}\t{e.value}{i}\n" for i, e in enumerate(events))
+    tracemalloc.start()
+    try:
+        categories = load_blacklist(blacklist)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, categories.values())) == len(events)
+    assert peak - kept < bound
