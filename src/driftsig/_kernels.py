@@ -4,7 +4,13 @@ Two kernels dominate runtime: the pattern-set x string-set match matrix
 used by the learner, and the combined-automaton scan that labels events,
 :func:`dfa_states`, the one loop that steps the automaton.  Both take
 flat arrays: patterns as packed by ``engine.pack_patterns`` and subjects
-as encoded by ``alphabet.encode_many``.
+as encoded by ``alphabet.encode_many``.  Both step the subjects one
+character position at a time over the same layout, :func:`time_major`:
+the strings sorted longest first and their codes laid out step by step,
+so the strings still being read at a step are a prefix of the sorted
+ones and that step's characters one contiguous slice.  Nothing is
+padded: a batch costs one entry per character, and a step costs only
+the strings still live at it, however long the longest one is.
 
 Patterns are matched by one bit-parallel extended Shift-And recurrence
 (Baeza-Yates & Gonnet, CACM 1992; optional and repeatable atoms as in
@@ -32,16 +38,29 @@ HAVE_NUMBA = False
 NUMBA_ENABLED = False
 
 
-def _pad_strings(scodes, s_off):
-    """Strings as rows of a (n_str, max_len) code matrix, padded with
-    ``CODE_OTHER``, plus the string lengths."""
+def time_major(scodes, s_off):
+    """The strings' codes laid out time-major, longest string first, with
+    no padding: one entry per character.
+
+    Returns ``(cols, off, order)``: the strings still being read at step t
+    are the first ``off[t + 1] - off[t]`` sorted ones, ``cols[off[t]:off[t + 1]]``
+    holds their character t, and sorted string j is ``order[j]`` in the
+    input.  Empty strings sort last and are never read.
+    """
     lengths = np.diff(s_off)
-    max_len = int(lengths.max()) if len(lengths) else 0
-    padded = np.full((len(lengths), max_len), CODE_OTHER, dtype=np.uint8)
-    rows = np.repeat(np.arange(len(lengths)), lengths)
-    pos = np.arange(s_off[0], s_off[-1]) - np.repeat(s_off[:-1], lengths)
-    padded[rows, pos] = scodes[s_off[0] : s_off[-1]]
-    return padded, lengths
+    order = np.argsort(-lengths, kind="stable")
+    by_len = lengths.take(order)
+    n_steps = int(by_len[0]) if len(by_len) else 0
+    # strings longer than t, that is, still live at step t
+    live = np.searchsorted(-by_len, -np.arange(n_steps), side="left")
+    off = np.zeros(n_steps + 1, dtype=np.int64)
+    np.cumsum(live, out=off[1:])
+    # entry i of step t is character t of sorted string i - off[t]
+    src = np.arange(off[-1])
+    src -= np.repeat(off[:-1], live)
+    src = s_off.take(order).take(src)
+    src += np.repeat(np.arange(n_steps), live)
+    return scodes.take(src), off, order
 
 
 # ---------------------------------------------------------------------------
@@ -89,20 +108,6 @@ def _shift1(d):
     out = d << _ONE
     out[:, 1:] |= d[:, :-1] >> _TOP
     return out
-
-
-def _columns(scodes, s_off):
-    """Input columns for the simulation, strings sorted longest first.
-
-    Returns ``(cols, live, order)``: ``cols[t, j]`` is character t of
-    sorted string j, the strings still being read at step t are the first
-    ``live[t]`` ones, and sorted string j is ``order[j]`` in the input.
-    """
-    padded, lengths = _pad_strings(scodes, s_off)
-    order = np.argsort(-lengths, kind="stable")
-    cols = np.ascontiguousarray(padded[order].T)
-    live = np.searchsorted(-lengths[order], -np.arange(cols.shape[0]), side="left")
-    return cols, live, order
 
 
 def _chunks(pat_off):
@@ -160,12 +165,14 @@ def shift_and_masks(codes, loop, skip, pat_off, pat_flags) -> Masks:
     )
 
 
-def _simulate(codes, loop, skip, pat_off, pat_flags, cols, live):
-    """Run one chunk of patterns over every string.
+def _simulate(codes, loop, skip, pat_off, pat_flags, layout):
+    """Run one chunk of patterns over every string of a :func:`time_major`
+    layout.
 
     Returns ``(matched, last)``: ``matched`` has one row of words per
     sorted string, with bit ``last[p]`` set when pattern p matched it.
     """
+    cols, off, order = layout
     m = shift_and_masks(codes, loop, skip, pat_off, pat_flags)
     n = len(m.skips)
     n_words = -(-n // 64)
@@ -187,14 +194,15 @@ def _simulate(codes, loop, skip, pat_off, pat_flags, cols, live):
     d = np.zeros((1, n_words), dtype=np.uint64)
     for _ in range(n_closure):
         d |= (_shift1(d) & follow) | (start_all & skips)
-    d = np.repeat(d, cols.shape[1], axis=0)
+    d = np.repeat(d, len(order), axis=0)
     matched = d & last_run
 
     start = start_all
-    for t in range(cols.shape[0]):
-        k = live[t]
+    bounds = off.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        k = hi - lo
         cur = d[:k]
-        nxt = ((_shift1(cur) & not_first) | start | (cur & loops)) & table[cols[t, :k]]
+        nxt = ((_shift1(cur) & not_first) | start | (cur & loops)) & table[cols[lo:hi]]
         for _ in range(n_closure):
             nxt |= (_shift1(nxt) & follow) | free_skip
         d[:k] = nxt
@@ -207,23 +215,19 @@ def _simulate(codes, loop, skip, pat_off, pat_flags, cols, live):
 def nfa_match_matrix(codes, loop, skip, pat_off, pat_flags, scodes, s_off):
     """Match every pattern against every string; returns a bool matrix."""
     out = np.zeros((len(pat_off) - 1, len(s_off) - 1), dtype=bool)
-    cols, live, order = _columns(scodes, s_off)
+    layout = time_major(scodes, s_off)
     for p0, p1 in _chunks(pat_off):
-        matched, last = _simulate(
-            codes, loop, skip, pat_off[p0 : p1 + 1], pat_flags[p0:p1], cols, live
-        )
-        out[p0:p1, order] = _bits(matched)[:, last].T
+        matched, last = _simulate(codes, loop, skip, pat_off[p0 : p1 + 1], pat_flags[p0:p1], layout)
+        out[p0:p1, layout[2]] = _bits(matched)[:, last].T
     return out
 
 
 def nfa_match_any(codes, loop, skip, pat_off, pat_flags, scodes, s_off):
     """Per pattern: does it match at least one of the strings?"""
     out = np.zeros(len(pat_off) - 1, dtype=bool)
-    cols, live, _ = _columns(scodes, s_off)
+    layout = time_major(scodes, s_off)
     for p0, p1 in _chunks(pat_off):
-        matched, last = _simulate(
-            codes, loop, skip, pat_off[p0 : p1 + 1], pat_flags[p0:p1], cols, live
-        )
+        matched, last = _simulate(codes, loop, skip, pat_off[p0 : p1 + 1], pat_flags[p0:p1], layout)
         out[p0:p1] = _bits(np.bitwise_or.reduce(matched, axis=0))[last]
     return out
 
@@ -231,25 +235,39 @@ def nfa_match_any(codes, loop, skip, pat_off, pat_flags, scodes, s_off):
 # ---------------------------------------------------------------------------
 # Combined-automaton scan: one transition-table lookup per input char.
 # dfa_states is the one stepping loop; every reading of the automaton
-# derives from the states it returns.  hit_run[s] marks states holding an
+# derives from the states it yields.  hit_run[s] marks states holding an
 # accept that may fire anywhere, hit_end[s] one valid only at the end of
 # the subject; MultiMatcher derives both from its CSR accept offsets.
 # ---------------------------------------------------------------------------
 
 
-def dfa_states(trans, scodes, s_off):
-    """The ``(n_str, max_len + 1)`` matrix of the states each string
-    visits, from state 0 in column 0; a string that has ended stays in
-    its last state."""
-    padded, lengths = _pad_strings(scodes, s_off)
-    # time-major, so each step writes one contiguous row
-    visited = np.zeros((padded.shape[1] + 1, len(lengths)), dtype=np.intp)
-    for t in range(padded.shape[1]):
-        visited[t + 1] = np.where(t < lengths, trans[visited[t], padded[:, t]], visited[t])
-    return visited.T
+def dfa_states(trans, cols, off):
+    """Step the automaton over a :func:`time_major` layout, every string
+    from state 0.
+
+    Yields, for each step t, the states the live strings reach on reading
+    their character t, one array aligned with ``cols[off[t]:off[t + 1]]``.
+    Each step advances only the live prefix, with one flat gather.
+    """
+    flat = trans.ravel()
+    bounds = off.tolist()
+    states = np.zeros(bounds[1] if len(bounds) > 1 else 0, dtype=np.intp)
+    for lo, hi in zip(bounds, bounds[1:]):
+        idx = np.multiply(states[: hi - lo], N_SYMBOLS, dtype=np.intp)
+        idx += cols[lo:hi]
+        states = flat.take(idx)
+        yield states
 
 
 def dfa_match_any(trans, hit_run, hit_end, scodes, s_off):
     """For each string, True when the automaton reports any match."""
-    visited = dfa_states(trans, scodes, s_off)
-    return (hit_run[visited] != 0).any(axis=1) | (hit_end[visited[:, -1]] != 0)
+    cols, off, order = time_major(scodes, s_off)
+    hit_run = hit_run.view(bool)
+    hit = np.full(len(order), hit_run[0])
+    last = np.zeros(len(order), dtype=np.intp)
+    for states in dfa_states(trans, cols, off):
+        hit[: len(states)] |= hit_run.take(states)
+        last[: len(states)] = states
+    out = np.empty(len(order), dtype=bool)
+    out[order] = hit | hit_end.view(bool).take(last)
+    return out

@@ -48,7 +48,7 @@ def encode_many(values) -> tuple[np.ndarray, np.ndarray]:
     raw = joined.encode("utf-8", "surrogatepass")
     if len(raw) == len(joined):
         # all ASCII: one byte per character
-        lengths = [len(v) for v in values]
+        lengths = np.fromiter(map(len, values), np.int64, len(values))
     else:
         lengths = [len(v.encode("utf-8", "surrogatepass")) for v in values]
     offsets = np.zeros(len(values) + 1, dtype=np.int64)

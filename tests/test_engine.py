@@ -154,8 +154,10 @@ def test_single_shared_pass_over_input():
             patterns.append(pat(text))
     m = compile_set(patterns)
     event = "".join(rng.choice("abcdefgh") for _ in range(64))
-    scodes, s_off = encode_many([event])
-    assert _kernels.dfa_states(m._trans, scodes, s_off).shape == (1, 65)
+    cols, off, order = _kernels.time_major(*encode_many([event]))
+    assert np.array_equal(cols, encode(event)) and np.array_equal(off, np.arange(65))
+    steps = list(_kernels.dfa_states(m._trans, cols, off))
+    assert [len(s) for s in steps] == [1] * 64
     assert m.match_set(event) == match_set_bruteforce(patterns, event)
 
 
@@ -216,18 +218,34 @@ def test_kernel_paths_agree():
     expected = np.array([len(match_set_bruteforce(plain, s)) > 0 for s in subjects])
     assert np.array_equal(dfa, expected)
 
-    # the shared scan: state 0 first, then one state per character read
-    # by stepping the table, the last one repeated past the string's end
-    visited = _kernels.dfa_states(m._trans, scodes, s_off)
-    max_len = max(len(s) for s in subjects)
-    assert visited.shape == (len(subjects), max_len + 1)
-    assert not visited[:, 0].any()
-    for row, s in zip(visited, subjects):
-        state, walk = 0, [0]
+    # the shared layout: strings longest first, time-major, one entry per
+    # character and no padding; the strings still being read at step t are
+    # a prefix of the sorted ones
+    cols, off, order = _kernels.time_major(scodes, s_off)
+    lengths = [len(subjects[i]) for i in order]
+    assert sorted(order.tolist()) == list(range(len(subjects)))
+    assert lengths == sorted(lengths, reverse=True)
+    assert len(cols) == off[-1] == sum(lengths)
+    live = np.diff(off).tolist()
+    assert live == [sum(n > t for n in lengths) for t in range(max(lengths))]
+    for j, i in enumerate(order):
+        assert [int(cols[off[t] + j]) for t in range(lengths[j])] == encode(subjects[i]).tolist()
+
+    # the shared scan: each step yields the live strings' states, so a
+    # string's walk is state 0 and then one state per character it reads,
+    # equal to stepping the table by hand; an empty string stays in state 0
+    walks = [[0] for _ in subjects]
+    steps = list(_kernels.dfa_states(m._trans, cols, off))
+    assert [len(states) for states in steps] == live
+    for states in steps:
+        for j, state in enumerate(states.tolist()):
+            walks[order[j]].append(state)
+    for walk, s in zip(walks, subjects):
+        state, expected = 0, [0]
         for c in encode(s):
             state = int(m._trans[state, c])
-            walk.append(state)
-        assert row.tolist() == walk + [state] * (max_len - len(s)), s
+            expected.append(state)
+        assert walk == expected, s
     for s in subjects:
         assert full.match_set(s) == match_set_bruteforce(patterns, s), s
         assert m.match_set(s) == match_set_bruteforce(plain, s), s
@@ -420,6 +438,41 @@ def test_match_many_and_match_set_agree_with_oracle(patterns, subjects):
     matcher = compile_set(patterns)
     for j, s in enumerate(subjects):
         assert set(np.flatnonzero(got[:, j]).tolist()) == matcher.match_set(s)
+
+
+# mixed-length batches for the unpadded layout: short subjects, empty ones
+# among them, with non-ASCII characters ('é' is two UTF-8 bytes, the
+# emoji four), and one outlier at least ten times longer than the rest
+_SHORT_PATTERNS = st.builds(
+    atom_pattern,
+    st.lists(_ATOMS, min_size=1, max_size=4).filter(lambda a: not all(x.is_any for x in a)),
+    st.booleans(),
+    st.booleans(),
+)
+_MIXED_CHARS = "ab0.Xé😀"
+_MIXED_BATCHES = st.builds(
+    lambda short, outlier, at: short[:at] + [outlier] + short[at:] + [""],
+    st.lists(st.text(alphabet=_MIXED_CHARS, max_size=4), max_size=8),
+    st.text(alphabet=_MIXED_CHARS, min_size=40, max_size=48),
+    st.integers(0, 8),
+)
+
+
+@PROPERTY
+@given(st.lists(_SHORT_PATTERNS, min_size=1, max_size=6), _MIXED_BATCHES)
+def test_kernels_agree_with_oracle_on_mixed_length_batches(patterns, subjects):
+    expected = [[backtrack_match(p, s) for s in subjects] for p in patterns]
+    assert match_many(patterns, subjects).tolist() == expected
+    full = compile_set(patterns)
+    columns = range(len(subjects))
+    assert full.match_any_batch(subjects).tolist() == [any(row[j] for row in expected) for j in columns]
+    # always-matching patterns short-circuit match_any_batch, so the scan
+    # also runs on the set without them
+    rest = [i for i in range(len(patterns)) if i not in set(full._always)]
+    m = compile_set([patterns[i] for i in rest])
+    assert m.match_any_batch(subjects).tolist() == [any(expected[i][j] for i in rest) for j in columns]
+    for j, s in enumerate(subjects):
+        assert full.match_set(s) == {i for i, row in enumerate(expected) if row[j]}
 
 
 # every atom the grammar allows: all of the alphabet (the literal '.'

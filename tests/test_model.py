@@ -151,3 +151,50 @@ def test_load_dedups_repeated_lines(tmp_path):
     path = tmp_path / "model.txt"
     path.write_text("ab\nab\ncd\n")
     assert load_model(path).texts() == ["ab", "cd"]
+
+
+def test_long_event_memory_is_bounded_by_its_characters():
+    # 1000 synthetic events plus one 50,000-character event: the scan and
+    # the learner's filter lay a batch out with one entry per character,
+    # so their peak is a small multiple of the batch's characters, not of
+    # its event count times its longest event (477 MB and 57.6 MB when
+    # every event was padded to the longest)
+    import random
+    import tracemalloc
+    from itertools import islice
+
+    from driftsig.alphabet import ALPHABET
+    from driftsig.learner import LearnerConfig, filter_components, generate_components, learn
+    from driftsig.streams import DriftConfig, gen_synthetic
+
+    events = list(islice(gen_synthetic(DriftConfig(seed=1)), 1000))
+    pos = sorted({e.value for e in events if e.truth})
+    neg = sorted({e.value for e in events if not e.truth})
+    cfg = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=0)
+    model = learn(pos, neg, cfg)
+    model.matcher
+    pool = generate_components(pos, cfg)
+    rng = random.Random(5)
+    long_event = "".join(rng.choice(ALPHABET) for _ in range(50_000))
+    values = [e.value for e in events] + [long_event]
+    n_chars = sum(map(len, values))
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    labels, scan_peak = peak(model.predict_batch, values)
+    kept, filter_peak = peak(filter_components, pool, neg + [long_event])
+    assert scan_peak < 100 * n_chars, scan_peak
+    assert filter_peak < 100 * n_chars, filter_peak
+    # the long event changes no other event's label, and the filter drops
+    # some components for it but keeps none that a short negative holds
+    assert labels[:-1].tolist() == model.predict_batch(values[:-1]).tolist()
+    assert labels[-1] == model.predict(long_event)
+    short_kept = filter_components(pool, neg).components
+    assert set(kept.components) <= set(short_kept)
+    assert [c for c in short_kept if c not in set(kept.components)]
