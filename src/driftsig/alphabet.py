@@ -26,7 +26,7 @@ CHAR_TO_CODE = {ch: i for i, ch in enumerate(ALPHABET)}
 # byte -> code table so encoding is a single bytes.translate pass.  Strings
 # are encoded as UTF-8 with "surrogatepass", so every character outside
 # ASCII, lone surrogates included, becomes bytes >= 0x80 and so CODE_OTHER.
-_BYTE_TABLE = bytes(
+BYTE_TABLE = bytes(
     CHAR_TO_CODE.get(chr(b), CODE_OTHER) for b in range(256)
 )
 
@@ -34,7 +34,7 @@ _BYTE_TABLE = bytes(
 def encode(value: str) -> np.ndarray:
     """Encode one string as a uint8 code array."""
     raw = value.encode("utf-8", "surrogatepass")
-    return np.frombuffer(raw.translate(_BYTE_TABLE), dtype=np.uint8)
+    return np.frombuffer(raw.translate(BYTE_TABLE), dtype=np.uint8)
 
 
 def encode_many(values) -> tuple[np.ndarray, np.ndarray]:
@@ -53,7 +53,7 @@ def encode_many(values) -> tuple[np.ndarray, np.ndarray]:
         lengths = [len(v.encode("utf-8", "surrogatepass")) for v in values]
     offsets = np.zeros(len(values) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    return np.frombuffer(raw.translate(_BYTE_TABLE), dtype=np.uint8), offsets
+    return np.frombuffer(raw.translate(BYTE_TABLE), dtype=np.uint8), offsets
 
 
 def in_alphabet(value: str) -> bool:

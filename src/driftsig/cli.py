@@ -29,7 +29,7 @@ from .metrics import ReportWriter
 from .model import save_model
 from .patterns import Pattern, parse_pattern
 from .streams import DriftConfig, bootstrap_label, gen_synthetic, load_blacklist, load_tsv, write_tsv
-from .tracking import run_tracking
+from .tracking import MODES, run_tracking
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -46,20 +46,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_drift_flags(p):
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for the synthetic stream")
-    p.add_argument("--positive-frac", type=float, default=0.34, help="target positive fraction")
-    p.add_argument("--drift-rate", type=float, default=0.034,
+    d = DriftConfig
+    p.add_argument("--seed", type=int, default=d.seed, help="RNG seed for the synthetic stream")
+    p.add_argument("--positive-frac", type=float, default=d.positive_frac, help="target positive fraction")
+    p.add_argument("--drift-rate", type=float, default=d.drift_rate,
                    help="per-window mutation probability of each positive seed token")
-    p.add_argument("--n-pos-seeds", type=int, default=20, help="positive token pool size")
-    p.add_argument("--n-neg-seeds", type=int, default=600, help="negative token pool size")
-    p.add_argument("--window-hint", type=int, default=1000, help="events per drift step")
+    p.add_argument("--n-pos-seeds", type=int, default=d.n_pos_seeds, help="positive token pool size")
+    p.add_argument("--n-neg-seeds", type=int, default=d.n_neg_seeds, help="negative token pool size")
+    p.add_argument("--window-hint", type=int, default=d.window_hint, help="events per drift step")
 
 
 def _add_learner_flags(p):
-    p.add_argument("--max-ngram", type=int, default=4, help="longest substring used as a component")
-    p.add_argument("--max-wildcards", type=int, default=2, help="max '.' substitutions per component")
-    p.add_argument("--max-quantified", type=int, default=1, help="max quantifier insertions per component")
-    p.add_argument("--max-pool", type=int, default=200_000, help="component pool cap after dedup")
+    d = LearnerConfig
+    p.add_argument("--max-ngram", type=int, default=d.max_ngram, help="longest substring used as a component")
+    p.add_argument("--max-wildcards", type=int, default=d.max_wildcards,
+                   help="max '.' substitutions per component")
+    p.add_argument("--max-quantified", type=int, default=d.max_quantified,
+                   help="max quantifier insertions per component")
+    p.add_argument("--max-pool", type=int, default=d.max_pool, help="component pool cap after dedup")
 
 
 def _drift_config(args) -> DriftConfig:
@@ -101,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_track.add_argument("--in", dest="in_path", help="events TSV to replay (else synthetic)")
     p_track.add_argument("--events", type=int, default=50_000,
                          help="synthetic event count when no --in file is given")
-    p_track.add_argument("--mode", required=True, choices=["naive", "adaptive"])
+    p_track.add_argument("--mode", required=True, choices=MODES)
     p_track.add_argument("--window-size", type=int, default=1000)
     p_track.add_argument("--out", required=True, help="metrics CSV path")
     p_track.add_argument("--snapshots", help="directory for model_gen<k>.txt snapshots")
@@ -215,7 +219,7 @@ def _relabel(events, positive: set[str]):
         label = labels.get(e.value)
         if label is None:
             label = labels[e.value] = bootstrap_label(e.value, positive)
-        yield e if label == e.truth else e.__class__(e.seq, e.value, label)
+        yield e if label == e.truth else e._replace(truth=label)
 
 
 def _random_literal_pattern(rng: random.Random) -> Pattern:

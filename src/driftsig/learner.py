@@ -10,20 +10,21 @@ fallback, so the learned model always separates the two sets perfectly.
 Components are token strings, one character per atom (see
 :mod:`driftsig.patterns`): a gram is its own literal token string, and
 its variants substitute wildcard and quantifier tokens into it, so
-deduplication is on strings and the pool is ordered by the canonical
-text a translate table gives.  The filter and the cover matrix pack the
-token strings through the engine's per-token tables, and the components
-greedy picks become patterns as they are, with no anchors.
+the pool is one dict from token string to source positive, deduplicated
+on strings and ordered by the canonical text a translate table gives.
+The filter and the cover matrix pack the token strings through the
+engine's per-token tables, and the components greedy picks become
+patterns as they are, with no anchors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 import numpy as np
 
-from .alphabet import CHAR_TO_CODE, in_alphabet
+from .alphabet import BYTE_TABLE, CODE_OTHER, in_alphabet
 from .engine import match_any_of, match_many
 from .errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from .model import Model
@@ -51,31 +52,17 @@ class LearnerConfig:
             raise ValueError("caps must be >= 0")
 
 
-@dataclass
-class ComponentPool:
-    """Deduplicated candidate components, each an unanchored pattern's
-    token string, plus, for each, the index (into the sorted positive
-    list) of the string it was generated from."""
-
-    components: tuple[str, ...]
-    provenance: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def texts(self) -> list[str]:
-        return [render_tokens(t) for t in self.components]
-
-
-def generate_components(positives, cfg: LearnerConfig, negatives=()) -> ComponentPool:
+def generate_components(positives, cfg: LearnerConfig, negatives=()) -> dict[str, int]:
     """Enumerate candidate components from positive-set n-grams.
 
     For every substring of length 1..max_ngram of every positive that
     occurs in no string of ``negatives``: all variants with at most
     ``max_wildcards`` characters replaced by the wildcard (never all of
     them), each with at most ``max_quantified`` quantifiers inserted
-    after non-wildcard atoms.  The pool is deduped by value, ordered
-    shortest-canonical-text-first (ties by text), and truncated to
+    after non-wildcard atoms.  The pool maps each component's token
+    string to its source, the lowest index (into the sorted positives)
+    of a string it was generated from; it is ordered
+    shortest-canonical-text-first (ties by text) and truncated to
     ``max_pool``.  Dropping a gram found in a negative before expansion
     is safe inside :func:`learn`: every variant of a gram matches a
     superset of that gram's language, so the filter would drop them all.
@@ -91,16 +78,9 @@ def generate_components(positives, cfg: LearnerConfig, negatives=()) -> Componen
     for length, grams, srcs in _grams(ordered, negatives, cfg.max_ngram):
         _expand_grams(grams, length, srcs, cfg, seen)
 
-    items = sorted(seen.items(), key=_text_order)[: cfg.max_pool]
-    components = tuple(t for t, _ in items)
-    provenance = tuple(src for _, src in items)
-    return ComponentPool(components, provenance)
+    return dict(sorted(seen.items(), key=_text_order)[: cfg.max_pool])
 
 
-# byte -> gram code: the alphabet's characters are 1..39, and every other
-# byte (the separator, characters outside the alphabet and each byte of a
-# non-ASCII character's UTF-8) is 0, which ends a gram
-_GRAM_CODES = bytes(CHAR_TO_CODE.get(chr(b), -1) + 1 for b in range(256))
 _EXACT_KEY_LEN = 10  # grams an int64 key holds exactly at 6 bits a character
 
 
@@ -110,17 +90,20 @@ def _grams(ordered, negatives, max_ngram):
 
     Yields ``(length, grams, srcs)``: the grams joined into one string,
     highest source first, and the source of each, the lowest index of a
-    positive holding it.  The positives and negatives are encoded once,
-    joined by a separator, and every window of one length is keyed at
-    once: a window's key is its prefix's key times 64 plus its last code,
-    so equal keys are equal grams.  Past ``_EXACT_KEY_LEN`` characters
-    that product would overflow int64, so the prefix keys are first
-    replaced by their dense ranks, which keeps them distinct.
+    positive holding it.  The positives and negatives are encoded once
+    through the alphabet's byte table, joined by a separator, and
+    ``CODE_OTHER`` (the separator, characters outside the alphabet and
+    each byte of a non-ASCII character's UTF-8) ends a gram.  Every
+    window of one length is keyed at once: a window's key is its
+    prefix's key times 64 plus its last code, and every code is below
+    64, so equal keys are equal grams.  Past ``_EXACT_KEY_LEN``
+    characters that product would overflow int64, so the prefix keys are
+    first replaced by their dense ranks, which keeps them distinct.
     """
     pos_text = "\n".join(ordered)
     raw = (pos_text + "\n" + "\n".join(sorted(set(negatives)))).encode("utf-8", "surrogatepass")
     chars = np.frombuffer(raw, dtype=np.uint8)
-    codes = np.frombuffer(raw.translate(_GRAM_CODES), dtype=np.uint8)
+    codes = np.frombuffer(raw.translate(BYTE_TABLE), dtype=np.uint8)
     # the positives are ASCII, so their windows start before len(pos_text)
     # and the negatives' after it
     n_pos = len(pos_text)
@@ -131,7 +114,7 @@ def _grams(ordered, negatives, max_ngram):
         if n > _EXACT_KEY_LEN:
             key = np.unique(key, return_inverse=True)[1]
         key = key[: len(codes) - n + 1] * 64 + codes[n - 1 :]
-        valid = valid[: len(key)] & (codes[n - 1 :] != 0)
+        valid = valid[: len(key)] & (codes[n - 1 :] != CODE_OTHER)
         at = np.flatnonzero(valid[:n_pos])
         uniq, first = np.unique(key[at], return_index=True)
         # a gram is kept when no negative window has its key
@@ -176,17 +159,12 @@ def _expand_grams(grams: str, length: int, srcs: list[int], cfg: LearnerConfig, 
                         seen.update(zip(map("".join, zip(*cols)), srcs))
 
 
-def filter_components(pool: ComponentPool, negatives) -> ComponentPool:
-    """Keep only components that match no negative string."""
-    if not negatives or not pool.components:
-        return ComponentPool(pool.components, pool.provenance)
-    neg = sorted(set(negatives))
-    hits = match_any_of(pool.components, neg)
-    keep = np.flatnonzero(~hits).tolist()
-    return ComponentPool(
-        tuple(pool.components[i] for i in keep),
-        tuple(pool.provenance[i] for i in keep),
-    )
+def filter_components(pool: dict[str, int], negatives) -> dict[str, int]:
+    """The sub-dict of ``pool`` whose components match no negative string."""
+    if not negatives or not pool:
+        return dict(pool)
+    hits = match_any_of(pool, sorted(set(negatives)))
+    return dict(compress(pool.items(), (~hits).tolist()))
 
 
 def greedy_set_cover(cover: np.ndarray) -> list[int]:
@@ -232,9 +210,9 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
         raise DisjointnessViolation(overlap)
 
     pos = sorted(set(positives))
-    pool = filter_components(generate_components(pos, cfg, negatives), negatives)
+    pool = list(filter_components(generate_components(pos, cfg, negatives), negatives))
 
-    cover = match_many(pool.components, pos)
+    cover = match_many(pool, pos)
     unreached = np.flatnonzero(~cover.any(axis=0))
     fallbacks = tuple(exact_pattern(pos[j]) for j in unreached)
     fallback = np.zeros((len(unreached), len(pos)), dtype=bool)
@@ -242,5 +220,5 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
 
     order = greedy_set_cover(np.vstack([cover, fallback]))
     n = len(pool)
-    selected = tuple(Pattern(pool.components[i]) if i < n else fallbacks[i - n] for i in order)
+    selected = tuple(Pattern(pool[i]) if i < n else fallbacks[i - n] for i in order)
     return Model(selected)

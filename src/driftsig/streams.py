@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .alphabet import ALPHABET, in_alphabet
 from .errors import LabelError, ParseError
@@ -47,8 +47,7 @@ _LABEL_TEXTS = frozenset(("0", "1"))
 _INT_SAFE_DIGITS = 640
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     seq: int
     value: str
     truth: int
@@ -235,7 +234,7 @@ def _parse_tsv_rows(lines: Iterable[str], line_no: int, labels: dict[str, int]) 
     """Events of TSV lines, one row at a time; the first line is line
     ``line_no + 1``.  Raises on the first bad row."""
     for line_no, line in enumerate(lines, start=line_no + 1):
-        row = line.rstrip("\n").rstrip("\r")
+        row = line.rstrip("\n")
         if not row:
             continue
         parts = row.split("\t")
@@ -246,7 +245,7 @@ def _parse_tsv_rows(lines: Iterable[str], line_no: int, labels: dict[str, int]) 
             int(seq_text)
         except ValueError:
             raise ParseError(line_no, f"bad sequence number {seq_text!r}") from None
-        if label_text not in ("0", "1"):
+        if label_text not in _LABEL_TEXTS:
             raise ParseError(line_no, f"label must be 0 or 1, got {label_text!r}")
         if not value or not in_alphabet(value):
             raise ParseError(line_no, f"value outside the event alphabet: {value!r}")
@@ -270,10 +269,9 @@ def load_blacklist(path) -> dict[str, set[str]]:
     """Read a ``category<TAB>domain`` file into a category map.
 
     Each row is stripped of surrounding whitespace; blank rows and rows
-    starting with ``#`` are skipped.  Raises :class:`ParseError` on a row
-    that is not two tab-separated fields.  The file is read a block of
-    lines at a time; a block with such a row goes through
-    :func:`_parse_blacklist_rows`, which raises at its line.
+    starting with ``#`` are skipped.  Raises :class:`ParseError` at the
+    first row that is not two tab-separated fields.  The file is read a
+    block of lines at a time, and a block's rows are split all at once.
     """
     categories: dict[str, set[str]] = {}
     line_no = 0
@@ -283,30 +281,17 @@ def load_blacklist(path) -> dict[str, set[str]]:
             text = "\n".join(rows)
             # one tab per row, a newline between rows
             if text.encode("utf-8").translate(None, _NOT_SEPARATORS) != (b"\t\n" * len(rows))[:-1]:
-                _parse_blacklist_rows(lines, line_no, categories)
-            else:
-                fields = text.replace("\n", "\t").split("\t")
-                for category, domain in zip(fields[0::2], fields[1::2]):
-                    domains = categories.get(category)
-                    if domains is None:
-                        domains = categories[category] = set()
-                    domains.add(domain)
+                bad = next(i for i, line in enumerate(lines, start=line_no + 1)
+                           if (row := line.strip()) and row[0] != "#" and row.count("\t") != 1)
+                raise ParseError(bad, "expected category<TAB>domain")
+            fields = text.replace("\n", "\t").split("\t")
+            for category, domain in zip(fields[0::2], fields[1::2]):
+                domains = categories.get(category)
+                if domains is None:
+                    domains = categories[category] = set()
+                domains.add(domain)
             line_no += len(lines)
     return categories
-
-
-def _parse_blacklist_rows(lines: list[str], line_no: int, categories: dict[str, set[str]]) -> None:
-    """Add a block of blacklist lines to ``categories`` one row at a time;
-    the first line is line ``line_no + 1``.  Raises on the first bad row."""
-    for line_no, line in enumerate(lines, start=line_no + 1):
-        row = line.strip()
-        if not row or row.startswith("#"):
-            continue
-        parts = row.split("\t")
-        if len(parts) != 2:
-            raise ParseError(line_no, "expected category<TAB>domain")
-        category, domain = parts
-        categories.setdefault(category, set()).add(domain)
 
 
 def bootstrap_label(value: str, positive: set[str]) -> int:

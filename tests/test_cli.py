@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import driftsig
-from driftsig import cli
+from driftsig import cli, streams
 from driftsig.cli import main
 from driftsig.errors import (
     CapacityError,
@@ -19,8 +19,10 @@ from driftsig.errors import (
     PatternSyntaxError,
     UncoverableElements,
 )
+from driftsig.learner import LearnerConfig
 from driftsig.metrics import read_report
 from driftsig.model import load_model
+from driftsig.streams import DriftConfig
 
 from oracle import bootstrap_label_reference, load_blacklist_reference, load_tsv_reference
 
@@ -221,6 +223,31 @@ def test_track_blacklist_unknown_categories_exit_1_before_reading(tmp_path, caps
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad_row", ["ads site24.com", "ads\tsite24.com\textra"])
+def test_track_blacklist_bad_row_in_a_later_block_exit_1(tmp_path, capsys, monkeypatch, bad_row):
+    events = tmp_path / "e.tsv"
+    run_cli("gen", "--seed", 3, "--events", 2000, "--out", events)
+    rows = ["# blocklist"] + [f"ads\tsite{i}.com" for i in range(30)]
+    rows[25] = bad_row  # line 26
+    blacklist = tmp_path / "bl.tsv"
+    blacklist.write_text("\n".join(rows) + "\n")
+    # blocks of about three lines, so the rows before the bad one are
+    # read and split in blocks of their own
+    monkeypatch.setattr(streams, "_BLOCK_BYTES", 40)
+    out = tmp_path / "m.csv"
+    code = run_cli("track", "--in", events, "--mode", "naive", "--window-size", 1000, "--out", out,
+                   "--blacklist", blacklist, "--positive-categories", "ads")
+    assert code == 1
+    assert capsys.readouterr().err == "error: line 26: expected category<TAB>domain\n"
+    assert not out.exists()
+
+
+def test_track_flag_defaults_are_the_config_defaults():
+    args = cli.build_parser().parse_args(["track", "--mode", "naive", "--out", "m.csv"])
+    assert cli._learner_config(args) == LearnerConfig()
+    assert cli._drift_config(args) == DriftConfig()
 
 
 @pytest.mark.parametrize("mode", ["naive", "adaptive"])

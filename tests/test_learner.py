@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from driftsig.engine import match_one
 from driftsig.errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from driftsig.learner import (
-    ComponentPool,
     LearnerConfig,
     _grams,
     filter_components,
@@ -19,7 +18,7 @@ from driftsig.learner import (
     greedy_set_cover,
     learn,
 )
-from driftsig.patterns import parse_pattern
+from driftsig.patterns import parse_pattern, render_tokens
 
 from oracle import cover_matrix, greedy_cover_reference, kept_grams_reference, minimum_cover_size
 
@@ -28,8 +27,13 @@ from oracle import cover_matrix, greedy_cover_reference, kept_grams_reference, m
 PROPERTY = settings(database=None, derandomize=True, deadline=None)
 
 
+def texts(pool):
+    """The pool's components as pattern text, in pool order."""
+    return [render_tokens(t) for t in pool]
+
+
 def texts_of(pool):
-    return set(pool.texts())
+    return set(texts(pool))
 
 
 def test_generate_basic_pool():
@@ -37,7 +41,7 @@ def test_generate_basic_pool():
     pool = generate_components({"ab"}, cfg)
     assert texts_of(pool) == {"a", "b", "ab", "a.", ".b"}
     # ordered shortest text first, then lexicographic
-    assert pool.texts() == sorted(pool.texts(), key=lambda t: (len(t), t))
+    assert texts(pool) == sorted(texts(pool), key=lambda t: (len(t), t))
 
 
 def test_generate_single_char_with_quantifiers():
@@ -89,7 +93,7 @@ def test_generate_enumeration_matches_brute_force():
     for strings, caps in [({"abc", "b.c", "dd"}, (3, 2, 1)), ({"xbcd", "abc", "bcd.", "c"}, (4, 1, 2))]:
         cfg = LearnerConfig(max_ngram=caps[0], max_wildcards=caps[1], max_quantified=caps[2])
         pool = generate_components(strings, cfg)
-        assert dict(zip(pool.texts(), pool.provenance)) == brute(strings, *caps)
+        assert dict(zip(texts(pool), pool.values())) == brute(strings, *caps)
 
 
 def test_generate_rejects_bad_input():
@@ -115,7 +119,7 @@ def test_max_pool_truncation_keeps_shortest():
     full = generate_components({"abcd"}, LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=0))
     pool = generate_components({"abcd"}, cfg)
     assert len(pool) == 5
-    assert pool.texts() == full.texts()[:5]
+    assert list(pool.items()) == list(full.items())[:5]
 
 
 def test_golden_learned_models():
@@ -167,11 +171,10 @@ def test_golden_learned_models_drift_caps(monkeypatch):
 
 
 def test_filter_components_examples():
-    pool = ComponentPool(tuple(parse_pattern(t).tokens for t in ["a", "b", "ab"]), (0, 0, 0))
-    assert filter_components(pool, {"ba"}).texts() == ["ab"]
-    assert filter_components(pool, set()).texts() == ["a", "b", "ab"]
-    single = ComponentPool((parse_pattern("x").tokens,), (0,))
-    assert filter_components(single, {"axb"}).texts() == []
+    pool = {parse_pattern(t).tokens: src for t, src in [("a", 0), ("b", 1), ("ab", 0)]}
+    assert filter_components(pool, {"ba"}) == {parse_pattern("ab").tokens: 0}
+    assert list(filter_components(pool, set()).items()) == list(pool.items())
+    assert filter_components({parse_pattern("x").tokens: 0}, {"axb"}) == {}
 
 
 def test_greedy_cover_on_known_instance():
@@ -294,8 +297,7 @@ def test_learn_pool_matches_literal_composition():
         cfg = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=1)
         full = filter_components(generate_components(pos, cfg), neg)
         fused = filter_components(generate_components(pos, cfg, neg), neg)
-        assert full.texts() == fused.texts()
-        assert full.provenance == fused.provenance
+        assert list(full.items()) == list(fused.items())
 
 
 @st.composite

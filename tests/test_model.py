@@ -195,6 +195,6 @@ def test_long_event_memory_is_bounded_by_its_characters():
     # some components for it but keeps none that a short negative holds
     assert labels[:-1].tolist() == model.predict_batch(values[:-1]).tolist()
     assert labels[-1] == model.predict(long_event)
-    short_kept = filter_components(pool, neg).components
-    assert set(kept.components) <= set(short_kept)
-    assert [c for c in short_kept if c not in set(kept.components)]
+    short_kept = filter_components(pool, neg)
+    assert kept.keys() <= short_kept.keys()
+    assert [c for c in short_kept if c not in kept]
