@@ -262,12 +262,11 @@ def dfa_states(trans, cols, off):
 def dfa_match_any(trans, hit_run, hit_end, scodes, s_off):
     """For each string, True when the automaton reports any match."""
     cols, off, order = time_major(scodes, s_off)
-    hit_run = hit_run.view(bool)
     hit = np.full(len(order), hit_run[0])
     last = np.zeros(len(order), dtype=np.intp)
     for states in dfa_states(trans, cols, off):
         hit[: len(states)] |= hit_run.take(states)
         last[: len(states)] = states
     out = np.empty(len(order), dtype=bool)
-    out[order] = hit | hit_end.view(bool).take(last)
+    out[order] = hit | hit_end.take(last)
     return out

@@ -28,7 +28,7 @@ from .learner import LearnerConfig, learn
 from .metrics import ReportWriter
 from .model import save_model
 from .patterns import Pattern, parse_pattern
-from .streams import DriftConfig, bootstrap_label, gen_synthetic, load_blacklist, load_tsv, write_tsv
+from .streams import DriftConfig, Event, bootstrap_label, gen_synthetic, load_blacklist, load_tsv, write_tsv
 from .tracking import MODES, run_tracking
 
 EXIT_OK = 0
@@ -219,7 +219,7 @@ def _relabel(events, positive: set[str]):
         label = labels.get(e.value)
         if label is None:
             label = labels[e.value] = bootstrap_label(e.value, positive)
-        yield e if label == e.truth else e._replace(truth=label)
+        yield e if label == e.truth else Event(e.seq, e.value, label)
 
 
 def _random_literal_pattern(rng: random.Random) -> Pattern:

@@ -130,18 +130,18 @@ class MultiMatcher:
     ``n_patterns`` patterns, ids ``0 .. n_patterns - 1``.  State s
     matches ``run_pid[run_off[s]:run_off[s + 1]]`` wherever it is reached
     and ``end_pid[end_off[s]:end_off[s + 1]]`` at the end of the subject
-    (CSR arrays, ids ascending); the scan's hit flags derive from the
-    offsets.  Every array is read-only and matching never mutates state,
-    so instances can be shared freely across threads.
+    (CSR arrays, ids ascending), so a pattern that matches everywhere is
+    listed in every state.  The scan's hit flags derive from the offsets.
+    Every array is read-only and matching never mutates state, so
+    instances can be shared freely across threads.
     """
 
-    def __init__(self, trans, run_off, run_pid, end_off, end_pid, always, n_patterns):
+    def __init__(self, trans, run_off, run_pid, end_off, end_pid, n_patterns):
         self._trans = trans
         self._run_off, self._run_pid = run_off, run_pid
         self._end_off, self._end_pid = end_off, end_pid
-        self._hit_run = (run_off[1:] != run_off[:-1]).view(np.uint8)
-        self._hit_end = (end_off[1:] != end_off[:-1]).view(np.uint8)
-        self._always = always
+        self._hit_run = run_off[1:] != run_off[:-1]
+        self._hit_end = end_off[1:] != end_off[:-1]
         self.n_patterns = n_patterns
         for arr in (trans, run_off, run_pid, end_off, end_pid, self._hit_run, self._hit_end):
             arr.setflags(write=False)
@@ -157,12 +157,10 @@ class MultiMatcher:
         last = visited[-1]
         ids = [self._run_pid[self._run_off[s] : self._run_off[s + 1]] for s in visited]
         ids.append(self._end_pid[self._end_off[last] : self._end_off[last + 1]])
-        return set(self._always).union(np.concatenate(ids).tolist())
+        return set(np.concatenate(ids).tolist())
 
     def match_any_batch(self, values) -> np.ndarray:
         """Per string: True when at least one pattern matches it."""
-        if self._always:
-            return np.ones(len(values), dtype=bool)
         scodes, s_off = encode_many(values)
         return _kernels.dfa_match_any(self._trans, self._hit_run, self._hit_end, scodes, s_off)
 
@@ -313,7 +311,8 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
     trans[ints(full_sid)] = ints(full).reshape(-1, N_SYMBOLS)
     trans[ints(patch_sid), ints(patch_sym)] = ints(patch)
 
-    # accepts are the last atoms' bits; ascending bits are ascending ids
+    # accepts are the last atoms' bits, ascending bits being ascending ids;
+    # an always-matching pattern's last bit is in ``core``, so every state has it
     pid_of = {slot: pid for pid, slot in enumerate(m.last.tolist())}
 
     def ids(x: int):
@@ -330,8 +329,7 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
             off.append(len(pid))
         return ints(off), ints(pid)
 
-    always = tuple(ids(core & (last_run | last_end)))
-    return MultiMatcher(trans, *accepts(last_run & ~core), *accepts(last_end & ~core), always, len(pats))
+    return MultiMatcher(trans, *accepts(last_run), *accepts(last_end), len(pats))
 
 
 def extend_set(
@@ -411,6 +409,5 @@ def extend_set(
         trans,
         *accepts(base._run_off, base._run_pid, addition._run_off, addition._run_pid),
         *accepts(base._end_off, base._end_pid, addition._end_off, addition._end_pid),
-        base._always + tuple(i + base.n_patterns for i in addition._always),
         base.n_patterns + addition.n_patterns,
     )

@@ -197,14 +197,13 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
     """Learn a model matching every positive and no negative.
 
     Pipeline: generate components from the positives, filter against the
-    negatives, append anchored exact-match fallbacks for positives no
-    component covers (disjointness guarantees those are safe), then pick
-    a cover greedily.  Deterministic for identical inputs regardless of
+    negatives, pick a cover of the positives they reach greedily, then
+    append an anchored exact-match fallback for each positive no
+    component reaches (disjointness guarantees those are safe), in
+    sorted order.  Deterministic for identical inputs regardless of
     set iteration order.
     """
     cfg = cfg or LearnerConfig()
-    if not positives:
-        raise EmptyPositiveSetError("no positive strings to learn from")
     overlap = set(positives) & set(negatives)
     if overlap:
         raise DisjointnessViolation(overlap)
@@ -213,12 +212,7 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
     pool = list(filter_components(generate_components(pos, cfg, negatives), negatives))
 
     cover = match_many(pool, pos)
-    unreached = np.flatnonzero(~cover.any(axis=0))
-    fallbacks = tuple(exact_pattern(pos[j]) for j in unreached)
-    fallback = np.zeros((len(unreached), len(pos)), dtype=bool)
-    fallback[np.arange(len(unreached)), unreached] = True
-
-    order = greedy_set_cover(np.vstack([cover, fallback]))
-    n = len(pool)
-    selected = tuple(Pattern(pool[i]) if i < n else fallbacks[i - n] for i in order)
-    return Model(selected)
+    reached = cover.any(axis=0)
+    picked = [Pattern(pool[i]) for i in greedy_set_cover(cover[:, reached])]
+    fallbacks = [exact_pattern(pos[j]) for j in np.flatnonzero(~reached)]
+    return Model(tuple(picked + fallbacks))

@@ -81,7 +81,6 @@ def run_tracking(
         raise ValueError(f"mode must be one of {MODES}")
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
-    cfg = cfg or LearnerConfig()
     # built first, so a bad state limit fails before any event is read
     empty = Model(state_limit=state_limit)
 

@@ -195,9 +195,9 @@ def state_ids(off, pid):
 
 
 def automaton_fields(matcher):
-    """The six fields of a compiled automaton, as one comparable value:
-    the transition table (dtype and shape included), both hit flags, the
-    per-state run and end-anchored pattern ids and the always-matching ids."""
+    """The five fields of a compiled automaton, as one comparable value:
+    the transition table (dtype and shape included), both hit flags and
+    the per-state run and end-anchored pattern ids."""
     trans = matcher._trans
     return (
         (trans.dtype.str, trans.shape, trans.tobytes()),
@@ -205,7 +205,6 @@ def automaton_fields(matcher):
         (matcher._hit_end.dtype.str, matcher._hit_end.tobytes()),
         state_ids(matcher._run_off, matcher._run_pid),
         state_ids(matcher._end_off, matcher._end_pid),
-        matcher._always,
     )
 
 
@@ -217,8 +216,8 @@ def subset_construction_fields(patterns):
     pattern's start (p, 0) is in every state; the anchored ones' starts
     are only in the start state.  States are numbered breadth first, by
     (parent, symbol); symbol ``len(ALPHABET)`` is any character outside
-    the alphabet.  Patterns that match the empty string everywhere go to
-    the always-matching ids and out of the per-state ids.
+    the alphabet.  A pattern that matches the empty string everywhere is
+    in every state's ids.
     """
     pats = list(patterns)
     chars = list(ALPHABET) + [None]
@@ -264,25 +263,21 @@ def subset_construction_fields(patterns):
                 work.append(nxt)
             rows.append(index[nxt])
 
-    always = tuple(p for p, pat in enumerate(pats)
-                   if not pat.anchored_start and all(map(skippable, pat.atoms)))
-
     def ids(state, anchored_end):
-        done = [p for p, k in state if k == len(pats[p].atoms) and pats[p].anchored_end == anchored_end]
-        return tuple(sorted(p for p in done if p not in always))
+        done = (p for p, k in state if k == len(pats[p].atoms) and pats[p].anchored_end == anchored_end)
+        return tuple(sorted(done))
 
     run = tuple(ids(s, False) for s in states)
     end = tuple(ids(s, True) for s in states)
     trans = np.array(rows, dtype=np.int32).reshape(-1, N_SYMBOLS)
-    hit_run = np.array([bool(r) for r in run], dtype=np.uint8)
-    hit_end = np.array([bool(e) for e in end], dtype=np.uint8)
+    hit_run = np.array([bool(r) for r in run], dtype=bool)
+    hit_end = np.array([bool(e) for e in end], dtype=bool)
     return (
         (trans.dtype.str, trans.shape, trans.tobytes()),
         (hit_run.dtype.str, hit_run.tobytes()),
         (hit_end.dtype.str, hit_end.tobytes()),
         run,
         end,
-        always,
     )
 
 

@@ -194,7 +194,7 @@ def test_anchored_and_empty_matching_patterns_in_sets():
 
 def test_kernel_paths_agree():
     # one batch of subjects with mixed lengths (including empty ones), so
-    # short subjects are padded while longer ones are still being read
+    # short subjects are done while longer ones are still being read
     rng = random.Random(11)
     patterns = [random_pattern(rng, max_atoms=6) for _ in range(40)]
     subjects = [random_subject(rng) for _ in range(80)]
@@ -208,15 +208,9 @@ def test_kernel_paths_agree():
     any_hit = _kernels.nfa_match_any(codes, loop, skip, offs, flags, scodes, s_off)
     assert np.array_equal(any_hit, matrix.any(axis=1))
 
-    # always-matching patterns short-circuit before the kernel runs, so
-    # compare the automaton kernel on a set without them
-    full = compile_set(patterns)
-    plain = [p for i, p in enumerate(patterns) if i not in set(full._always)]
-    m = compile_set(plain)
-    assert not m._always
+    m = compile_set(patterns)
     dfa = _kernels.dfa_match_any(m._trans, m._hit_run, m._hit_end, scodes, s_off)
-    expected = np.array([len(match_set_bruteforce(plain, s)) > 0 for s in subjects])
-    assert np.array_equal(dfa, expected)
+    assert np.array_equal(dfa, matrix.any(axis=0))
 
     # the shared layout: strings longest first, time-major, one entry per
     # character and no padding; the strings still being read at step t are
@@ -247,8 +241,7 @@ def test_kernel_paths_agree():
             expected.append(state)
         assert walk == expected, s
     for s in subjects:
-        assert full.match_set(s) == match_set_bruteforce(patterns, s), s
-        assert m.match_set(s) == match_set_bruteforce(plain, s), s
+        assert m.match_set(s) == match_set_bruteforce(patterns, s), s
 
 
 def _golden_patterns():
@@ -299,7 +292,9 @@ def _digest(m):
     for arr in (m._trans.astype("<i4"), m._hit_run, m._hit_end):
         h.update(arr.tobytes())
     run_ids, end_ids = state_ids(m._run_off, m._run_pid), state_ids(m._end_off, m._end_pid)
-    h.update(repr((run_ids, end_ids, m._always)).encode())
+    # () stands where the always-matching ids were hashed when the
+    # automaton kept them apart; both golden sets have none
+    h.update(repr((run_ids, end_ids, ())).encode())
     return h.hexdigest()
 
 
@@ -460,19 +455,19 @@ _MIXED_BATCHES = st.builds(
 
 @PROPERTY
 @given(st.lists(_SHORT_PATTERNS, min_size=1, max_size=6), _MIXED_BATCHES)
+# always-matching sets: a? matches anywhere, through state 0's run flag,
+# and 0*$ at the end, through the last state's end flag, also on empty
+# subjects and on ones that hold no alphabet character
+@example([pat("a?")], ["", "é", "😀é", "Xb", "a"])
+@example([pat("0*$")], ["", "é", "😀é", "Xb", "a0"])
 def test_kernels_agree_with_oracle_on_mixed_length_batches(patterns, subjects):
     expected = [[backtrack_match(p, s) for s in subjects] for p in patterns]
     assert match_many(patterns, subjects).tolist() == expected
-    full = compile_set(patterns)
+    m = compile_set(patterns)
     columns = range(len(subjects))
-    assert full.match_any_batch(subjects).tolist() == [any(row[j] for row in expected) for j in columns]
-    # always-matching patterns short-circuit match_any_batch, so the scan
-    # also runs on the set without them
-    rest = [i for i in range(len(patterns)) if i not in set(full._always)]
-    m = compile_set([patterns[i] for i in rest])
-    assert m.match_any_batch(subjects).tolist() == [any(expected[i][j] for i in rest) for j in columns]
+    assert m.match_any_batch(subjects).tolist() == [any(row[j] for row in expected) for j in columns]
     for j, s in enumerate(subjects):
-        assert full.match_set(s) == {i for i, row in enumerate(expected) if row[j]}
+        assert m.match_set(s) == {i for i, row in enumerate(expected) if row[j]}
 
 
 # every atom the grammar allows: all of the alphabet (the literal '.'
@@ -504,7 +499,7 @@ def test_pack_patterns_matches_per_atom_packer(patterns):
 
 
 # patterns whose every atom may be skipped match the empty string, so an
-# unanchored one lands in the automaton's always-matching ids
+# unanchored one is in every state's accepts
 _EMPTY_MATCHING = st.builds(
     atom_pattern,
     st.lists(
@@ -528,7 +523,7 @@ _SPLIT_LISTS = st.lists(st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING), max_size=12).
 @example(([], 0))
 @example(([pat("a?"), pat("^b.c"), pat("0*$")], 0))
 @example(([pat("a?"), pat("^b.c"), pat("0*$")], 3))
-# always-matching ids on both sides; more than ten states
+# always-matching patterns on both sides; more than ten states
 @example(([pat("^a.c"), pat("b?d*e+"), pat("x?"), pat("x.y$"), pat("^q+z?$"), pat("..0"), pat("y*")], 3))
 def test_extend_set_equals_compile_set(case):
     patterns, split = case

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftsig.engine import match_one
+from driftsig.engine import match_many, match_one
 from driftsig.errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from driftsig.learner import (
     LearnerConfig,
@@ -230,6 +230,37 @@ def test_learn_spec_cases():
 
     assert learn({"ab"}, {"xaby"}).texts() == ["^ab$"]
     assert learn({"a"}, set()).texts() == ["a"]
+
+
+def test_learn_places_fallbacks_after_the_cover():
+    # "ab" and "ba" lie inside the negative, so no component reaches
+    # them: each gets an exact-match fallback after greedy's picks, in
+    # sorted order
+    pos, neg = {"ab", "ba", "xy"}, {"zabaz"}
+    model = learn(pos, neg)
+    assert model.texts() == ["x", "^ab$", "^ba$"]
+    ordered = sorted(pos)
+    pool = list(filter_components(generate_components(ordered, LearnerConfig(), neg), neg))
+    cover = match_many(pool, ordered)
+    reached = cover.any(axis=0)
+    picks = greedy_set_cover(cover[:, reached])
+    assert model.texts()[: len(picks)] == texts([pool[i] for i in picks])
+
+
+@PROPERTY
+@given(arrays(np.bool_, st.tuples(st.integers(0, 8), st.integers(0, 30))))
+def test_greedy_picks_components_before_fallback_rows(cover):
+    # greedy over the components' rows plus one fallback row per column
+    # no component covers picks every component first, and then the
+    # fallbacks in column order: learn's cover of the reached columns
+    # followed by its sorted fallbacks is the same selection
+    reached = cover.any(axis=0)
+    unreached = np.flatnonzero(~reached)
+    fallback = np.zeros((len(unreached), cover.shape[1]), dtype=bool)
+    fallback[np.arange(len(unreached)), unreached] = True
+    joint = greedy_set_cover(np.vstack([cover, fallback]))
+    n = cover.shape[0]
+    assert joint == greedy_set_cover(cover[:, reached]) + list(range(n, n + len(unreached)))
 
 
 def test_learn_error_cases():
