@@ -103,10 +103,12 @@ def _bits(words):
     return np.unpackbits(raw, axis=-1, bitorder="little").view(bool)
 
 
-def _shift1(d):
-    """Move every bit one slot up, carrying across word boundaries."""
-    out = d << _ONE
-    out[:, 1:] |= d[:, :-1] >> _TOP
+def _shift1(d, out=None):
+    """Move every bit one slot up, carrying across word boundaries, into
+    ``out`` (which may be ``d``) or a new array."""
+    carry = d[:, :-1] >> _TOP
+    out = np.left_shift(d, _ONE, out=out)
+    out[:, 1:] |= carry
     return out
 
 
@@ -120,6 +122,13 @@ def _chunks(pat_off):
         p1 = min(max(p1, p0 + 1), n_pat)
         yield p0, p1
         p0 = p1
+
+
+# _READS[code, c]: an atom with this code reads symbol c.  A literal reads
+# its own code; the wildcard reads every alphabet code, never CODE_OTHER.
+_READS = np.zeros((CODE_ANY + 1, N_SYMBOLS), dtype=bool)
+_READS[:CODE_OTHER, :CODE_OTHER] = np.eye(CODE_OTHER, dtype=bool)
+_READS[CODE_ANY, :CODE_OTHER] = True
 
 
 class Masks(NamedTuple):
@@ -149,13 +158,10 @@ def shift_and_masks(codes, loop, skip, pat_off, pat_flags) -> Masks:
         bits[slots] = True
         return bits
 
-    pcodes = codes[lo : lo + n]
-    sym = np.arange(N_SYMBOLS)[:, None]
     return Masks(
         first,
         last,
-        # the wildcard reads every alphabet code, never CODE_OTHER
-        (pcodes == sym) | ((pcodes == CODE_ANY) & (sym != CODE_OTHER)),
+        _READS.take(codes[lo : lo + n], axis=0).T,
         loop[lo : lo + n] != 0,
         skip[lo : lo + n] != 0,
         mask(first),
@@ -195,19 +201,28 @@ def _simulate(codes, loop, skip, pat_off, pat_flags, layout):
     for _ in range(n_closure):
         d |= (_shift1(d) & follow) | (start_all & skips)
     d = np.repeat(d, len(order), axis=0)
-    matched = d & last_run
+    # every state any step reached; masked to the last atoms once, below
+    matched = d.copy()
+    repeats = bool(m.loops.any())  # else the (D & LOOP) term is always 0
 
     start = start_all
     bounds = off.tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         k = hi - lo
-        cur = d[:k]
-        nxt = ((_shift1(cur) & not_first) | start | (cur & loops)) & table[cols[lo:hi]]
+        cur = d[:k]  # stepped in place
+        if repeats:
+            looped = cur & loops
+        _shift1(cur, out=cur)
+        cur &= not_first
+        cur |= start
+        if repeats:
+            cur |= looped
+        cur &= table.take(cols[lo:hi], axis=0)
         for _ in range(n_closure):
-            nxt |= (_shift1(nxt) & follow) | free_skip
-        d[:k] = nxt
-        matched[:k] |= nxt & last_run
+            cur |= (_shift1(cur) & follow) | free_skip
+        matched[:k] |= cur
         start = start_free
+    matched &= last_run
     matched |= d & last_end
     return matched, m.last
 

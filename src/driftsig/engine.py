@@ -92,7 +92,7 @@ def pack_patterns(patterns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
         flags = np.array([p.anchored_start + 2 * p.anchored_end for p in pats], dtype=np.uint8)
     raw = np.frombuffer("".join(keys).encode("latin-1"), dtype=np.uint8)
     offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum([len(k) for k in keys], out=offsets[1:])
+    np.cumsum(np.fromiter(map(len, keys), np.int64, len(keys)), out=offsets[1:])
     return _TOKEN_CODE[raw], _TOKEN_LOOP[raw], _TOKEN_SKIP[raw], offsets, flags
 
 

@@ -11,10 +11,12 @@ Components are token strings, one character per atom (see
 :mod:`driftsig.patterns`): a gram is its own literal token string, and
 its variants substitute wildcard and quantifier tokens into it, so
 the pool is one dict from token string to source positive, deduplicated
-on strings and ordered by the canonical text a translate table gives.
-The filter and the cover matrix pack the token strings through the
-engine's per-token tables, and the components greedy picks become
-patterns as they are, with no anchors.
+on strings.  It stays in generation order until the filter has run;
+only an oversized pool is ordered before it, for the ``max_pool`` cut,
+and then the survivors are ordered by their canonical text.  The filter
+and the cover matrix pack the token strings through the engine's
+per-token tables, and the components greedy picks become patterns as
+they are, with no anchors.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ class LearnerConfig:
 
 
 def generate_components(positives, cfg: LearnerConfig, negatives=()) -> dict[str, int]:
-    """Enumerate candidate components from positive-set n-grams.
+    """The candidate components from positive-set n-grams that match no
+    negative.
 
     For every substring of length 1..max_ngram of every positive that
     occurs in no string of ``negatives``: all variants with at most
@@ -61,11 +64,14 @@ def generate_components(positives, cfg: LearnerConfig, negatives=()) -> dict[str
     them), each with at most ``max_quantified`` quantifiers inserted
     after non-wildcard atoms.  The pool maps each component's token
     string to its source, the lowest index (into the sorted positives)
-    of a string it was generated from; it is ordered
-    shortest-canonical-text-first (ties by text) and truncated to
-    ``max_pool``.  Dropping a gram found in a negative before expansion
-    is safe inside :func:`learn`: every variant of a gram matches a
-    superset of that gram's language, so the filter would drop them all.
+    of a string it was generated from.  A pool of more than ``max_pool``
+    components is cut to the ``max_pool`` with the shortest canonical
+    text (ties by text) before the filter; :func:`filter_components`
+    then drops every component matching a negative, and the survivors
+    are returned shortest-canonical-text-first, ties by text.
+    A gram found in a negative is dropped before expansion, and so
+    before the cut: every variant of it matches a superset of its
+    language, so the filter would drop them all.
     """
     if not positives:
         raise EmptyPositiveSetError("no positive strings to learn from")
@@ -74,11 +80,13 @@ def generate_components(positives, cfg: LearnerConfig, negatives=()) -> dict[str
         if not s or not in_alphabet(s):
             raise ValueError(f"positive string outside the event alphabet: {s!r}")
 
-    seen: dict[str, int] = {}
+    pool: dict[str, int] = {}
     for length, grams, srcs in _grams(ordered, negatives, cfg.max_ngram):
-        _expand_grams(grams, length, srcs, cfg, seen)
-
-    return dict(sorted(seen.items(), key=_text_order)[: cfg.max_pool])
+        _expand_grams(grams, length, srcs, cfg, pool)
+    if len(pool) > cfg.max_pool:
+        pool = {t: pool[t] for t in _by_text(pool)[: cfg.max_pool]}
+    kept = filter_components(pool, negatives)
+    return {t: kept[t] for t in _by_text(kept)}
 
 
 _EXACT_KEY_LEN = 10  # grams an int64 key holds exactly at 6 bits a character
@@ -125,9 +133,13 @@ def _grams(ordered, negatives, max_ngram):
         yield n, grams, src_at[starts].tolist()
 
 
-def _text_order(item) -> tuple[int, str]:
-    text = render_tokens(item[0])
-    return len(text), text
+def _by_text(tokens) -> list[str]:
+    """The token strings ``tokens`` ordered shortest canonical text
+    first, ties by text."""
+    tokens = list(tokens)
+    # no token and no rendered atom is a newline
+    texts = render_tokens("\n".join(tokens)).split("\n")
+    return [t for _, _, t in sorted(zip(map(len, texts), texts, tokens))]
 
 
 def _expand_grams(grams: str, length: int, srcs: list[int], cfg: LearnerConfig, seen: dict) -> None:
@@ -209,7 +221,7 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
         raise DisjointnessViolation(overlap)
 
     pos = sorted(set(positives))
-    pool = list(filter_components(generate_components(pos, cfg, negatives), negatives))
+    pool = list(generate_components(pos, cfg, negatives))
 
     cover = match_many(pool, pos)
     reached = cover.any(axis=0)

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
 from driftsig.alphabet import ALPHABET, ALPHABET_SET, CHAR_TO_CODE, CODE_ANY, N_SYMBOLS, in_alphabet
 from driftsig.errors import LabelError, ParseError
-from driftsig.patterns import TOKEN_ATOMS, Atom, Pattern, Quant
+from driftsig.patterns import TOKEN_ATOMS, Atom, Pattern, Quant, parse_pattern
 from driftsig.streams import Event
 
 
@@ -158,6 +158,41 @@ def kept_grams_reference(positives, negatives, max_ngram: int) -> dict[str, int]
                 if gram not in kept and gram not in blob:
                     kept[gram] = src
     return kept
+
+
+def gram_variants(gram: str, max_wild: int, max_quant: int):
+    """The text of every component the production rules derive from
+    ``gram``: at most ``max_wild`` of its characters (never all of them)
+    replaced by the wildcard, then at most ``max_quant`` quantifiers
+    after the other characters.  A literal dot is written escaped and
+    the wildcard bare."""
+    n = len(gram)
+    for k in range(min(max_wild, n - 1) + 1):
+        for wild in combinations(range(n), k):
+            base = ["." if j in wild else ("\\." if gram[j] == "." else gram[j]) for j in range(n)]
+            plain = [j for j in range(n) if j not in wild]
+            for q in range(min(max_quant, len(plain)) + 1):
+                for qpos in combinations(plain, q):
+                    for quants in product("?*+", repeat=q):
+                        parts = list(base)
+                        for j, sym in zip(qpos, quants):
+                            parts[j] += sym
+                        yield "".join(parts)
+
+
+def pool_reference(positives, negatives, cfg) -> dict[str, int]:
+    """The learner's component pool by its contract, on pattern text:
+    every variant of every gram no negative holds, with the lowest source
+    positive of the grams giving it; all of them ordered by (length,
+    text) and cut at ``cfg.max_pool``; then every component that
+    :func:`backtrack_match` finds in some negative dropped."""
+    pool: dict[str, int] = {}
+    for gram, src in kept_grams_reference(positives, negatives, cfg.max_ngram).items():
+        for text in gram_variants(gram, cfg.max_wildcards, cfg.max_quantified):
+            pool[text] = min(pool.get(text, src), src)
+    cut = sorted(pool, key=lambda t: (len(t), t))[: cfg.max_pool]
+    negs = sorted(set(negatives))
+    return {t: pool[t] for t in cut if not any(backtrack_match(parse_pattern(t), s) for s in negs)}
 
 
 def spearman_rho(xs, ys) -> float:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from driftsig import _kernels, engine
 from driftsig.engine import DEFAULT_STATE_LIMIT, compile_set, extend_set, match_many, match_one, pack_patterns
-from driftsig.alphabet import ALPHABET, encode, encode_many
+from driftsig.alphabet import ALPHABET, CODE_ANY, CODE_OTHER, N_SYMBOLS, encode, encode_many
 from driftsig.errors import CapacityError
 from driftsig.patterns import Atom, Pattern, Quant, exact_pattern, parse_pattern
 
@@ -421,11 +421,22 @@ _WIDE_SUBJECTS = [
     "ab0bab", "Xaa0b0ab", "b0aaaa0b0", "0ba0a0", "0abba00", "bb0aaba0", "a.bab", "ab00b0", "00abb0a",
 ]
 _LONG_EXACT = "ab0." * 17 + "ba"
+# the same layout with no repeating atom (literals, '?' and wildcards only),
+# so the step leaves out its repeat term: 20 patterns over 131 slots
+_WIDE_NO_REPEAT = [
+    pat(t)
+    for t in [
+        "a?b0.ab", "b.a?0ab0", "0b?.ab0a", "a.b?0ba", "ba0?b.a.", "00a?b.0b", "b.0?a?ba",
+        "a0b?.ab", "0b?a.b0a", "a\\.b0?ab", "b?a?0ba", "ab.0a?b0", "0.a?bb0a", "^ab?0.ab",
+        "b0a.a0?b", "a?0?b.0a", "0a.b?ba0", "bb0?a.ba", "a0.b?0ab$", "0?0?b.a.b",
+    ]
+]
 
 
 @PROPERTY
 @given(st.lists(_PATTERNS, max_size=8), st.lists(_SUBJECTS, max_size=8))
 @example(_WIDE_PATTERNS, _WIDE_SUBJECTS)
+@example(_WIDE_NO_REPEAT, _WIDE_SUBJECTS)
 @example([exact_pattern(_LONG_EXACT)], [_LONG_EXACT, "a" + _LONG_EXACT, _LONG_EXACT[:-1]])
 def test_match_many_and_match_set_agree_with_oracle(patterns, subjects):
     got = match_many(patterns, subjects)
@@ -496,6 +507,31 @@ def test_pack_patterns_matches_per_atom_packer(patterns):
     tokens = pack_patterns([p.tokens for p in bare])
     for g, w in zip(tokens, pack_patterns_per_atom(bare)):
         assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@st.composite
+def pattern_runs(draw):
+    """Patterns and a run ``p0:p1`` of them that need not start at slot 0."""
+    patterns = draw(st.lists(_ANY_PATTERNS, min_size=1, max_size=12))
+    p0 = draw(st.integers(0, len(patterns) - 1))
+    return patterns, p0, draw(st.integers(p0 + 1, len(patterns)))
+
+
+@PROPERTY
+@given(pattern_runs())
+@example(([pat("a.b"), pat("^.\\.?x*$"), pat("z+.0")], 1, 3))
+def test_shift_and_table_is_the_code_compare(run):
+    # symbol c reads the atoms whose code is c, and the wildcard reads
+    # every alphabet symbol and never CODE_OTHER
+    patterns, p0, p1 = run
+    codes, loop, skip, off, flags = pack_patterns(patterns)
+    table = _kernels.shift_and_masks(codes, loop, skip, off[p0 : p1 + 1], flags[p0:p1]).table
+    pcodes = codes[off[p0] : off[p1]]
+    sym = np.arange(N_SYMBOLS)[:, None]
+    assert table.dtype == bool
+    assert np.array_equal(table, (pcodes == sym) | ((pcodes == CODE_ANY) & (sym != CODE_OTHER)))
+    assert not table[CODE_OTHER].any()
+    assert table[:CODE_OTHER, pcodes == CODE_ANY].all()
 
 
 # patterns whose every atom may be skipped match the empty string, so an

@@ -20,7 +20,13 @@ from driftsig.learner import (
 )
 from driftsig.patterns import parse_pattern, render_tokens
 
-from oracle import cover_matrix, greedy_cover_reference, kept_grams_reference, minimum_cover_size
+from oracle import (
+    cover_matrix,
+    greedy_cover_reference,
+    kept_grams_reference,
+    minimum_cover_size,
+    pool_reference,
+)
 
 
 # no example database on disk, and the same examples on every run
@@ -120,6 +126,42 @@ def test_max_pool_truncation_keeps_shortest():
     pool = generate_components({"abcd"}, cfg)
     assert len(pool) == 5
     assert list(pool.items()) == list(full.items())[:5]
+
+
+def test_max_pool_cut_comes_before_the_filter():
+    # "a*" holds the third place of the cut and matches every string, so
+    # the filter drops it; cutting after the filter would keep "a+" instead
+    pos, neg = {"ab"}, {"c"}
+    caps = {"max_ngram": 1, "max_wildcards": 0, "max_quantified": 1}
+    everything = generate_components(pos, LearnerConfig(**caps))
+    assert texts(everything)[:4] == ["a", "b", "a*", "a+"]
+    cut = dict(list(everything.items())[:3])
+    pool = generate_components(pos, LearnerConfig(**caps, max_pool=3), neg)
+    assert list(pool.items()) == list(filter_components(cut, neg).items())
+    assert texts(pool) == ["a", "b"]
+
+
+@st.composite
+def pool_inputs(draw):
+    # small caps with quantifiers and a max_pool small enough to cut most pools
+    pos = draw(st.sets(st.text("ab.", min_size=1, max_size=5), min_size=1, max_size=4))
+    neg = draw(st.sets(st.text("ab.X", max_size=5), max_size=4)) - pos
+    cfg = LearnerConfig(
+        max_ngram=draw(st.integers(1, 3)),
+        max_wildcards=draw(st.integers(0, 2)),
+        max_quantified=draw(st.integers(0, 2)),
+        max_pool=draw(st.integers(0, 40)),
+    )
+    return pos, neg, cfg
+
+
+@PROPERTY
+@given(pool_inputs())
+@example(({"ab"}, {"c"}, LearnerConfig(max_ngram=1, max_wildcards=0, max_quantified=1, max_pool=3)))
+def test_generate_components_equals_the_reference_pool(inp):
+    pos, neg, cfg = inp
+    pool = generate_components(pos, cfg, neg)
+    assert list(zip(texts(pool), pool.values())) == list(pool_reference(pos, neg, cfg).items())
 
 
 def test_golden_learned_models():
