@@ -1,11 +1,15 @@
 """Hot matching loops, vectorized with numpy.
 
-Two kernels dominate runtime: the pattern-set x string-set match matrix
-used by the learner, and the combined-automaton scan that labels events,
-:func:`dfa_states`, the one loop that steps the automaton.  Both take
-flat arrays: patterns as packed by ``engine.pack_patterns`` and subjects
-as encoded by ``alphabet.encode_many``.  Both step the subjects one
-character position at a time over the same layout, :func:`time_major`:
+Two kernels dominate runtime: the pattern-set x string-set match used by
+the learner, and the combined-automaton scan that labels events,
+:func:`dfa_states`, the one loop that steps the automaton.  The match
+has one entry, :func:`nfa_match_split`: one pass over a string list
+gives the match matrix over its first n strings and, per pattern,
+whether it matches any of the others, so the learner's cover matrix and
+negative filter come from one call.  Both kernels take flat arrays:
+patterns as packed by ``engine.pack_patterns`` and subjects as encoded
+by ``alphabet.encode_many``.  Both step the subjects one character
+position at a time over the same layout, :func:`time_major`:
 the strings sorted longest first and their codes laid out step by step,
 so the strings still being read at a step are a prefix of the sorted
 ones and that step's characters one contiguous slice.  Nothing is
@@ -17,11 +21,12 @@ Patterns are matched by one bit-parallel extended Shift-And recurrence
 Navarro & Raffinot, *Flexible Pattern Matching in Strings*, 2002):
 every atom of every pattern is one bit, and :func:`shift_and_masks` is
 the one place that derives the recurrence's masks from the packed
-patterns.  It has two consumers.  The match matrix lays the masks out
-in uint64 words and updates all patterns against all live strings with
-a few whole-array operations per input character; the engine's subset
-construction turns them into Python ints and runs the recurrence once
-per automaton state and symbol.
+patterns.  It has two consumers.  The match lays the masks out in
+uint64 words that no pattern of at most 64 atoms crosses, and updates
+all patterns against all live strings with a few whole-array operations
+per input character; the engine's subset construction takes them with
+atom i at bit i, turns them into Python ints and runs the recurrence
+once per automaton state and symbol.
 """
 
 from __future__ import annotations
@@ -67,10 +72,13 @@ def time_major(scodes, s_off):
 # Pattern-set x string-set match matrix (bit-parallel Shift-And).
 #
 # Pattern p occupies atom slots pat_off[p]:pat_off[p+1] of the flat
-# arrays.  Within a chunk of whole patterns, atom slot i is bit i of a
-# state vector of uint64 words (bit i in word i // 64), so a pattern may
-# straddle a word boundary.  Bit i set means "atoms up to and including
-# slot i consumed"; each pattern's start state is implicit.  Flags:
+# arrays.  Every atom is one bit of a state vector of uint64 words, a
+# pattern's atoms on consecutive bits.  _word_layout places each chunk
+# of whole patterns so that none of at most 64 atoms crosses a word:
+# patterns of one length share words, a longer pattern starts a word of
+# its own, and no mask sets the bits left between.
+# Bit i set means "atoms up to and including bit i consumed"; each
+# pattern's start state is implicit.  Flags:
 #   loop[i] -- atom i may consume another copy of itself (* and +)
 #   skip[i] -- atom i may be passed over without input (? and *)
 # pat_flags bit 0 = anchored at start, bit 1 = anchored at end.
@@ -81,34 +89,33 @@ def time_major(scodes, s_off):
 #   D = ((shift1(D) & ~FIRST) | START_t | (D & LOOP)) & B[c]
 # and then, once per atom of the longest run of skippable atoms,
 #   D |= ((shift1(D) & ~FIRST) | START_t+1) & SKIP
-# A pattern has matched when its last bit is set after any step (LAST_RUN,
-# unanchored end) or after the last character (LAST_END, anchored end).
+# shift1 moves every bit one slot up.  It carries from word to word only
+# when some pattern has more than 64 atoms: otherwise a bit that leaves
+# its word leaves its pattern too.  A pattern has matched when its last
+# bit is set after any step (LAST_RUN, unanchored end) or after the last
+# character (LAST_END, anchored end).
 # ---------------------------------------------------------------------------
 
-_CHUNK_ATOMS = 4096  # atoms simulated together; bounds the state arrays
+_CHUNK_ATOMS = 4096  # atoms packed together; bounds the bool mask arrays
+_BATCH_CELLS = _CHUNK_ATOMS * 1024  # string x atom cells stepped together; bounds the state arrays
 _ONE = np.uint64(1)
 _TOP = np.uint64(63)
 
 
-def _words(bits, n_words):
-    """Pack a bool array's last axis into ``n_words`` uint64 words."""
-    padded = np.zeros(bits.shape[:-1] + (n_words * 64,), dtype=bool)
-    padded[..., : bits.shape[-1]] = bits
-    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
-
-
 def _bits(words):
-    """Inverse of :func:`_words`: one bool per bit along the last axis."""
+    """One bool per bit of uint64 words, along the last axis."""
     raw = words.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(raw, axis=-1, bitorder="little").view(bool)
 
 
-def _shift1(d, out=None):
-    """Move every bit one slot up, carrying across word boundaries, into
-    ``out`` (which may be ``d``) or a new array."""
-    carry = d[:, :-1] >> _TOP
+def _shift1(d, carry, out=None):
+    """Move every bit one slot up, into ``out`` (which may be ``d``) or a
+    new array; with ``carry``, bit 63 of a word moves to bit 0 of the next."""
+    if carry:
+        top = d[:, :-1] >> _TOP
     out = np.left_shift(d, _ONE, out=out)
-    out[:, 1:] |= carry
+    if carry:
+        out[:, 1:] |= top
     return out
 
 
@@ -124,127 +131,211 @@ def _chunks(pat_off):
         p0 = p1
 
 
-# _READS[code, c]: an atom with this code reads symbol c.  A literal reads
-# its own code; the wildcard reads every alphabet code, never CODE_OTHER.
-_READS = np.zeros((CODE_ANY + 1, N_SYMBOLS), dtype=bool)
-_READS[:CODE_OTHER, :CODE_OTHER] = np.eye(CODE_OTHER, dtype=bool)
-_READS[CODE_ANY, :CODE_OTHER] = True
+def _word_layout(pat_off):
+    """The bit of each atom slot of the patterns ``pat_off[0]:pat_off[-1]``,
+    in uint64 words that no pattern of at most 64 atoms crosses.
+
+    Patterns are placed shortest first.  Patterns of one length share
+    words, as many to a word as fit, and each length starts a new word;
+    a pattern longer than 64 atoms starts a word and spans as many as it
+    needs.  Returns ``(bit, n_words)``.
+    """
+    lengths = np.diff(pat_off)
+    order = np.argsort(lengths, kind="stable")
+    by_len = lengths.take(order)
+    # per length present: its patterns, how many share a word, how many
+    # words one spans, and the words they take
+    count = np.bincount(by_len)
+    n = np.flatnonzero(count)
+    count = count[n]
+    per_word = np.maximum(64 // n, 1)
+    span = -(-n // 64)
+    words = -(-count // per_word) * span
+    rank = np.arange(len(order)) - np.repeat(np.cumsum(count) - count, count)
+    per = np.repeat(per_word, count)
+    word = np.repeat(np.cumsum(words) - words, count) + rank // per * np.repeat(span, count)
+    start = np.empty_like(lengths)
+    start[order] = word * 64 + rank % per * by_len
+    bit = np.repeat(start - (pat_off[:-1] - pat_off[0]), lengths)
+    bit += np.arange(len(bit))
+    return bit, int(words.sum())
 
 
 class Masks(NamedTuple):
-    """The Shift-And masks of a run of whole patterns, one bool per atom slot."""
+    """The Shift-And masks of a run of whole patterns, one bool per bit.
 
-    first: np.ndarray       # slot of each pattern's first atom
-    last: np.ndarray        # slot of each pattern's last atom
-    table: np.ndarray       # (N_SYMBOLS, n): the atoms that read each symbol
-    loops: np.ndarray       # atoms that may repeat (* and +)
-    skips: np.ndarray       # atoms that may be skipped (? and *)
-    start_all: np.ndarray   # every pattern's first atom
-    start_free: np.ndarray  # first atoms of patterns not anchored at the start
-    last_run: np.ndarray    # last atoms of patterns not anchored at the end
-    last_end: np.ndarray    # last atoms of patterns anchored at the end
-
-
-def shift_and_masks(codes, loop, skip, pat_off, pat_flags) -> Masks:
-    """Masks of the patterns in atom slots ``pat_off[0]:pat_off[-1]``,
-    slot ``pat_off[0]`` being bit 0."""
-    lo = int(pat_off[0])
-    n = int(pat_off[-1]) - lo
-    first = pat_off[:-1] - lo
-    last = pat_off[1:] - lo - 1
-
-    def mask(slots):
-        bits = np.zeros(n, dtype=bool)
-        bits[slots] = True
-        return bits
-
-    return Masks(
-        first,
-        last,
-        _READS.take(codes[lo : lo + n], axis=0).T,
-        loop[lo : lo + n] != 0,
-        skip[lo : lo + n] != 0,
-        mask(first),
-        mask(first[(pat_flags & 1) == 0]),
-        mask(last[(pat_flags & 2) == 0]),
-        mask(last[(pat_flags & 2) != 0]),
-    )
-
-
-def _simulate(codes, loop, skip, pat_off, pat_flags, layout):
-    """Run one chunk of patterns over every string of a :func:`time_major`
-    layout.
-
-    Returns ``(matched, last)``: ``matched`` has one row of words per
-    sorted string, with bit ``last[p]`` set when pattern p matched it.
+    ``rows`` holds the symbol table's ``N_SYMBOLS`` rows (row c: the atoms
+    that read symbol c), then seven masks:
+      wild        wildcard atoms
+      loops       atoms that may repeat (* and +)
+      skips       atoms that may be skipped (? and *)
+      start_all   every pattern's first atom
+      start_free  first atoms of patterns not anchored at the start
+      last_run    last atoms of patterns not anchored at the end
+      last_end    last atoms of patterns anchored at the end
     """
-    cols, off, order = layout
-    m = shift_and_masks(codes, loop, skip, pat_off, pat_flags)
-    n = len(m.skips)
-    n_words = -(-n // 64)
-    rows = (m.table, m.loops, m.skips, m.start_all, m.start_free, m.last_run, m.last_end)
-    words = _words(np.vstack(rows), n_words)
-    table = words[:N_SYMBOLS]
-    loops, skips, start_all, start_free, last_run, last_end = words[N_SYMBOLS:]
-    not_first = ~start_all
 
-    # longest run of skippable atoms inside one pattern: the closure moves
-    # each bit one atom further per round
-    slot = np.arange(n)
-    brk = np.where(m.skips, -1, slot)
-    brk[m.first] = np.maximum(brk[m.first], m.first - 1)
-    n_closure = int((slot - np.maximum.accumulate(brk)).max())
+    last: np.ndarray  # bit of each pattern's last atom
+    rows: np.ndarray  # (N_SYMBOLS + 7, width) bool
+
+    @property
+    def table(self) -> np.ndarray:
+        return self.rows[:N_SYMBOLS]
+
+
+# _ROW[code]: the row of Masks.rows an atom with this code sets, its own
+# symbol's for a literal and the wild row for the wildcard
+_ROW = np.arange(CODE_ANY + 1)
+_ROW[CODE_ANY] = N_SYMBOLS
+
+
+def shift_and_masks(codes, loop, skip, pat_off, pat_flags, layout=None) -> Masks:
+    """Masks of the patterns in atom slots ``pat_off[0]:pat_off[-1]``.
+
+    Slot ``pat_off[0] + i`` is bit i, or, given a :func:`_word_layout`
+    ``(bit, n_words)``, bit ``bit[i]`` of ``n_words`` words.  Every mask
+    is scattered at the atoms' bits into one zeroed array.  A literal
+    reads its own code and the wildcard every alphabet code, never
+    ``CODE_OTHER``: the wild row is ORed into the alphabet's rows.
+    """
+    lo, hi = int(pat_off[0]), int(pat_off[-1])
+    bit, width = (np.arange(hi - lo), hi - lo) if layout is None else (layout[0], layout[1] * 64)
+    first = bit.take(pat_off[:-1] - lo)
+    last = bit.take(pat_off[1:] - (lo + 1))
+    rows = np.zeros((N_SYMBOLS + 7, width), dtype=bool)
+    at = _ROW.take(codes[lo:hi])
+    at *= width
+    at += bit
+    rows.reshape(-1)[at] = True
+    wild, loops, skips, start_all, start_free, last_run, last_end = rows[N_SYMBOLS:]
+    rows[:CODE_OTHER] |= wild
+    loops[bit[loop[lo:hi] != 0]] = True
+    skips[bit[skip[lo:hi] != 0]] = True
+    start_all[first] = True
+    start_free[first[(pat_flags & 1) == 0]] = True
+    last_run[last[(pat_flags & 2) == 0]] = True
+    last_end[last[(pat_flags & 2) != 0]] = True
+    return Masks(last, rows)
+
+
+def _pack(codes, loop, skip, pat_off, pat_flags):
+    """The patterns' masks in uint64 words, for :func:`_simulate`.
+
+    Each chunk is laid out by :func:`_word_layout` and packed on its own,
+    so no bool array is larger than a chunk's, and the chunks' words sit
+    side by side: a bit that moves on from one chunk's last word meets a
+    first atom or a bit no mask sets.  Returns the bit of each pattern's
+    last atom and ``(words, carry, repeats, n_closure)``: the table's rows
+    and the seven masks of :class:`Masks` as words, whether some pattern
+    is longer than 64 atoms, whether some atom repeats, and the longest
+    run of skippable atoms inside one pattern (the closure moves each bit
+    one atom further per round).
+    """
+    parts, last = [], []
+    n_words = 0
+    for p0, p1 in _chunks(pat_off):
+        run = pat_off[p0 : p1 + 1]
+        bit, n = _word_layout(run)
+        m = shift_and_masks(codes, loop, skip, run, pat_flags[p0:p1], (bit, n))
+        parts.append(np.packbits(m.rows, axis=-1, bitorder="little").view("<u8"))
+        last.append(m.last + 64 * n_words)
+        n_words += n
+
+    n_closure = 0
+    skippable = skip[pat_off[0] : pat_off[-1]] != 0
+    if skippable.any():
+        slot = np.arange(len(skippable))
+        brk = np.where(skippable, -1, slot)
+        first = pat_off[:-1] - pat_off[0]
+        brk[first] = np.maximum(brk[first], first - 1)
+        n_closure = int((slot - np.maximum.accumulate(brk)).max())
+    carry = bool(np.diff(pat_off).max() > 64)
+    repeats = bool(loop[pat_off[0] : pat_off[-1]].any())
+    return np.concatenate(last), (np.hstack(parts), carry, repeats, n_closure)
+
+
+def _simulate(packed, cols, bounds, s0, s1):
+    """Run the patterns :func:`_pack` packed over the sorted strings
+    ``s0:s1`` of a :func:`time_major` layout, ``bounds`` being its offsets
+    as a list.
+
+    Returns one row of words per string, with bit ``last[p]`` set when
+    pattern p matched it.
+    """
+    words, carry, repeats, n_closure = packed
+    table = words[:N_SYMBOLS]
+    _, loops, skips, start_all, start_free, last_run, last_end = words[N_SYMBOLS:]
+    not_first = ~start_all
     follow = not_first & skips
     free_skip = start_free & skips
 
-    d = np.zeros((1, n_words), dtype=np.uint64)
+    d = np.zeros((1, len(not_first)), dtype=np.uint64)
     for _ in range(n_closure):
-        d |= (_shift1(d) & follow) | (start_all & skips)
-    d = np.repeat(d, len(order), axis=0)
+        d |= (_shift1(d, carry) & follow) | (start_all & skips)
+    d = np.repeat(d, s1 - s0, axis=0)
     # every state any step reached; masked to the last atoms once, below
     matched = d.copy()
-    repeats = bool(m.loops.any())  # else the (D & LOOP) term is always 0
 
     start = start_all
-    bounds = off.tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        k = hi - lo
-        cur = d[:k]  # stepped in place
-        if repeats:
+    for t in range(len(bounds) - 1):
+        lo = bounds[t] + s0
+        hi = min(bounds[t + 1], bounds[t] + s1)
+        if hi <= lo:  # strings s0:s1 all read
+            break
+        cur = d[: hi - lo]  # stepped in place
+        if repeats:  # else the (D & LOOP) term is always 0
             looped = cur & loops
-        _shift1(cur, out=cur)
+        _shift1(cur, carry, out=cur)
         cur &= not_first
         cur |= start
         if repeats:
             cur |= looped
         cur &= table.take(cols[lo:hi], axis=0)
         for _ in range(n_closure):
-            cur |= (_shift1(cur) & follow) | free_skip
-        matched[:k] |= cur
+            cur |= (_shift1(cur, carry) & follow) | free_skip
+        matched[: hi - lo] |= cur
         start = start_free
     matched &= last_run
     matched |= d & last_end
-    return matched, m.last
+    return matched
+
+
+def nfa_match_split(codes, loop, skip, pat_off, pat_flags, scodes, s_off, n_rows):
+    """Match every pattern against every string in one pass.
+
+    Returns ``(matrix, hit)``: the bool matrix of the patterns over the
+    first ``n_rows`` strings, and per pattern whether it matches any of
+    the strings after them.  Every pattern is stepped at once, over the
+    length-sorted strings in batches of at most ``_BATCH_CELLS`` string x
+    atom cells, so a long string's lone steps cost one pass over all the
+    patterns.
+    """
+    n_pat = len(pat_off) - 1
+    matrix = np.zeros((n_pat, n_rows), dtype=bool)
+    hit = np.zeros(n_pat, dtype=bool)
+    if not n_pat:
+        return matrix, hit
+    last, packed = _pack(codes, loop, skip, pat_off, pat_flags)
+    cols, off, order = time_major(scodes, s_off)
+    bounds = off.tolist()
+    per_batch = max(1, _BATCH_CELLS // int(pat_off[-1] - pat_off[0]))
+    for s0 in range(0, len(order), per_batch):
+        strings = order[s0 : s0 + per_batch]
+        matched = _simulate(packed, cols, bounds, s0, s0 + len(strings))
+        in_matrix = strings < n_rows
+        matrix[:, strings[in_matrix]] = _bits(matched[in_matrix])[:, last].T
+        hit |= _bits(np.bitwise_or.reduce(matched[~in_matrix], axis=0))[last]
+    return matrix, hit
 
 
 def nfa_match_matrix(codes, loop, skip, pat_off, pat_flags, scodes, s_off):
     """Match every pattern against every string; returns a bool matrix."""
-    out = np.zeros((len(pat_off) - 1, len(s_off) - 1), dtype=bool)
-    layout = time_major(scodes, s_off)
-    for p0, p1 in _chunks(pat_off):
-        matched, last = _simulate(codes, loop, skip, pat_off[p0 : p1 + 1], pat_flags[p0:p1], layout)
-        out[p0:p1, layout[2]] = _bits(matched)[:, last].T
-    return out
+    return nfa_match_split(codes, loop, skip, pat_off, pat_flags, scodes, s_off, len(s_off) - 1)[0]
 
 
 def nfa_match_any(codes, loop, skip, pat_off, pat_flags, scodes, s_off):
     """Per pattern: does it match at least one of the strings?"""
-    out = np.zeros(len(pat_off) - 1, dtype=bool)
-    layout = time_major(scodes, s_off)
-    for p0, p1 in _chunks(pat_off):
-        matched, last = _simulate(codes, loop, skip, pat_off[p0 : p1 + 1], pat_flags[p0:p1], layout)
-        out[p0:p1] = _bits(np.bitwise_or.reduce(matched, axis=0))[last]
-    return out
+    return nfa_match_split(codes, loop, skip, pat_off, pat_flags, scodes, s_off, 0)[1]
 
 
 # ---------------------------------------------------------------------------

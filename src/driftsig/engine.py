@@ -56,7 +56,7 @@ import numpy as np
 from . import _kernels
 from .alphabet import CHAR_TO_CODE, CODE_ANY, N_SYMBOLS, encode_many
 from .errors import CapacityError
-from .patterns import TOKEN_ATOMS, Pattern, Quant
+from .patterns import TOKEN_ATOMS, Quant
 
 DEFAULT_STATE_LIMIT = 1_000_000
 
@@ -96,31 +96,29 @@ def pack_patterns(patterns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return _TOKEN_CODE[raw], _TOKEN_LOOP[raw], _TOKEN_SKIP[raw], offsets, flags
 
 
+def _packed(patterns, values):
+    """The kernels' pattern and string arrays: :func:`pack_patterns` of
+    ``patterns`` and ``encode_many`` of ``values``."""
+    return (*pack_patterns(patterns), *encode_many(values))
+
+
 def match_many(patterns, values) -> np.ndarray:
     """Boolean matrix: entry [p, j] is True when pattern p matches values[j].
     ``patterns`` is as for :func:`pack_patterns`."""
-    codes, loop, skip, offsets, flags = pack_patterns(patterns)
-    scodes, s_off = encode_many(values)
-    return _kernels.nfa_match_matrix(codes, loop, skip, offsets, flags, scodes, s_off)
+    return _kernels.nfa_match_matrix(*_packed(patterns, values))
 
 
 def match_any_of(patterns, values) -> np.ndarray:
     """Boolean vector: entry [p] is True when pattern p matches some value,
     the same result as ``match_many(...).any(axis=1)``."""
-    codes, loop, skip, offsets, flags = pack_patterns(patterns)
-    scodes, s_off = encode_many(values)
-    return _kernels.nfa_match_any(codes, loop, skip, offsets, flags, scodes, s_off)
+    return _kernels.nfa_match_any(*_packed(patterns, values))
 
 
-def match_one(pattern: Pattern, value: str) -> bool:
-    """True when the pattern matches somewhere in ``value``.
-
-    Containment semantics: an unanchored pattern matches if any
-    substring of ``value`` belongs to its language; anchors pin the
-    match to the start and/or end.  Characters outside the event
-    alphabet never match anything.
-    """
-    return bool(match_many([pattern], [value])[0, 0])
+def match_split(patterns, values, others) -> tuple[np.ndarray, np.ndarray]:
+    """``(match_many(patterns, values), match_any_of(patterns, others))``,
+    with one pass of the kernel over both string lists."""
+    values = list(values)
+    return _kernels.nfa_match_split(*_packed(patterns, values + list(others)), len(values))
 
 
 class MultiMatcher:
@@ -236,10 +234,9 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
     """
     codes, loop, skip, offsets, flags = pack_patterns(pats)
     m = _kernels.shift_and_masks(codes, loop, skip, offsets, flags)
-    masks = (m.loops, m.skips, m.start_all, m.start_free, codes == CODE_ANY, m.last_run, m.last_end)
-    bitsets = _bitsets(np.vstack((m.table, *masks)))
+    bitsets = _bitsets(m.rows)
     table = bitsets[:N_SYMBOLS]
-    loops, skips, first, start_free, wild, last_run, last_end = bitsets[N_SYMBOLS:]
+    wild, loops, skips, first, start_free, last_run, last_end = bitsets[N_SYMBOLS:]
     follow = skips & ~first
     may_follow = follow >> 1
     # where a consumed atom moves on to: not to a first atom, nor past the last slot

@@ -13,10 +13,12 @@ its variants substitute wildcard and quantifier tokens into it, so
 the pool is one dict from token string to source positive, deduplicated
 on strings.  It stays in generation order until the filter has run;
 only an oversized pool is ordered before it, for the ``max_pool`` cut,
-and then the survivors are ordered by their canonical text.  The filter
-and the cover matrix pack the token strings through the engine's
-per-token tables, and the components greedy picks become patterns as
-they are, with no anchors.
+and then the survivors are ordered by their canonical text.  ``learn``
+matches the pool against the positives and the negatives in one pass of
+the Shift-And kernel: the rows of the components that match no negative
+are the cover matrix.  The kernel packs the token strings through the
+engine's per-token tables, and the components greedy picks become
+patterns as they are, with no anchors.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from itertools import combinations, compress, product
 import numpy as np
 
 from .alphabet import BYTE_TABLE, CODE_OTHER, in_alphabet
-from .engine import match_any_of, match_many
+from .engine import match_any_of, match_split
 from .errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from .model import Model
 from .patterns import ANY_TOKEN, QUANTIFY, Pattern, exact_pattern, render_tokens
@@ -73,6 +75,14 @@ def generate_components(positives, cfg: LearnerConfig, negatives=()) -> dict[str
     before the cut: every variant of it matches a superset of its
     language, so the filter would drop them all.
     """
+    kept = filter_components(_cut_pool(positives, cfg, negatives), negatives)
+    tokens = list(kept)
+    return {tokens[i]: kept[tokens[i]] for i in _text_order(tokens)}
+
+
+def _cut_pool(positives, cfg: LearnerConfig, negatives) -> dict[str, int]:
+    """:func:`generate_components`' pool before the filter: in generation
+    order, or cut to its ``max_pool`` first components in text order."""
     if not positives:
         raise EmptyPositiveSetError("no positive strings to learn from")
     ordered = sorted(set(positives))
@@ -84,9 +94,9 @@ def generate_components(positives, cfg: LearnerConfig, negatives=()) -> dict[str
     for length, grams, srcs in _grams(ordered, negatives, cfg.max_ngram):
         _expand_grams(grams, length, srcs, cfg, pool)
     if len(pool) > cfg.max_pool:
-        pool = {t: pool[t] for t in _by_text(pool)[: cfg.max_pool]}
-    kept = filter_components(pool, negatives)
-    return {t: kept[t] for t in _by_text(kept)}
+        tokens = list(pool)
+        pool = {tokens[i]: pool[tokens[i]] for i in _text_order(tokens)[: cfg.max_pool]}
+    return pool
 
 
 _EXACT_KEY_LEN = 10  # grams an int64 key holds exactly at 6 bits a character
@@ -133,13 +143,12 @@ def _grams(ordered, negatives, max_ngram):
         yield n, grams, src_at[starts].tolist()
 
 
-def _by_text(tokens) -> list[str]:
-    """The token strings ``tokens`` ordered shortest canonical text
+def _text_order(tokens: list[str]) -> list[int]:
+    """Indices of the token strings ``tokens``, shortest canonical text
     first, ties by text."""
-    tokens = list(tokens)
     # no token and no rendered atom is a newline
     texts = render_tokens("\n".join(tokens)).split("\n")
-    return [t for _, _, t in sorted(zip(map(len, texts), texts, tokens))]
+    return [i for _, _, i in sorted(zip(map(len, texts), texts, range(len(tokens))))]
 
 
 def _expand_grams(grams: str, length: int, srcs: list[int], cfg: LearnerConfig, seen: dict) -> None:
@@ -208,12 +217,13 @@ def greedy_set_cover(cover: np.ndarray) -> list[int]:
 def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
     """Learn a model matching every positive and no negative.
 
-    Pipeline: generate components from the positives, filter against the
-    negatives, pick a cover of the positives they reach greedily, then
-    append an anchored exact-match fallback for each positive no
-    component reaches (disjointness guarantees those are safe), in
-    sorted order.  Deterministic for identical inputs regardless of
-    set iteration order.
+    Pipeline: generate components from the positives, match them against
+    the positives and the negatives in one pass, keep those that match no
+    negative (:func:`generate_components`' survivors, in its order), pick
+    a cover of the positives they reach greedily, then append an anchored
+    exact-match fallback for each positive no component reaches
+    (disjointness guarantees those are safe), in sorted order.
+    Deterministic for identical inputs regardless of set iteration order.
     """
     cfg = cfg or LearnerConfig()
     overlap = set(positives) & set(negatives)
@@ -221,10 +231,12 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
         raise DisjointnessViolation(overlap)
 
     pos = sorted(set(positives))
-    pool = list(generate_components(pos, cfg, negatives))
-
-    cover = match_many(pool, pos)
+    tokens = list(_cut_pool(pos, cfg, negatives))
+    cover, hit = match_split(tokens, pos, sorted(set(negatives)))
+    kept = list(compress(tokens, (~hit).tolist()))
+    order = _text_order(kept)
+    cover = cover[np.flatnonzero(~hit)[order]]
     reached = cover.any(axis=0)
-    picked = [Pattern(pool[i]) for i in greedy_set_cover(cover[:, reached])]
+    picked = [Pattern(kept[order[i]]) for i in greedy_set_cover(cover[:, reached])]
     fallbacks = [exact_pattern(pos[j]) for j in np.flatnonzero(~reached)]
     return Model(tuple(picked + fallbacks))

@@ -22,19 +22,6 @@ class Counts:
         )
 
 
-def accumulate(counts: Counts, y_true: int, y_pred: int) -> Counts:
-    """Counts with one more (truth, prediction) outcome folded in."""
-    if y_true not in (0, 1) or y_pred not in (0, 1):
-        raise ValueError("labels must be 0 or 1")
-    if y_true == 1:
-        if y_pred == 1:
-            return Counts(counts.tp + 1, counts.fp, counts.tn, counts.fn)
-        return Counts(counts.tp, counts.fp, counts.tn, counts.fn + 1)
-    if y_pred == 1:
-        return Counts(counts.tp, counts.fp + 1, counts.tn, counts.fn)
-    return Counts(counts.tp, counts.fp, counts.tn + 1, counts.fn)
-
-
 def accumulate_pairs(counts: Counts, pairs) -> Counts:
     """Fold a batch of (y_true, y_pred) pairs; order cannot matter."""
     tp = fp = tn = fn = 0

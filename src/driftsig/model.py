@@ -63,9 +63,6 @@ class Model:
                 self._matcher = extend_set(base, added, self.state_limit)
         return self._matcher
 
-    def predict(self, value: str) -> int:
-        return int(self.predict_batch([value])[0])
-
     def predict_batch(self, values) -> np.ndarray:
         """Labels (0/1) for a sequence of event strings."""
         return self.matcher.match_any_batch(values).astype(np.int8)

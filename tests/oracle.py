@@ -18,6 +18,7 @@ import numpy as np
 
 from driftsig.alphabet import ALPHABET, ALPHABET_SET, CHAR_TO_CODE, CODE_ANY, N_SYMBOLS, in_alphabet
 from driftsig.errors import LabelError, ParseError
+from driftsig.metrics import Counts
 from driftsig.patterns import TOKEN_ATOMS, Atom, Pattern, Quant, parse_pattern
 from driftsig.streams import Event
 
@@ -29,7 +30,7 @@ def _atom_accepts(atom: Atom, ch: str) -> bool:
 
 
 def backtrack_match(pattern: Pattern, s: str) -> bool:
-    """Reference semantics for match_one."""
+    """Reference semantics of one pattern matching one string."""
     atoms = pattern.atoms
     n = len(atoms)
     limit = len(s)
@@ -193,6 +194,35 @@ def pool_reference(positives, negatives, cfg) -> dict[str, int]:
     cut = sorted(pool, key=lambda t: (len(t), t))[: cfg.max_pool]
     negs = sorted(set(negatives))
     return {t: pool[t] for t in cut if not any(backtrack_match(parse_pattern(t), s) for s in negs)}
+
+
+def reference_learn(positives, negatives, cfg) -> list[str]:
+    """The learner's model texts by its contract: the components of
+    :func:`pool_reference`, a cover matrix over the sorted positives by
+    :func:`backtrack_match`, :func:`greedy_cover_reference`'s picks over
+    the positives some component reaches, then an anchored exact-match
+    pattern for each of the others, in sorted order."""
+    pos = sorted(set(positives))
+    pool = list(pool_reference(pos, negatives, cfg))
+    cover = np.array([[backtrack_match(parse_pattern(t), s) for s in pos] for t in pool], dtype=bool)
+    cover = cover.reshape(len(pool), len(pos))
+    reached = cover.any(axis=0)
+    picks = [pool[i] for i in greedy_cover_reference(cover[:, reached])]
+    return picks + ["^" + s.replace(".", "\\.") + "$" for s, r in zip(pos, reached) if not r]
+
+
+def accumulate_reference(counts: Counts, y_true: int, y_pred: int) -> Counts:
+    """Reference for metrics.accumulate_pairs: counts with one more
+    (truth, prediction) outcome folded in."""
+    if y_true not in (0, 1) or y_pred not in (0, 1):
+        raise ValueError("labels must be 0 or 1")
+    if y_true == 1:
+        if y_pred == 1:
+            return Counts(counts.tp + 1, counts.fp, counts.tn, counts.fn)
+        return Counts(counts.tp, counts.fp, counts.tn, counts.fn + 1)
+    if y_pred == 1:
+        return Counts(counts.tp, counts.fp + 1, counts.tn, counts.fn)
+    return Counts(counts.tp, counts.fp, counts.tn + 1, counts.fn)
 
 
 def spearman_rho(xs, ys) -> float:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftsig import _kernels, engine
-from driftsig.engine import DEFAULT_STATE_LIMIT, compile_set, extend_set, match_many, match_one, pack_patterns
+from driftsig.engine import DEFAULT_STATE_LIMIT, compile_set, extend_set, match_many, pack_patterns
 from driftsig.alphabet import ALPHABET, CODE_ANY, CODE_OTHER, N_SYMBOLS, encode, encode_many
 from driftsig.errors import CapacityError
 from driftsig.patterns import Atom, Pattern, Quant, exact_pattern, parse_pattern
@@ -52,12 +52,11 @@ def pat(text):
     ],
 )
 def test_match_one_cases(text, subject, expected):
-    assert match_one(pat(text), subject) is expected
+    assert match_many([pat(text)], [subject]).tolist() == [[expected]]
 
 
 def test_non_alphabet_chars_never_match_wildcard():
-    assert not match_one(pat("x.z"), "xAz")
-    assert match_one(pat("x.z"), "xaz")
+    assert match_many([pat("x.z")], ["xAz", "xaz"]).tolist() == [[False, True]]
 
 
 def test_automaton_wildcard_never_reads_outside_alphabet():
@@ -85,7 +84,7 @@ def test_match_one_agrees_with_backtracking_oracle():
     for _ in range(400):
         p = random_pattern(rng)
         s = random_subject(rng)
-        assert match_one(p, s) == backtrack_match(p, s), (p.text, s)
+        assert match_many([p], [s]).tolist() == [[backtrack_match(p, s)]], (p.text, s)
 
 
 def test_unanchored_matches_survive_superstrings():
@@ -96,11 +95,10 @@ def test_unanchored_matches_survive_superstrings():
         if p.anchored_start or p.anchored_end:
             continue
         s = random_subject(rng)
-        if not match_one(p, s):
+        if not match_many([p], [s])[0, 0]:
             continue
         found += 1
-        assert match_one(p, "zz" + s)
-        assert match_one(p, s + "00")
+        assert match_many([p], ["zz" + s, s + "00"]).tolist() == [[True, True]]
     assert found > 30
 
 
@@ -390,6 +388,99 @@ def test_kernels_on_multiword_and_multichunk_batches():
     assert np.array_equal(matrix, expected)
     any_hit = _kernels.nfa_match_any(codes, loop, skip, offs, flags, scodes, s_off)
     assert np.array_equal(any_hit, matrix.any(axis=1))
+
+
+def test_kernels_at_word_boundaries():
+    # patterns of 64, 65 and 130 atoms, anchored at either end, in one
+    # chunk with short patterns: the word layout keeps every pattern of at
+    # most 64 atoms inside one word, so only the longer ones need the
+    # carry from word to word, in the step and in the skip closure
+    rng = random.Random(64)
+
+    def literal(n):
+        return "".join(rng.choice("ab01") for _ in range(n))
+
+    # atoms 60..69 may be skipped: the run straddles the first word boundary
+    skippable = literal(60) + "".join(c + "?" for c in literal(10)) + literal(60)
+    long = [literal(64), literal(65), literal(130), skippable]
+    patterns = [pat(a + t + b) for t in long for a, b in (("^", ""), ("", "$"))]
+    patterns += [random_pattern(rng, max_atoms=3) for _ in range(40)]
+    rng.shuffle(patterns)
+    codes, loop, skip, offs, flags = pack_patterns(patterns)
+    assert list(_kernels._chunks(offs)) == [(0, len(patterns))]
+    assert sorted(len(p.atoms) for p in patterns)[-8:] == [64, 64, 65, 65, 130, 130, 130, 130]
+
+    bit, n_words = _kernels._word_layout(offs)
+    assert len(set(bit.tolist())) == len(bit) and bit.max() < 64 * n_words
+    for p in range(len(patterns)):
+        own = bit[offs[p] : offs[p + 1]]
+        assert np.array_equal(own, own[0] + np.arange(len(own)))
+        if len(own) <= 64:
+            assert own[0] // 64 == own[-1] // 64, patterns[p].text
+        else:
+            assert own[0] % 64 == 0, patterns[p].text
+
+    subjects = ["", "a", "ab", "0b1"]
+    for t in long[:3]:
+        subjects += [t, "z" + t, t + "z", t[:-1], t[1:]]
+        # one character changed on either side of each word boundary
+        for i in (62, 63, 64, 65, 127, 128):
+            if i < len(t):
+                subjects.append(t[:i] + "_" + t[i + 1 :])
+    head, run, tail = skippable[:60], skippable[60:80:2], skippable[80:]
+    subjects += [head + run + tail, head + tail, head + run[:3] + run[6:] + tail,
+                 "x" + head + run[:4] + tail + "x", head + run[1:] + tail]
+    scodes, s_off = encode_many(subjects)
+
+    expected = np.array([[backtrack_match(p, s) for s in subjects] for p in patterns])
+    assert expected[[len(p.atoms) >= 64 for p in patterns]].any(axis=1).all()
+    matrix = _kernels.nfa_match_matrix(codes, loop, skip, offs, flags, scodes, s_off)
+    assert np.array_equal(matrix, expected)
+    for n_rows in (0, 7, len(subjects)):
+        rows, hit = _kernels.nfa_match_split(codes, loop, skip, offs, flags, scodes, s_off, n_rows)
+        assert np.array_equal(rows, expected[:, :n_rows])
+        assert np.array_equal(hit, expected[:, n_rows:].any(axis=1))
+
+
+def test_kernels_step_string_batches_with_every_pattern_at_once():
+    # every pattern is stepped at once, its chunks' words side by side,
+    # over the length-sorted strings in batches of at most _BATCH_CELLS
+    # string x atom cells; small bounds make four chunks, one of a
+    # 70-atom pattern, and batches of two strings
+    rng = random.Random(256)
+    patterns = [pat("^" + "".join(rng.choice("ab01") for _ in range(70)))]
+    patterns += [random_pattern(rng, max_atoms=6) for _ in range(40)]
+    codes, loop, skip, offs, flags = pack_patterns(patterns)
+
+    def filler(n):
+        return "".join(rng.choice("ab01-_c") for _ in range(n))
+
+    subjects = [random_subject(rng) for _ in range(30)] + [""]
+    for p in rng.sample(range(len(patterns)), 6) + [0]:
+        w = _witness(patterns[p], rng)
+        subjects += [w + filler(rng.randint(14, 30)), filler(rng.randint(14, 30)) + w]
+    rng.shuffle(subjects)
+    scodes, s_off = encode_many(subjects)
+    expected = np.array([[backtrack_match(p, s) for s in subjects] for p in patterns])
+    assert expected.any(axis=1).sum() >= 20 and expected[0].any()
+
+    steps = []
+    simulate = _kernels._simulate
+
+    def recorded(packed, cols, bounds, s0, s1):
+        steps.append((s0, s1))
+        return simulate(packed, cols, bounds, s0, s1)
+
+    with mock.patch.multiple(_kernels, _CHUNK_ATOMS=64, _BATCH_CELLS=2 * int(offs[-1]), _simulate=recorded):
+        assert len(list(_kernels._chunks(offs))) == 4
+        assert len(_kernels._pack(codes, loop, skip, offs, flags)[0]) == len(patterns)
+        matrix = _kernels.nfa_match_matrix(codes, loop, skip, offs, flags, scodes, s_off)
+        assert steps == [(s0, min(s0 + 2, len(subjects))) for s0 in range(0, len(subjects), 2)]
+        assert np.array_equal(matrix, expected)
+        for n_rows in (0, 9, len(subjects)):
+            rows, hit = _kernels.nfa_match_split(codes, loop, skip, offs, flags, scodes, s_off, n_rows)
+            assert np.array_equal(rows, expected[:, :n_rows])
+            assert np.array_equal(hit, expected[:, n_rows:].any(axis=1))
 
 
 _ATOMS = st.one_of(

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftsig.engine import match_many, match_one
+from driftsig.engine import match_many
 from driftsig.errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from driftsig.learner import (
     LearnerConfig,
@@ -26,6 +26,7 @@ from oracle import (
     kept_grams_reference,
     minimum_cover_size,
     pool_reference,
+    reference_learn,
 )
 
 
@@ -164,6 +165,15 @@ def test_generate_components_equals_the_reference_pool(inp):
     assert list(zip(texts(pool), pool.values())) == list(pool_reference(pos, neg, cfg).items())
 
 
+@PROPERTY
+@given(pool_inputs())
+@example(({"ab"}, {"c"}, LearnerConfig(max_ngram=1, max_wildcards=0, max_quantified=1, max_pool=3)))
+@example(({"ab", "ba"}, {"a", "b"}, LearnerConfig(max_pool=0)))
+def test_learn_equals_the_reference_learn(inp):
+    pos, neg, cfg = inp
+    assert learn(pos, neg, cfg).texts() == reference_learn(pos, neg, cfg)
+
+
 def test_golden_learned_models():
     # sha256 over the learned pattern texts of 40 seeded cases with the
     # regex-golf caps: a change in pool order or cover tie-break changes it
@@ -266,7 +276,7 @@ def test_greedy_within_harmonic_bound_of_optimum():
 def test_learn_spec_cases():
     model = learn({"foo", "food"}, {"bar"})
     assert model.texts() == ["f"]
-    assert all(match_one(p, "foo") for p in model.patterns)
+    assert match_many(model.patterns, ["foo"]).all()
     assert model.predict_batch(["foo", "food"]).tolist() == [1, 1]
     assert model.predict_batch(["bar"]).tolist() == [0]
 

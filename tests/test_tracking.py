@@ -27,9 +27,9 @@ def model_of(*texts):
 
 def test_predict_examples():
     model = model_of("ads", "track")
-    assert model.predict("ads.example.com") == 1
-    assert Model().predict("whatever") == 0
-    assert model_of("^ab$").predict("cab") == 0
+    assert model.predict_batch(["ads.example.com"]).tolist() == [1]
+    assert Model().predict_batch(["whatever"]).tolist() == [0]
+    assert model_of("^ab$").predict_batch(["cab"]).tolist() == [0]
 
 
 def test_run_window_partitions_and_learns():
