@@ -3,12 +3,13 @@
 Each pattern is a short chain of states: state 0 is the start and
 state ``i`` means "first ``i`` atoms consumed".  Quantifiers become two
 flags per atom (may repeat; may be skipped), so simulation is a linear
-scan over states -- no backtracking.  :func:`pack_patterns` is the one
+scan over states -- no backtracking.  :func:`pack_tokens` is the one
 place that encodes atoms into these flat arrays: a pattern is stored as
 its token string (one character per atom, see :mod:`driftsig.patterns`),
-the learner hands its components over as bare token strings, and three
-256-entry tables turn the joined tokens' bytes into the atoms' codes and
-repeat and skip flags.  The learner's kernels
+the token strings are joined into one byte array with offsets (the
+learner packs its components once and hands the buffer to
+:func:`match_split`), and three 256-entry tables turn those bytes into
+the atoms' codes and repeat and skip flags.  The learner's kernels
 simulate every chain of a batch at once, one bit per atom (bit-parallel
 Shift-And, see :mod:`driftsig._kernels`); :func:`compile_set` runs
 the same recurrence, on the same masks, as a subset construction, so a
@@ -77,6 +78,21 @@ _TOKEN_LOOP = _token_table(lambda a: a.quant in (Quant.ZERO_OR_MORE, Quant.ONE_O
 _TOKEN_SKIP = _token_table(lambda a: a.quant in (Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE))
 
 
+def pack_tokens(keys) -> tuple[np.ndarray, np.ndarray]:
+    """Join the token strings ``keys`` into one byte array; returns
+    ``(raw, offsets)``, token string ``i`` being ``raw[offsets[i]:offsets[i + 1]]``."""
+    keys = list(keys)
+    raw = np.frombuffer("".join(keys).encode("latin-1"), dtype=np.uint8)
+    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, keys), np.int64, len(keys)), out=offsets[1:])
+    return raw, offsets
+
+
+def _atom_arrays(raw):
+    """The (codes, loop, skip) kernel arrays of the joined token bytes ``raw``."""
+    return _TOKEN_CODE[raw], _TOKEN_LOOP[raw], _TOKEN_SKIP[raw]
+
+
 def pack_patterns(patterns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Flatten patterns into (codes, loop, skip, offsets, flags) kernel arrays.
 
@@ -90,10 +106,8 @@ def pack_patterns(patterns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     else:
         keys = [p.tokens for p in pats]
         flags = np.array([p.anchored_start + 2 * p.anchored_end for p in pats], dtype=np.uint8)
-    raw = np.frombuffer("".join(keys).encode("latin-1"), dtype=np.uint8)
-    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, keys), np.int64, len(keys)), out=offsets[1:])
-    return _TOKEN_CODE[raw], _TOKEN_LOOP[raw], _TOKEN_SKIP[raw], offsets, flags
+    raw, offsets = pack_tokens(keys)
+    return (*_atom_arrays(raw), offsets, flags)
 
 
 def _packed(patterns, values):
@@ -114,11 +128,15 @@ def match_any_of(patterns, values) -> np.ndarray:
     return _kernels.nfa_match_any(*_packed(patterns, values))
 
 
-def match_split(patterns, values, others) -> tuple[np.ndarray, np.ndarray]:
-    """``(match_many(patterns, values), match_any_of(patterns, others))``,
-    with one pass of the kernel over both string lists."""
+def match_split(raw, offsets, values, others) -> tuple[np.ndarray, np.ndarray]:
+    """``(match_many(tokens, values), match_any_of(tokens, others))`` for
+    the unanchored token strings ``tokens`` that :func:`pack_tokens`
+    packed as ``raw`` and ``offsets``, with one pass of the kernel over
+    both string lists."""
     values = list(values)
-    return _kernels.nfa_match_split(*_packed(patterns, values + list(others)), len(values))
+    flags = np.zeros(len(offsets) - 1, dtype=np.uint8)
+    strings = encode_many(values + list(others))
+    return _kernels.nfa_match_split(*_atom_arrays(raw), offsets, flags, *strings, len(values))
 
 
 class MultiMatcher:

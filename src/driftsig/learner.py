@@ -14,11 +14,12 @@ the pool is one dict from token string to source positive, deduplicated
 on strings.  It stays in generation order until the filter has run;
 only an oversized pool is ordered before it, for the ``max_pool`` cut,
 and then the survivors are ordered by their canonical text.  ``learn``
-matches the pool against the positives and the negatives in one pass of
+packs the cut pool once into one byte buffer (``engine.pack_tokens``)
+and matches it against the positives and the negatives in one pass of
 the Shift-And kernel: the rows of the components that match no negative
-are the cover matrix.  The kernel packs the token strings through the
-engine's per-token tables, and the components greedy picks become
-patterns as they are, with no anchors.
+are the cover matrix.  The order by text is one numpy sort over keys
+rendered from that buffer, and the components greedy picks are read
+back from it and become patterns as they are, with no anchors.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from itertools import combinations, compress, product
 import numpy as np
 
 from .alphabet import BYTE_TABLE, CODE_OTHER, in_alphabet
-from .engine import match_any_of, match_split
+from .engine import match_any_of, match_split, pack_tokens
 from .errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from .model import Model
-from .patterns import ANY_TOKEN, QUANTIFY, Pattern, exact_pattern, render_tokens
+from .patterns import ANY_TOKEN, QUANTIFY, TOKEN_TEXT, Pattern, exact_pattern
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ def generate_components(positives, cfg: LearnerConfig, negatives=()) -> dict[str
     """
     kept = filter_components(_cut_pool(positives, cfg, negatives), negatives)
     tokens = list(kept)
-    return {tokens[i]: kept[tokens[i]] for i in _text_order(tokens)}
+    return {tokens[i]: kept[tokens[i]] for i in _text_order(*pack_tokens(tokens)).tolist()}
 
 
 def _cut_pool(positives, cfg: LearnerConfig, negatives) -> dict[str, int]:
@@ -95,7 +96,8 @@ def _cut_pool(positives, cfg: LearnerConfig, negatives) -> dict[str, int]:
         _expand_grams(grams, length, srcs, cfg, pool)
     if len(pool) > cfg.max_pool:
         tokens = list(pool)
-        pool = {tokens[i]: pool[tokens[i]] for i in _text_order(tokens)[: cfg.max_pool]}
+        cut = _text_order(*pack_tokens(tokens))[: cfg.max_pool].tolist()
+        pool = {tokens[i]: pool[tokens[i]] for i in cut}
     return pool
 
 
@@ -119,7 +121,7 @@ def _grams(ordered, negatives, max_ngram):
     first replaced by their dense ranks, which keeps them distinct.
     """
     pos_text = "\n".join(ordered)
-    raw = (pos_text + "\n" + "\n".join(sorted(set(negatives)))).encode("utf-8", "surrogatepass")
+    raw = (pos_text + "\n" + "\n".join(negatives)).encode("utf-8", "surrogatepass")
     chars = np.frombuffer(raw, dtype=np.uint8)
     codes = np.frombuffer(raw.translate(BYTE_TABLE), dtype=np.uint8)
     # the positives are ASCII, so their windows start before len(pos_text)
@@ -143,12 +145,45 @@ def _grams(ordered, negatives, max_ngram):
         yield n, grams, src_at[starts].tolist()
 
 
-def _text_order(tokens: list[str]) -> list[int]:
-    """Indices of the token strings ``tokens``, shortest canonical text
-    first, ties by text."""
-    # no token and no rendered atom is a newline
-    texts = render_tokens("\n".join(tokens)).split("\n")
-    return [i for _, _, i in sorted(zip(map(len, texts), texts, range(len(tokens))))]
+# per token byte: the bytes of its canonical text, zero-filled to four so
+# that each token's text is one uint32, and their count
+_TEXT_BYTES = np.zeros((256, 4), dtype=np.uint8)
+for _code, _text in TOKEN_TEXT.items():
+    _TEXT_BYTES[_code, : len(_text)] = list(_text.encode("ascii"))
+_TEXT_WORD = _TEXT_BYTES.view(np.uint32).ravel()
+_TEXT_LEN = np.count_nonzero(_TEXT_BYTES, axis=1)
+
+
+def _text_order(raw, offsets) -> np.ndarray:
+    """Indices of the token strings packed as ``raw`` and ``offsets``
+    (``engine.pack_tokens``), shortest canonical text first, ties by text.
+
+    Each string's text is written right-aligned into a zero-filled row of
+    a byte matrix, whose rows are then sorted as big-endian uint64 words.
+    Every text byte is nonzero, so a shorter text has more leading zeros
+    and sorts first, and texts of one length compare byte by byte, as
+    ASCII strings do.  Rendering is one-to-one, so no two rows tie.
+    """
+    n = len(offsets) - 1
+    if not n:
+        return np.zeros(0, dtype=np.intp)
+    codes = raw.astype(np.intp)
+    # the joined texts: every token's text bytes, without the zero fill
+    text = _TEXT_WORD[codes].view(np.uint8)
+    text = text.compress(text != 0)
+    text_off = np.zeros(len(raw) + 1, dtype=np.int64)
+    np.cumsum(_TEXT_LEN[codes], out=text_off[1:])
+    text_off = text_off[offsets]
+    lengths = np.diff(text_off)
+    width = -(-int(lengths.max()) // 8) * 8
+    # byte k of the joined texts, in string i, lands text_off[i + 1] - k
+    # bytes before the end of row i
+    at = np.repeat(np.arange(1, n + 1) * width - text_off[1:], lengths)
+    at += np.arange(len(text))
+    rows = np.zeros(n * width, dtype=np.uint8)
+    rows[at] = text
+    words = rows.view(">u8").reshape(n, width // 8).astype(np.uint64)
+    return np.lexsort(words.T[::-1])
 
 
 def _expand_grams(grams: str, length: int, srcs: list[int], cfg: LearnerConfig, seen: dict) -> None:
@@ -164,6 +199,8 @@ def _expand_grams(grams: str, length: int, srcs: list[int], cfg: LearnerConfig, 
     variant several grams share keeps the lowest.
     """
     columns = [grams[i::length] for i in range(length)]
+    # each column's ?, * and + forms, translated once for every shape
+    quantified = [[col.translate(t) for t in QUANTIFY] for col in columns] if cfg.max_quantified else []
     wild_column = ANY_TOKEN * len(srcs)
     positions = range(length)
     # all-wildcard components are forbidden
@@ -173,10 +210,10 @@ def _expand_grams(grams: str, length: int, srcs: list[int], cfg: LearnerConfig, 
             plain = [i for i in positions if i not in wild]
             for n_q in range(min(cfg.max_quantified, len(plain)) + 1):
                 for q_pos in combinations(plain, n_q):
-                    for kinds in product(QUANTIFY, repeat=n_q):
+                    for kinds in product(range(len(QUANTIFY)), repeat=n_q):
                         cols = list(base)
-                        for i, table in zip(q_pos, kinds):
-                            cols[i] = columns[i].translate(table)
+                        for i, kind in zip(q_pos, kinds):
+                            cols[i] = quantified[i][kind]
                         seen.update(zip(map("".join, zip(*cols)), srcs))
 
 
@@ -184,7 +221,7 @@ def filter_components(pool: dict[str, int], negatives) -> dict[str, int]:
     """The sub-dict of ``pool`` whose components match no negative string."""
     if not negatives or not pool:
         return dict(pool)
-    hits = match_any_of(pool, sorted(set(negatives)))
+    hits = match_any_of(pool, set(negatives))
     return dict(compress(pool.items(), (~hits).tolist()))
 
 
@@ -226,17 +263,19 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
     Deterministic for identical inputs regardless of set iteration order.
     """
     cfg = cfg or LearnerConfig()
-    overlap = set(positives) & set(negatives)
+    positives, negatives = set(positives), set(negatives)
+    overlap = positives & negatives
     if overlap:
         raise DisjointnessViolation(overlap)
 
-    pos = sorted(set(positives))
-    tokens = list(_cut_pool(pos, cfg, negatives))
-    cover, hit = match_split(tokens, pos, sorted(set(negatives)))
-    kept = list(compress(tokens, (~hit).tolist()))
-    order = _text_order(kept)
-    cover = cover[np.flatnonzero(~hit)[order]]
+    pos = sorted(positives)
+    raw, offsets = pack_tokens(_cut_pool(pos, cfg, negatives))
+    cover, hit = match_split(raw, offsets, pos, negatives)
+    order = _text_order(raw, offsets)
+    order = order[~hit[order]]
+    cover = cover[order]
     reached = cover.any(axis=0)
-    picked = [Pattern(kept[order[i]]) for i in greedy_set_cover(cover[:, reached])]
+    picks = order[greedy_set_cover(cover[:, reached])]
+    picked = [Pattern(raw[offsets[i] : offsets[i + 1]].tobytes().decode("latin-1")) for i in picks]
     fallbacks = [exact_pattern(pos[j]) for j in np.flatnonzero(~reached)]
     return Model(tuple(picked + fallbacks))

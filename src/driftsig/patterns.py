@@ -82,8 +82,9 @@ TOKEN_ATOMS.update(
 _TOKEN_OF = {(a.quant, a.char): t for t, a in TOKEN_ATOMS.items()}
 # str.translate tables from a literal's token to its ``?``, ``*`` and ``+`` tokens
 QUANTIFY = tuple({ord(ch): _TOKEN_OF[q, ch] for ch in ALPHABET} for q in _REPEATS)
-# str.translate table from tokens to canonical text
-_TOKEN_TEXT = {ord(t): _render_atom(a) for t, a in TOKEN_ATOMS.items()}
+# str.translate table from tokens to canonical text, one to three ASCII
+# characters a token
+TOKEN_TEXT = {ord(t): _render_atom(a) for t, a in TOKEN_ATOMS.items()}
 
 
 @dataclass(frozen=True)
@@ -188,4 +189,4 @@ def exact_pattern(value: str) -> Pattern:
 
 def render_tokens(tokens: str) -> str:
     """Canonical text of the unanchored pattern ``tokens`` encodes."""
-    return tokens.translate(_TOKEN_TEXT)
+    return tokens.translate(TOKEN_TEXT)

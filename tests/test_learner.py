@@ -8,17 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftsig.engine import match_many
+from driftsig.engine import match_many, match_split, pack_tokens
 from driftsig.errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from driftsig.learner import (
     LearnerConfig,
     _grams,
+    _text_order,
     filter_components,
     generate_components,
     greedy_set_cover,
     learn,
 )
-from driftsig.patterns import parse_pattern, render_tokens
+from driftsig.patterns import ANY_TOKEN, TOKEN_ATOMS, parse_pattern, render_tokens
 
 from oracle import (
     cover_matrix,
@@ -140,6 +141,27 @@ def test_max_pool_cut_comes_before_the_filter():
     pool = generate_components(pos, LearnerConfig(**caps, max_pool=3), neg)
     assert list(pool.items()) == list(filter_components(cut, neg).items())
     assert texts(pool) == ["a", "b"]
+
+
+# atoms whose texts differ in length: a literal dot renders as two bytes
+# and a quantified one as three, a wildcard and a plain literal as one
+_DOTTY = [ANY_TOKEN, "a"] + [parse_pattern(t).tokens for t in ("\\.", "\\.?", "\\.*", "\\.+", "a?", "b+")]
+_TOKEN_STRINGS = st.lists(
+    st.one_of(st.sampled_from(_DOTTY), st.sampled_from(sorted(TOKEN_ATOMS))), min_size=1, max_size=12
+).map("".join)
+
+
+@PROPERTY
+@given(st.lists(_TOKEN_STRINGS, max_size=40))
+@example([parse_pattern("a?").tokens, "a"])
+@example([parse_pattern("\\.").tokens, ANY_TOKEN])
+def test_text_order_sorts_by_length_then_text(tokens):
+    # texts of up to 36 bytes cross the 8- and 16-byte word boundaries
+    def by_text(t):
+        return len(render_tokens(t)), render_tokens(t)
+
+    order = _text_order(*pack_tokens(tokens))
+    assert [tokens[i] for i in order] == sorted(tokens, key=by_text)
 
 
 @st.composite
@@ -368,6 +390,28 @@ def test_learn_deterministic_across_input_orderings():
         shuffled_n = set(sorted(negs, reverse=True))
         again = learn(shuffled_p, shuffled_n)
         assert again.texts() == base.texts()
+
+
+def test_learn_ignores_the_order_of_the_negatives():
+    # nothing orders the negatives: the gram stage sorts its window keys
+    # and the kernel ORs the negatives' hits, so any order, with repeats,
+    # gives the same pool, the same hits and the same model (learn's own
+    # set of the negatives may iterate alike for both lists, so the
+    # kernel is also called with the lists as they are)
+    rng = random.Random(53)
+    cfg = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=1, max_pool=400)
+    for _ in range(10):
+        pos = {"".join(rng.choice("abc0.") for _ in range(rng.randint(1, 9))) for _ in range(5)}
+        neg = sorted({"".join(rng.choice("abc0.") for _ in range(rng.randint(1, 9))) for _ in range(8)} - pos)
+        shuffled = neg + neg[:3]
+        rng.shuffle(shuffled)
+        for pair in [(neg, shuffled), (neg, neg[::-1])]:
+            a, b = (generate_components(pos, cfg, n) for n in pair)
+            assert list(a.items()) == list(b.items())
+            packed = pack_tokens(generate_components(pos, cfg))
+            hits = [match_split(*packed, sorted(pos), n)[1] for n in pair]
+            assert hits[0].tolist() == hits[1].tolist()
+            assert learn(pos, pair[0], cfg).texts() == learn(pos, pair[1], cfg).texts()
 
 
 def test_learn_pool_matches_literal_composition():
