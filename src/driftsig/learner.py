@@ -20,11 +20,19 @@ the Shift-And kernel: the rows of the components that match no negative
 are the cover matrix.  The order by text is one numpy sort over keys
 rendered from that buffer, and the components greedy picks are read
 back from it and become patterns as they are, with no anchors.
+
+``learn`` leaves out the variants whose first or last non-wildcard atom
+carries a ``+``, or a ``?`` or ``*`` when there is another non-wildcard
+atom: each matches exactly what a shorter component of the pool matches,
+which sorts before it, so greedy never picks it.  With the regex-golf
+caps they are about three quarters of the pool.  They are expanded after
+all when the ``max_pool`` cut may have to count them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, compress, product
 
 import numpy as np
@@ -75,15 +83,30 @@ def generate_components(positives, cfg: LearnerConfig, negatives=()) -> dict[str
     A gram found in a negative is dropped before expansion, and so
     before the cut: every variant of it matches a superset of its
     language, so the filter would drop them all.
+
+    This returns every variant; only :func:`learn` defers the ones that
+    :func:`_shapes` names, which change none of its picks.
     """
     kept = filter_components(_cut_pool(positives, cfg, negatives), negatives)
     tokens = list(kept)
     return {tokens[i]: kept[tokens[i]] for i in _text_order(*pack_tokens(tokens)).tolist()}
 
 
-def _cut_pool(positives, cfg: LearnerConfig, negatives) -> dict[str, int]:
+def _cut_pool(positives, cfg: LearnerConfig, negatives, defer: bool = False) -> dict[str, int]:
     """:func:`generate_components`' pool before the filter: in generation
-    order, or cut to its ``max_pool`` first components in text order."""
+    order, or cut to its ``max_pool`` first components in text order.
+
+    With ``defer``, as :func:`learn` calls it, the shapes :func:`_shapes`
+    defers are left out when no cut follows.  Each of their variants
+    matches exactly the strings some component of shorter text matches,
+    so the filter keeps both or neither, their cover rows are equal, and
+    greedy, which breaks ties by the lower index in text order, never
+    picks the variant.  A cut must count them, though: they are counted
+    (``len(srcs)`` a shape, an upper bound on the distinct ones), and
+    when the pool plus that count exceeds ``max_pool``, the deferred
+    shapes alone are expanded as well and the pool is cut as without
+    ``defer``.
+    """
     if not positives:
         raise EmptyPositiveSetError("no positive strings to learn from")
     ordered = sorted(set(positives))
@@ -92,8 +115,17 @@ def _cut_pool(positives, cfg: LearnerConfig, negatives) -> dict[str, int]:
             raise ValueError(f"positive string outside the event alphabet: {s!r}")
 
     pool: dict[str, int] = {}
+    deferred = []  # (grams, length, srcs, deferred shapes) per gram length
+    n_deferred = 0
     for length, grams, srcs in _grams(ordered, negatives, cfg.max_ngram):
-        _expand_grams(grams, length, srcs, cfg, pool)
+        now, later = _shapes(length, cfg.max_wildcards, cfg.max_quantified, defer)
+        _expand_grams(grams, length, srcs, now, pool)
+        if later:
+            deferred.append((grams, length, srcs, later))
+            n_deferred += len(srcs) * len(later)
+    if len(pool) + n_deferred > cfg.max_pool:
+        for grams, length, srcs, later in deferred:
+            _expand_grams(grams, length, srcs, later, pool)
     if len(pool) > cfg.max_pool:
         tokens = list(pool)
         cut = _text_order(*pack_tokens(tokens))[: cfg.max_pool].tolist()
@@ -186,35 +218,74 @@ def _text_order(raw, offsets) -> np.ndarray:
     return np.lexsort(words.T[::-1])
 
 
-def _expand_grams(grams: str, length: int, srcs: list[int], cfg: LearnerConfig, seen: dict) -> None:
-    """Add every variant of the joined ``length``-character ``grams`` to ``seen``.
+_PLUS = 2  # the index of the ``+`` table in QUANTIFY
+
+
+# one entry holds the shapes of one gram length, no more than the variants
+# of one gram, under one set of caps
+@lru_cache(maxsize=256)
+def _shapes(length: int, max_wildcards: int, max_quantified: int, defer: bool):
+    """The variant shapes of a ``length``-character gram, as ``(wild,
+    quants)``: its wildcard positions (never all of them), then its
+    quantifier positions and kinds (indices into ``QUANTIFY``).
+
+    Returns the shapes to expand now and, with ``defer``, apart from them
+    the shapes :func:`learn` defers: a ``+`` on the first or last
+    non-wildcard atom, or any quantifier there when the shape has two
+    non-wildcard atoms or more.  An unanchored component of such a shape
+    matches exactly what a shorter one matches.  ``x+`` matches as ``x``:
+    the last ``x`` of a run and the wildcards before it, or the first
+    and the wildcards after it, match alone (``a+bc`` as ``abc``).
+    ``x?`` and ``x*`` match as the component without that atom, whose
+    wildcards take the characters next to the rest (``.a?c`` as ``.c``,
+    ``ab*`` as ``a``).  That component is a variant of the same gram, or
+    of the gram one character shorter at that end, with the same
+    wildcards and one quantifier less, and a negative that holds that
+    gram is matched by both.  A quantifier between literals changes what
+    matches (``ab?c``), and ``.a?`` has no shorter form, ``.`` being no
+    component.
+    """
+    now, later = [], []
+    positions = range(length)
+    for n_wild in range(min(max_wildcards, length - 1) + 1):
+        for wild in combinations(positions, n_wild):
+            plain = [i for i in positions if i not in wild]
+            ends = (plain[0], plain[-1])
+            for n_q in range(min(max_quantified, len(plain)) + 1):
+                for q_pos in combinations(plain, n_q):
+                    for kinds in product(range(len(QUANTIFY)), repeat=n_q):
+                        quants = tuple(zip(q_pos, kinds))
+                        reducible = any(i in ends and (k == _PLUS or len(plain) > 1) for i, k in quants)
+                        (later if defer and reducible else now).append((wild, quants))
+    return tuple(now), tuple(later)
+
+
+def _expand_grams(grams: str, length: int, srcs: list[int], shapes, seen: dict) -> None:
+    """Add the variants of the joined ``length``-character ``grams`` in
+    the ``shapes`` of :func:`_shapes` to ``seen``.
 
     A gram's plain literals are its own token string.  The grams are
-    taken column by column: a variant shape (wildcard positions, then
-    quantifier positions and kinds) swaps some columns for a column of
+    taken column by column: a shape swaps some columns for a column of
     wildcard tokens or a ``str.translate``d column of quantified tokens,
     and zipping the columns back gives that shape's variant of every gram.
     A component's tokens fix its shape, so shapes never share a component;
     within a shape, ``srcs`` runs from the highest source down, so a
-    variant several grams share keeps the lowest.
+    variant several grams share keeps the lowest.  :func:`learn` passes
+    the shapes it defers only when its ``max_pool`` cut must count them:
+    their variants match exactly what shorter components match, and
+    greedy picks those first.
     """
     columns = [grams[i::length] for i in range(length)]
     # each column's ?, * and + forms, translated once for every shape
-    quantified = [[col.translate(t) for t in QUANTIFY] for col in columns] if cfg.max_quantified else []
+    quantified = [[col.translate(t) for t in QUANTIFY] for col in columns] if any(q for _, q in shapes) else []
     wild_column = ANY_TOKEN * len(srcs)
-    positions = range(length)
-    # all-wildcard components are forbidden
-    for n_wild in range(min(cfg.max_wildcards, length - 1) + 1):
-        for wild in combinations(positions, n_wild):
-            base = [wild_column if i in wild else col for i, col in enumerate(columns)]
-            plain = [i for i in positions if i not in wild]
-            for n_q in range(min(cfg.max_quantified, len(plain)) + 1):
-                for q_pos in combinations(plain, n_q):
-                    for kinds in product(range(len(QUANTIFY)), repeat=n_q):
-                        cols = list(base)
-                        for i, kind in zip(q_pos, kinds):
-                            cols[i] = quantified[i][kind]
-                        seen.update(zip(map("".join, zip(*cols)), srcs))
+    for wild, quants in shapes:
+        cols = list(columns)
+        for i in wild:
+            cols[i] = wild_column
+        for i, kind in quants:
+            cols[i] = quantified[i][kind]
+        seen.update(zip(map("".join, zip(*cols)), srcs))
 
 
 def filter_components(pool: dict[str, int], negatives) -> dict[str, int]:
@@ -269,7 +340,7 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
         raise DisjointnessViolation(overlap)
 
     pos = sorted(positives)
-    raw, offsets = pack_tokens(_cut_pool(pos, cfg, negatives))
+    raw, offsets = pack_tokens(_cut_pool(pos, cfg, negatives, defer=True))
     cover, hit = match_split(raw, offsets, pos, negatives)
     order = _text_order(raw, offsets)
     order = order[~hit[order]]

@@ -12,6 +12,7 @@ from driftsig.engine import match_many, match_split, pack_tokens
 from driftsig.errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from driftsig.learner import (
     LearnerConfig,
+    _cut_pool,
     _grams,
     _text_order,
     filter_components,
@@ -19,9 +20,10 @@ from driftsig.learner import (
     greedy_set_cover,
     learn,
 )
-from driftsig.patterns import ANY_TOKEN, TOKEN_ATOMS, parse_pattern, render_tokens
+from driftsig.patterns import ANY_TOKEN, TOKEN_ATOMS, Quant, parse_pattern, render_tokens
 
 from oracle import (
+    backtrack_match,
     cover_matrix,
     greedy_cover_reference,
     kept_grams_reference,
@@ -191,9 +193,114 @@ def test_generate_components_equals_the_reference_pool(inp):
 @given(pool_inputs())
 @example(({"ab"}, {"c"}, LearnerConfig(max_ngram=1, max_wildcards=0, max_quantified=1, max_pool=3)))
 @example(({"ab", "ba"}, {"a", "b"}, LearnerConfig(max_pool=0)))
+# max_pool between the pool without the variants learn defers (7, 6 and
+# 35 components) and the whole pool (32, 52 and 107): the deferred
+# variants must be expanded and cut with the rest
+@example(({"..", ".ba", "aba"}, {".", "bX."}, LearnerConfig(max_ngram=2, max_wildcards=0, max_quantified=1, max_pool=13)))
+@example(({"abb.", "b...", "b.a"}, {"..", "X.b", "bbXb"},
+          LearnerConfig(max_ngram=2, max_wildcards=0, max_quantified=2, max_pool=9)))
+@example(({"a.b", "aa", "aba"}, {"", "XbaX", "abXa"},
+          LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=1, max_pool=56)))
+# 17 components and 36 deferred variants exceed max_pool, but two of the
+# deferred ones are the same component: the whole pool of 52 is not cut
+@example(({"a", "bb", "bba"}, set(), LearnerConfig(max_ngram=2, max_wildcards=2, max_quantified=2, max_pool=52)))
 def test_learn_equals_the_reference_learn(inp):
     pos, neg, cfg = inp
     assert learn(pos, neg, cfg).texts() == reference_learn(pos, neg, cfg)
+
+
+def _reducible(text):
+    """Whether a component's first or last non-wildcard atom carries a
+    ``+``, or any quantifier when it has two non-wildcard atoms or more."""
+    plain = [a for a in parse_pattern(text).atoms if not a.is_any]
+    return any(
+        a.quant is Quant.ONE_OR_MORE or (a.quant is not Quant.ONE and len(plain) > 1)
+        for a in (plain[0], plain[-1])
+    )
+
+
+@PROPERTY
+@given(pool_inputs())
+@example(({"abc"}, set(), LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=2)))
+def test_learn_defers_exactly_the_reducible_variants(inp):
+    # with no cut to make, learn's pool is the whole pool less the
+    # variants whose end quantifier a shorter component makes redundant
+    pos, neg, cfg = inp
+    cfg = LearnerConfig(cfg.max_ngram, cfg.max_wildcards, cfg.max_quantified, max_pool=10**6)
+    whole = texts(_cut_pool(pos, cfg, neg))
+    deferred_free = texts(_cut_pool(pos, cfg, neg, defer=True))
+    assert sorted(deferred_free) == sorted(t for t in whole if not _reducible(t))
+
+
+@st.composite
+def deferred_variants(draw):
+    """(variant, reduced form, instances): a component with a quantifier on
+    its first or last literal atom and at most one more quantifier, as
+    learn defers it; the shorter component that matches the same strings,
+    with the ``+`` dropped or the ``?`` or ``*`` atom dropped whole; and
+    strings holding a match of the variant."""
+    chars = draw(st.lists(st.sampled_from("ab."), min_size=1, max_size=4))
+    quants = [""] * len(chars)
+    end = draw(st.sampled_from([0, len(chars) - 1]))
+    quants[end] = draw(st.sampled_from("?*+" if len(chars) > 1 else "+"))
+    others = [i for i in range(len(chars)) if i != end]
+    if others and draw(st.booleans()):
+        quants[draw(st.sampled_from(others))] = draw(st.sampled_from("?*+"))
+    # wildcards before, between and after the literals
+    gaps = draw(st.lists(st.integers(0, 2), min_size=len(chars) + 1, max_size=len(chars) + 1))
+
+    def text(reduce):
+        parts = ["." * gaps[0]]
+        for i, (ch, q) in enumerate(zip(chars, quants)):
+            if not (reduce and i == end and q != "+"):
+                parts.append(("\\." if ch == "." else ch) + ("" if reduce and i == end else q))
+            parts.append("." * gaps[i + 1])
+        return "".join(parts)
+
+    def instance():
+        fill = st.text("ab.X", max_size=2)
+        out = [draw(fill), draw(st.text("ab.", min_size=gaps[0], max_size=gaps[0]))]
+        for ch, q, gap in zip(chars, quants, gaps[1:]):
+            lo, hi = {"": (1, 1), "?": (0, 1), "*": (0, 3), "+": (1, 3)}[q]
+            out.append(ch * draw(st.integers(lo, hi)))
+            out.append(draw(st.text("ab.", min_size=gap, max_size=gap)))
+        return "".join(out + [draw(fill)])
+
+    return text(False), text(True), [instance() for _ in range(3)]
+
+
+@PROPERTY
+@given(deferred_variants(), st.lists(st.text("ab.X", max_size=7), max_size=10))
+@example((".a?c", ".c", ["bac", "Xac"]), ["c", "Xc", "ac"])
+@example(("ab*", "a", ["abbb"]), ["b", "ba"])
+@example(("a+bc", "abc", ["aaabc"]), ["bc", "ab"])
+@example(("a?.b+", ".b+", ["ab"]), ["Xb", "abb"])
+def test_deferred_variants_match_like_their_reduced_form(case, subjects):
+    variant, reduced, instances = case
+    v, r = parse_pattern(variant), parse_pattern(reduced)
+    assert len(reduced) < len(variant)
+    assert all(backtrack_match(v, s) for s in instances)
+    for s in subjects + instances + ["", "X", "\xe9"]:
+        assert backtrack_match(v, s) == backtrack_match(r, s), s
+
+
+def test_middle_and_lone_end_quantifiers_are_not_deferred():
+    def m(text, s):
+        return backtrack_match(parse_pattern(text), s)
+
+    # a quantifier between literals: dropping b? loses "abc", dropping
+    # the ? loses "ac"
+    assert m("ab?c", "abc") and not m("ac", "abc")
+    assert m("ab?c", "ac") and not m("abc", "ac")
+    # .a? matches every alphabet character, and .a does not; its only
+    # shorter form is ".", which is no component (.a* matches the same
+    # strings and sorts first, but it is no shorter)
+    assert m(".a?", "b") and not m(".a", "b")
+    with pytest.raises(ValueError):
+        parse_pattern(".")
+    pool = texts(_cut_pool({"abc"}, LearnerConfig(max_ngram=3, max_wildcards=1), set(), defer=True))
+    assert {"ab?c", "ab+c", ".b?", "a?"} <= set(pool)
+    assert not {"a?bc", "ab?", "a+", "a+bc", ".b+"} & set(pool)
 
 
 def test_golden_learned_models():
