@@ -4,13 +4,17 @@ Two kernels dominate runtime: the pattern-set x string-set match used by
 the learner, and the combined-automaton scan that labels events,
 :func:`dfa_states`, the one loop that steps the automaton.  The match
 has one entry, :func:`nfa_match_split`: one pass over a string list
-gives the match matrix over its first n strings and, per pattern,
-whether it matches any of the others, so the learner's cover matrix and
-negative filter come from one call.  Both kernels take flat arrays:
-patterns as packed by ``engine.pack_patterns`` and subjects as encoded
-by ``alphabet.encode_many``.  Both step the subjects one character
-position at a time over the same layout, :func:`time_major`:
-the strings sorted longest first and their codes laid out step by step,
+gives the match words of its first n strings, one row per string with
+one bit per pattern's last atom, and, per pattern, whether it matches
+any of the others, so the learner's cover and negative filter come from
+one call.  The learner reads the bits of the components it keeps from
+those rows with :func:`bits_at`, strings by components, and the match
+matrix of :func:`nfa_match_matrix` is read the same way.  Both kernels
+take flat arrays: patterns as packed by ``engine.pack_patterns`` and
+subjects as encoded by ``alphabet.encode_many``.  Both step the
+subjects one character position at a time over the same layout,
+:func:`time_major`: the strings sorted longest first and their codes
+laid out step by step,
 so the strings still being read at a step are a prefix of the sorted
 ones and that step's characters one contiguous slice.  Nothing is
 padded: a batch costs one entry per character, and a step costs only
@@ -303,39 +307,53 @@ def _simulate(packed, cols, bounds, s0, s1):
 def nfa_match_split(codes, loop, skip, pat_off, pat_flags, scodes, s_off, n_rows):
     """Match every pattern against every string in one pass.
 
-    Returns ``(matrix, hit)``: the bool matrix of the patterns over the
-    first ``n_rows`` strings, and per pattern whether it matches any of
-    the strings after them.  Every pattern is stepped at once, over the
-    length-sorted strings in batches of at most ``_BATCH_CELLS`` string x
-    atom cells, so a long string's lone steps cost one pass over all the
-    patterns.
+    Returns ``(words, last, hit)``: one row of uint64 words per string of
+    the first ``n_rows``, in input order, where bit ``last[p]`` is set
+    when pattern p matches that string (:func:`bits_at` reads them), and
+    per pattern whether it matches any of the strings after them.  Every
+    pattern is stepped at once, over the length-sorted strings in
+    batches of at most ``_BATCH_CELLS`` string x atom cells, so a long
+    string's lone steps cost one pass over all the patterns.
     """
     n_pat = len(pat_off) - 1
-    matrix = np.zeros((n_pat, n_rows), dtype=bool)
-    hit = np.zeros(n_pat, dtype=bool)
     if not n_pat:
-        return matrix, hit
+        return np.zeros((n_rows, 0), dtype=np.uint64), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool)
     last, packed = _pack(codes, loop, skip, pat_off, pat_flags)
     cols, off, order = time_major(scodes, s_off)
     bounds = off.tolist()
+    n_words = packed[0].shape[1]
+    words = np.empty((n_rows, n_words), dtype=np.uint64)
+    others = np.zeros(n_words, dtype=np.uint64)
     per_batch = max(1, _BATCH_CELLS // int(pat_off[-1] - pat_off[0]))
     for s0 in range(0, len(order), per_batch):
         strings = order[s0 : s0 + per_batch]
         matched = _simulate(packed, cols, bounds, s0, s0 + len(strings))
-        in_matrix = strings < n_rows
-        matrix[:, strings[in_matrix]] = _bits(matched[in_matrix])[:, last].T
-        hit |= _bits(np.bitwise_or.reduce(matched[~in_matrix], axis=0))[last]
-    return matrix, hit
+        in_rows = strings < n_rows
+        words[strings[in_rows]] = matched[in_rows]
+        others |= np.bitwise_or.reduce(matched[~in_rows], axis=0)
+    return words, last, _bits(others)[last]
+
+
+def bits_at(words, cols):
+    """Bits ``cols`` of each row of uint64 ``words``: a ``(rows x
+    len(cols))`` bool matrix.  Rows are unpacked a block at a time, so
+    no more than about ``_BATCH_CELLS`` bools are unpacked at once."""
+    out = np.empty((len(words), len(cols)), dtype=bool)
+    per_block = max(1, _BATCH_CELLS // max(64 * words.shape[1], 1))
+    for r0 in range(0, len(words), per_block):
+        out[r0 : r0 + per_block] = _bits(words[r0 : r0 + per_block])[:, cols]
+    return out
 
 
 def nfa_match_matrix(codes, loop, skip, pat_off, pat_flags, scodes, s_off):
     """Match every pattern against every string; returns a bool matrix."""
-    return nfa_match_split(codes, loop, skip, pat_off, pat_flags, scodes, s_off, len(s_off) - 1)[0]
+    words, last, _ = nfa_match_split(codes, loop, skip, pat_off, pat_flags, scodes, s_off, len(s_off) - 1)
+    return bits_at(words, last).T
 
 
 def nfa_match_any(codes, loop, skip, pat_off, pat_flags, scodes, s_off):
     """Per pattern: does it match at least one of the strings?"""
-    return nfa_match_split(codes, loop, skip, pat_off, pat_flags, scodes, s_off, 0)[1]
+    return nfa_match_split(codes, loop, skip, pat_off, pat_flags, scodes, s_off, 0)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -128,11 +128,16 @@ def match_any_of(patterns, values) -> np.ndarray:
     return _kernels.nfa_match_any(*_packed(patterns, values))
 
 
-def match_split(raw, offsets, values, others) -> tuple[np.ndarray, np.ndarray]:
-    """``(match_many(tokens, values), match_any_of(tokens, others))`` for
-    the unanchored token strings ``tokens`` that :func:`pack_tokens`
-    packed as ``raw`` and ``offsets``, with one pass of the kernel over
-    both string lists."""
+def match_split(raw, offsets, values, others) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Match the unanchored token strings that :func:`pack_tokens` packed
+    as ``raw`` and ``offsets`` against ``values`` and ``others`` in one
+    pass of the kernel.
+
+    Returns ``(words, last, hit)`` as ``_kernels.nfa_match_split`` does:
+    one row of match words per value, in order, where bit ``last[i]``
+    is set when token string i matches it, and per token string whether
+    it matches any of ``others`` (``match_any_of(tokens, others)``).
+    """
     values = list(values)
     flags = np.zeros(len(offsets) - 1, dtype=np.uint8)
     strings = encode_many(values + list(others))

@@ -16,10 +16,13 @@ only an oversized pool is ordered before it, for the ``max_pool`` cut,
 and then the survivors are ordered by their canonical text.  ``learn``
 packs the cut pool once into one byte buffer (``engine.pack_tokens``)
 and matches it against the positives and the negatives in one pass of
-the Shift-And kernel: the rows of the components that match no negative
-are the cover matrix.  The order by text is one numpy sort over keys
-rendered from that buffer, and the components greedy picks are read
-back from it and become patterns as they are, with no anchors.
+the Shift-And kernel, which returns the positives' match words.  The
+order by text is one numpy sort over keys rendered from that buffer;
+the components that match no negative, in that order, are read from the
+words in one gather, so the cover stays elements-major (positives by
+components) from the kernel to greedy, and the components greedy picks
+are read back from the buffer and become patterns as they are, with no
+anchors.
 
 ``learn`` leaves out the variants whose first or last non-wildcard atom
 carries a ``+``, or a ``?`` or ``*`` when there is another non-wildcard
@@ -37,6 +40,7 @@ from itertools import combinations, compress, product
 
 import numpy as np
 
+from ._kernels import bits_at
 from .alphabet import BYTE_TABLE, CODE_OTHER, in_alphabet
 from .engine import match_any_of, match_split, pack_tokens
 from .errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
@@ -303,23 +307,37 @@ def greedy_set_cover(cover: np.ndarray) -> list[int]:
     Each round picks the row covering the most still-uncovered columns
     (ties broken by lowest index).  Raises :class:`UncoverableElements`
     when some column is True in no row.
+
+    Works on ``cover.T``, one row per element, which is copied only when
+    it is not C-contiguous already: ``learn`` passes the transpose of
+    its elements-major cover.  Each pick lowers the running gains by the
+    rows of the elements it newly covers.  Once the best gain is 1, each
+    candidate covers at most one uncovered element, so the remaining
+    picks are the first covering candidates of the uncovered elements,
+    distinct and in ascending order, all taken in one step.
     """
-    missing = np.flatnonzero(~cover.any(axis=0))
+    rows = np.ascontiguousarray(cover.T)
+    missing = np.flatnonzero(~rows.any(axis=1))
     if missing.size:
         raise UncoverableElements(missing.tolist())
+    if not len(rows):
+        return []
 
-    uncovered = np.ones(cover.shape[1], dtype=bool)
-    # each row's count of still-uncovered columns, lowered after each pick
-    # by the columns that pick newly covered
-    gains = cover.sum(axis=1)
+    uncovered = np.ones(len(rows), dtype=bool)
+    # each candidate's count of still-uncovered elements, lowered after
+    # each pick by the rows of the elements that pick newly covered
+    gains = np.add.reduce(rows.view(np.uint8), axis=0, dtype=np.int32)
     chosen: list[int] = []
-    while uncovered.any():
-        best = int(np.argmax(gains))
+    best = int(np.argmax(gains))
+    while gains[best] > 1:
         chosen.append(best)
-        newly = cover[best] & uncovered
+        newly = rows[:, best] & uncovered
         uncovered ^= newly
-        gains -= cover[:, newly].sum(axis=1)
-    return chosen
+        gains -= np.add.reduce(rows[newly].view(np.uint8), axis=0, dtype=np.int32)
+        best = int(np.argmax(gains))
+    # no candidate is the first cover of two uncovered elements, or its
+    # gain would be 2: the sorted firsts are the remaining picks
+    return chosen + np.sort(rows[uncovered].argmax(axis=1)).tolist()
 
 
 def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
@@ -341,12 +359,13 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
 
     pos = sorted(positives)
     raw, offsets = pack_tokens(_cut_pool(pos, cfg, negatives, defer=True))
-    cover, hit = match_split(raw, offsets, pos, negatives)
+    words, last, hit = match_split(raw, offsets, pos, negatives)
     order = _text_order(raw, offsets)
     order = order[~hit[order]]
-    cover = cover[order]
-    reached = cover.any(axis=0)
-    picks = order[greedy_set_cover(cover[:, reached])]
+    # positives x survivors in text order
+    cover = bits_at(words, last[order])
+    reached = cover.any(axis=1)
+    picks = order[greedy_set_cover(cover[reached].T)]
     picked = [Pattern(raw[offsets[i] : offsets[i + 1]].tobytes().decode("latin-1")) for i in picks]
     fallbacks = [exact_pattern(pos[j]) for j in np.flatnonzero(~reached)]
     return Model(tuple(picked + fallbacks))

@@ -390,6 +390,24 @@ def test_kernels_on_multiword_and_multichunk_batches():
     assert np.array_equal(any_hit, matrix.any(axis=1))
 
 
+def _match_bits(words, last):
+    """Bit ``last[p]`` of string j's match words, read one at a time, as
+    a (patterns x strings) bool matrix."""
+    cells = [[int(row[b // 64]) >> (b % 64) & 1 for row in words] for b in last.tolist()]
+    return np.array(cells, dtype=bool).reshape(len(last), len(words))
+
+
+def test_kernels_on_an_empty_pattern_list():
+    # no pattern: no match words, no last bits and no hits, whatever the strings
+    codes, loop, skip, offs, flags = pack_patterns([])
+    scodes, s_off = encode_many(["ab", "", "xaby"])
+    for n_rows in (0, 2, 3):
+        words, last, hit = _kernels.nfa_match_split(codes, loop, skip, offs, flags, scodes, s_off, n_rows)
+        assert words.shape == (n_rows, 0) and last.shape == (0,) and hit.shape == (0,)
+    assert _kernels.nfa_match_matrix(codes, loop, skip, offs, flags, scodes, s_off).shape == (0, 3)
+    assert _kernels.nfa_match_any(codes, loop, skip, offs, flags, scodes, s_off).shape == (0,)
+
+
 def test_kernels_at_word_boundaries():
     # patterns of 64, 65 and 130 atoms, anchored at either end, in one
     # chunk with short patterns: the word layout keeps every pattern of at
@@ -437,8 +455,8 @@ def test_kernels_at_word_boundaries():
     matrix = _kernels.nfa_match_matrix(codes, loop, skip, offs, flags, scodes, s_off)
     assert np.array_equal(matrix, expected)
     for n_rows in (0, 7, len(subjects)):
-        rows, hit = _kernels.nfa_match_split(codes, loop, skip, offs, flags, scodes, s_off, n_rows)
-        assert np.array_equal(rows, expected[:, :n_rows])
+        words, last, hit = _kernels.nfa_match_split(codes, loop, skip, offs, flags, scodes, s_off, n_rows)
+        assert np.array_equal(_match_bits(words, last), expected[:, :n_rows])
         assert np.array_equal(hit, expected[:, n_rows:].any(axis=1))
 
 
@@ -478,8 +496,8 @@ def test_kernels_step_string_batches_with_every_pattern_at_once():
         assert steps == [(s0, min(s0 + 2, len(subjects))) for s0 in range(0, len(subjects), 2)]
         assert np.array_equal(matrix, expected)
         for n_rows in (0, 9, len(subjects)):
-            rows, hit = _kernels.nfa_match_split(codes, loop, skip, offs, flags, scodes, s_off, n_rows)
-            assert np.array_equal(rows, expected[:, :n_rows])
+            words, last, hit = _kernels.nfa_match_split(codes, loop, skip, offs, flags, scodes, s_off, n_rows)
+            assert np.array_equal(_match_bits(words, last), expected[:, :n_rows])
             assert np.array_equal(hit, expected[:, n_rows:].any(axis=1))
 
 

@@ -516,7 +516,7 @@ def test_learn_ignores_the_order_of_the_negatives():
             a, b = (generate_components(pos, cfg, n) for n in pair)
             assert list(a.items()) == list(b.items())
             packed = pack_tokens(generate_components(pos, cfg))
-            hits = [match_split(*packed, sorted(pos), n)[1] for n in pair]
+            hits = [match_split(*packed, sorted(pos), n)[2] for n in pair]
             assert hits[0].tolist() == hits[1].tolist()
             assert learn(pos, pair[0], cfg).texts() == learn(pos, pair[1], cfg).texts()
 
@@ -547,8 +547,16 @@ def coverable_matrices(draw):
 
 @PROPERTY
 @given(coverable_matrices())
+# the gain-1 tail from the first pick on
+@example(np.eye(4, dtype=bool))
+# a gain-2 pick that lowers the last row's gain to 1, then a tail of three
+@example(np.array([[1, 0, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 1]], dtype=bool))
+# a tail whose rows cover the columns in the opposite order
+@example(np.eye(3, dtype=bool)[::-1].copy())
 def test_greedy_cover_properties(cover):
     chosen = greedy_set_cover(cover)
+    # learn passes the transpose of an elements-major matrix
+    assert greedy_set_cover(np.ascontiguousarray(cover.T).T) == chosen
     covered = np.zeros(cover.shape[1], dtype=bool)
     for i in chosen:
         assert (cover[i] & ~covered).any(), "every pick adds an uncovered column"
