@@ -19,9 +19,10 @@ An automaton state is the Shift-And state of all the chains at once,
 a Python int with one bit per atom, and its successor on a symbol is a
 few integer operations.  Most successors are shared: on a symbol that
 none of a state's own atoms reads, every state moves to the same
-state, so each compile fills the table with one base row and a state
-overwrites only the entries of the symbols its atoms read (a state
-holding a live wildcard, and state 0, write their whole row).  The
+state, so each compile fills the table with one base row, which the
+automaton keeps, and a state overwrites only the entries of the
+symbols its atoms read (a state holding a live wildcard, and state 0,
+write their whole row).  The
 chains' start states are implicit: the unanchored ones are live in
 every state, the anchored ones only in state 0, so state 0 is a state
 of its own exactly when some pattern is anchored at the start.  Each
@@ -35,9 +36,12 @@ gather from the table, and a long event costs only its own characters.
 :func:`extend_set` appends one compiled set to another without a second
 subset construction: it takes the reachable product of the two
 automata, which is the automaton one construction builds for the
-joined list, state for state.  Each automaton counts its own patterns,
-so the appended set's ids shift past the first's without the caller's
-bookkeeping.
+joined list, state for state.  Its search is sparse too: a pair's
+successor on a symbol is mostly the pair of the two base states, so a
+level fills its rows from the base row and sorts only the other
+successors (on the serve model, 2-29% of a join's entries).  Each
+automaton counts its own patterns, so the appended set's ids shift
+past the first's without the caller's bookkeeping.
 :func:`compile_set` uses the same join to build a long list as a
 balanced tree: lists of at most ``_LEAF_PATTERNS`` patterns take one
 construction, longer ones are halved by count and their halves'
@@ -153,18 +157,21 @@ class MultiMatcher:
     and ``end_pid[end_off[s]:end_off[s + 1]]`` at the end of the subject
     (CSR arrays, ids ascending), so a pattern that matches everywhere is
     listed in every state.  The scan's hit flags derive from the offsets.
+    ``base_row[c]`` is the id of symbol c's base state, where every state
+    none of whose atoms reads c moves on c, or -1 when no state is that
+    state; :func:`extend_set` keys its sparse search by it.
     Every array is read-only and matching never mutates state, so
     instances can be shared freely across threads.
     """
 
-    def __init__(self, trans, run_off, run_pid, end_off, end_pid, n_patterns):
-        self._trans = trans
+    def __init__(self, trans, base_row, run_off, run_pid, end_off, end_pid, n_patterns):
+        self._trans, self._base_row = trans, base_row
         self._run_off, self._run_pid = run_off, run_pid
         self._end_off, self._end_pid = end_off, end_pid
         self._hit_run = run_off[1:] != run_off[:-1]
         self._hit_end = end_off[1:] != end_off[:-1]
         self.n_patterns = n_patterns
-        for arr in (trans, run_off, run_pid, end_off, end_pid, self._hit_run, self._hit_end):
+        for arr in (trans, base_row, run_off, run_pid, end_off, end_pid, self._hit_run, self._hit_end):
             arr.setflags(write=False)
 
     @property
@@ -249,11 +256,13 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
     same for every state; ``rest`` holds the state's own atoms: the
     consumed ones moved on a slot, the repeating ones kept and, in state
     0, every start.  On a symbol no atom of ``rest`` reads, the
-    successor is base[c]'s state, whose id the first whole row to meet
-    it records.  Once every base id is known, they fill the table as one
-    base row, and a state with no wildcard in ``rest`` computes and
-    overwrites only the entries of the symbols its literal atoms read.
-    The other states, state 0 first among them, write their whole row.
+    successor is base[c]'s state.  Once whole rows have met every
+    symbol's base state, a state with no wildcard in ``rest`` computes
+    only the entries of the symbols its literal atoms read; the other
+    states, state 0 first among them, write their whole row.  The base
+    states' ids, the base row (-1 for a base state no string reaches),
+    fill the table first, the rows overwrite it, and the automaton
+    keeps the base row for :func:`extend_set`.
     """
     codes, loop, skip, offsets, flags = pack_patterns(pats)
     m = _kernels.shift_and_masks(codes, loop, skip, offsets, flags)
@@ -275,8 +284,7 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
 
     core = closed(start_free & skips)
     base = [closed(start_free & row) | core for row in table]
-    base_row = [0] * N_SYMBOLS
-    missing = set(range(N_SYMBOLS))  # symbols whose base state has no id yet
+    missing = set(range(N_SYMBOLS))  # symbols no whole row has shown to be base
     states = [closed(first & skips)]
     index = {core if start_free == first else -1: 0}
     # whole rows back to back with their states, and the sparse states'
@@ -318,14 +326,15 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
                 states.append(x)
                 work.append(nid)
             out.append(nid)
-        if missing:  # so this row was written whole, at the end of ``full``
-            for c in [c for c in missing if not rest & table[c]]:
-                base_row[c] = full[c - N_SYMBOLS]
-                missing.discard(c)
+        if missing:  # so this row was written whole
+            missing -= {c for c in missing if not rest & table[c]}
 
     def ints(buf: array) -> np.ndarray:
         return np.frombuffer(buf, dtype=np.int32)
 
+    # the base states' ids; one that no string reaches gets -1, and then
+    # every state reads its symbol, so ``missing`` kept every row whole
+    base_row = np.array([index.get(x, -1) for x in base], dtype=np.int32)
     trans = np.empty((len(states), N_SYMBOLS), dtype=np.int32)
     trans[:] = base_row
     trans[ints(full_sid)] = ints(full).reshape(-1, N_SYMBOLS)
@@ -349,7 +358,7 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
             off.append(len(pid))
         return ints(off), ints(pid)
 
-    return MultiMatcher(trans, *accepts(last_run), *accepts(last_end), len(pats))
+    return MultiMatcher(trans, base_row, *accepts(last_run), *accepts(last_end), len(pats))
 
 
 def extend_set(
@@ -367,12 +376,32 @@ def extend_set(
     order one subset construction's search meets them, by (parent
     state, symbol), so every field of the result equals compile_set's.
     Raises :class:`CapacityError` exactly when compile_set would.
+
+    The search is sparse, as the leaf construction is: most successors
+    on a symbol c are its base pair ``(base_row[c] of a, base_row[c] of
+    b)``, the combined base state, so the result's ``base_row`` holds
+    the base pairs' ids, as the single construction's does.  Once the
+    search has met a symbol's base pair, a level fills its rows with the
+    base ids and keys, sorts and deduplicates only the successors off
+    the base pair.  A symbol whose base pair has no id yet is keyed
+    whole, so every pair is still numbered at its first place.
     """
     trans_a, trans_b = base._trans, addition._trans
     n_add = trans_b.shape[0]
+    base_a, base_b = base._base_row, addition._base_row
     # pair (a, b) is keyed a * n_add + b; by_id holds the keys of the
     # pairs met so far in state order, the start pair (0, 0) being state 0
     by_id = level = np.zeros(1, dtype=np.int64)
+    base_key = base_a.astype(np.int64) * n_add + base_b
+    # the result's base row: the id of each symbol's base pair once the
+    # search has met it (the start pair's from the outset), -1 before and
+    # where an automaton has no base state for the symbol
+    has = (base_a >= 0) & (base_b >= 0)
+    base_row = np.where(has & (base_key == 0), 0, -1).astype(np.int32)
+    pending = np.flatnonzero(has & (base_row < 0))
+    # a's base successors of the symbols whose base pair has an id, -1
+    # (which no successor equals, so the symbol is keyed whole) elsewhere
+    met_a = np.where(base_row >= 0, base_a, -1)
     # the table, filled a level of rows at a time, is sized once for as
     # many states as the two automata hold together, about what disjoint
     # chains reach; a search that outgrows it adds at least its size again
@@ -382,31 +411,47 @@ def extend_set(
             trans = np.concatenate([trans, np.empty((len(by_id), N_SYMBOLS), dtype=np.int32)])
         rank = by_id.argsort()
         known = by_id[rank]
-        # successors of the level's pairs, row by row: (parent, symbol)
-        # order, built and then sorted in place; with the int32 gather
-        # below, few key-sized arrays are alive at once (on the serve
-        # model this lowers a redeploy's resident peak by about 1.4 MB)
-        keys = trans_a[level // n_add].astype(np.int64)
+        # successors of the level's pairs, row by row, at their (parent,
+        # symbol) places; those at their symbol's base pair, once it has an
+        # id, are not keyed
+        succ_a = trans_a[level // n_add]
+        succ_b = trans_b[level % n_add]
+        off = succ_a != met_a
+        off |= succ_b != base_b
+        places = off.ravel().nonzero()[0]
+        keys = succ_a.ravel()[places].astype(np.int64)
         keys *= n_add
-        keys += trans_b[level % n_add]
-        order = keys.ravel().argsort(kind="stable")
-        keys = keys.ravel()[order]
+        keys += succ_b.ravel()[places]
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
         head = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=head[1:])
         uniq = keys[head]
-        keys = None
+        starts = head.nonzero()[0]
         at = np.minimum(known.searchsorted(uniq), len(known) - 1)
-        ids = rank[at]
-        fresh = np.flatnonzero(known[at] != uniq)
-        # new pairs are numbered in the order of their first occurrence
-        fresh = fresh[order[head][fresh].argsort()]
+        ids = rank[at].astype(np.int32)
+        fresh = (known[at] != uniq).nonzero()[0]
+        # new pairs are numbered in the order of their first occurrence:
+        # the stable sort keeps a run of equal keys in place order, so its
+        # first entry is at its smallest place
+        fresh = fresh[order[starts[fresh]].argsort()]
         if len(fresh) and len(by_id) + len(fresh) > state_limit:
             raise CapacityError(f"combined automaton needs more than {state_limit} states")
         ids[fresh] = np.arange(len(by_id), len(by_id) + len(fresh))
-        # each successor takes the id of its run of equal sorted keys
-        run = np.cumsum(head)
-        run -= 1
-        trans[len(by_id) - len(level) : len(by_id)].reshape(-1)[order] = ids.astype(np.int32).take(run)
+        if len(pending):
+            at = np.minimum(uniq.searchsorted(base_key[pending]), len(uniq) - 1)
+            found = uniq[at] == base_key[pending]
+            base_row[pending[found]] = ids[at[found]]
+            pending = pending[~found]
+            met_a = np.where(base_row >= 0, base_a, -1)
+        # the level's rows: base ids, then every keyed successor's id,
+        # which is the id of its run of equal sorted keys
+        rows = trans[len(by_id) - len(level) : len(by_id)]
+        rows[:] = base_row
+        runs = np.empty_like(starts)
+        np.subtract(starts[1:], starts[:-1], out=runs[:-1])
+        runs[-1:] = len(keys) - starts[-1:]
+        rows.reshape(-1)[places[order]] = ids.repeat(runs)
         level = uniq[fresh]
         by_id = np.concatenate([by_id, level])
 
@@ -427,6 +472,7 @@ def extend_set(
 
     return MultiMatcher(
         trans,
+        base_row,
         *accepts(base._run_off, base._run_pid, addition._run_off, addition._run_pid),
         *accepts(base._end_off, base._end_pid, addition._end_off, addition._end_pid),
         base.n_patterns + addition.n_patterns,

@@ -172,7 +172,14 @@ def _grams(ordered, negatives, max_ngram):
         key = key[: len(codes) - n + 1] * 64 + codes[n - 1 :]
         valid = valid[: len(key)] & (codes[n - 1 :] != CODE_OTHER)
         at = np.flatnonzero(valid[:n_pos])
-        uniq, first = np.unique(key[at], return_index=True)
+        # the distinct keys and each one's lowest position in ``at``: the
+        # default sort, then the least position in each run of equal keys
+        order = key[at].argsort()
+        ranked = key[at[order]]
+        head = np.ones(len(order), dtype=bool)
+        np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+        uniq = ranked[head]
+        first = np.minimum.reduceat(order, head.nonzero()[0])
         # a gram is kept when no negative window has its key
         neg = np.sort(key[n_pos:][valid[n_pos:]])
         keep = np.searchsorted(neg, uniq, "right") == np.searchsorted(neg, uniq)

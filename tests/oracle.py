@@ -260,12 +260,13 @@ def state_ids(off, pid):
 
 
 def automaton_fields(matcher):
-    """The five fields of a compiled automaton, as one comparable value:
-    the transition table (dtype and shape included), both hit flags and
-    the per-state run and end-anchored pattern ids."""
-    trans = matcher._trans
+    """The six fields of a compiled automaton, as one comparable value:
+    the transition table (dtype and shape included), the base row, both
+    hit flags and the per-state run and end-anchored pattern ids."""
+    trans, base_row = matcher._trans, matcher._base_row
     return (
         (trans.dtype.str, trans.shape, trans.tobytes()),
+        (base_row.dtype.str, base_row.tobytes()),
         (matcher._hit_run.dtype.str, matcher._hit_run.tobytes()),
         (matcher._hit_end.dtype.str, matcher._hit_end.tobytes()),
         state_ids(matcher._run_off, matcher._run_pid),
@@ -282,7 +283,10 @@ def subset_construction_fields(patterns):
     are only in the start state.  States are numbered breadth first, by
     (parent, symbol); symbol ``len(ALPHABET)`` is any character outside
     the alphabet.  A pattern that matches the empty string everywhere is
-    in every state's ids.
+    in every state's ids.  A symbol's base state is where a state goes
+    when none of its positions reads the symbol: only the unanchored
+    starts move.  Its id, or -1 when no string reaches it, is the
+    symbol's entry in the base row.
     """
     pats = list(patterns)
     chars = list(ALPHABET) + [None]
@@ -308,20 +312,24 @@ def subset_construction_fields(patterns):
         return frozenset(out)
 
     free = [(p, 0) for p, pat in enumerate(pats) if not pat.anchored_start]
+
+    def step(state, ch):
+        nxt = set(free)
+        for p, k in state:
+            atoms = pats[p].atoms
+            if k < len(atoms) and reads(atoms[k], ch):
+                nxt.add((p, k + 1))
+            if k > 0 and repeats(atoms[k - 1]) and reads(atoms[k - 1], ch):
+                nxt.add((p, k))
+        return closure(nxt)
+
     start = closure((p, 0) for p in range(len(pats)))
     states, index, rows = [start], {start: 0}, []
     work = deque([start])
     while work:
         state = work.popleft()
         for ch in chars:
-            nxt = set(free)
-            for p, k in state:
-                atoms = pats[p].atoms
-                if k < len(atoms) and reads(atoms[k], ch):
-                    nxt.add((p, k + 1))
-                if k > 0 and repeats(atoms[k - 1]) and reads(atoms[k - 1], ch):
-                    nxt.add((p, k))
-            nxt = closure(nxt)
+            nxt = step(state, ch)
             if nxt not in index:
                 index[nxt] = len(states)
                 states.append(nxt)
@@ -335,10 +343,12 @@ def subset_construction_fields(patterns):
     run = tuple(ids(s, False) for s in states)
     end = tuple(ids(s, True) for s in states)
     trans = np.array(rows, dtype=np.int32).reshape(-1, N_SYMBOLS)
+    base_row = np.array([index.get(step(free, ch), -1) for ch in chars], dtype=np.int32)
     hit_run = np.array([bool(r) for r in run], dtype=bool)
     hit_end = np.array([bool(e) for e in end], dtype=bool)
     return (
         (trans.dtype.str, trans.shape, trans.tobytes()),
+        (base_row.dtype.str, base_row.tobytes()),
         (hit_run.dtype.str, hit_run.tobytes()),
         (hit_end.dtype.str, hit_end.tobytes()),
         run,

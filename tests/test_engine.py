@@ -281,7 +281,7 @@ def test_golden_automaton():
     assert m.n_states == 2110
     assert _digest(m) == "39f4be09ca218394bf7dbc7cfd4f27110ef2cf5981cc65d097009c817c84162f"
     # shared across threads: no array the matcher holds can be written
-    for arr in (m._trans, m._run_off, m._run_pid, m._end_off, m._end_pid, m._hit_run, m._hit_end):
+    for arr in (m._trans, m._base_row, m._run_off, m._run_pid, m._end_off, m._end_pid, m._hit_run, m._hit_end):
         assert not arr.flags.writeable
 
 
@@ -670,6 +670,12 @@ _SPLIT_LISTS = st.lists(st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING), max_size=12).
 @example(([pat("a?"), pat("^b.c"), pat("0*$")], 3))
 # always-matching patterns on both sides; more than ten states
 @example(([pat("^a.c"), pat("b?d*e+"), pat("x?"), pat("x.y$"), pat("^q+z?$"), pat("..0"), pat("y*")], 3))
+# every state reads b (the core holds a? of a?b), and no state is b's base
+# state: base_row -1 for b in the base, in the addition, and in the join
+# of two automata that both hold theirs
+@example(([pat("a?b"), pat("b"), pat("^c")], 2))
+@example(([pat("^c"), pat("a?b"), pat("b")], 1))
+@example(([pat("a?b"), pat("^c"), pat("b")], 1))
 def test_extend_set_equals_compile_set(case):
     patterns, split = case
     head, tail = patterns[:split], patterns[split:]
@@ -722,6 +728,8 @@ def test_compile_tree_equals_single_construction(patterns, leaf):
 @example([pat("a+b"), pat("b0a")])  # a repeating first atom, in rest and in the starts
 @example([pat("0ba"), pat("ab+")])  # a repeating last atom: d << 1 sets the bit past the last slot
 @example([pat("a?"), pat("b*"), pat("^0?$"), pat("a?b*$")])  # all skippable
+@example([pat("a?b"), pat("b")])  # no state is b's base state: base_row -1
+@example([pat("^c"), pat("b+"), pat("a?b")])  # the same past an anchored state 0
 def test_subset_construction_equals_reference(patterns):
     got = engine._subset_construction(patterns, DEFAULT_STATE_LIMIT)
     assert automaton_fields(got) == subset_construction_fields(patterns)
