@@ -10,7 +10,9 @@ textually similar while guaranteeing that a string never flips class.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, NamedTuple
@@ -76,6 +78,13 @@ class DriftConfig:
             raise ValueError("window_hint must be >= 1")
         if len(self.mutation_weights) != len(MUTATION_KINDS) or min(self.mutation_weights) < 0:
             raise ValueError("mutation_weights needs one non-negative weight per kind")
+        # the total random.choices draws against; it refuses a NaN, infinite
+        # or zero total, which would surface only at the first drift step
+        total = list(accumulate(self.mutation_weights))[-1]
+        if not math.isfinite(total):
+            raise ValueError("mutation_weights must be finite, with a finite total")
+        if total == 0 and self.drift_rate > 0:
+            raise ValueError("mutation_weights must not all be zero when drift_rate > 0")
 
 
 def _draw_stem(rng: random.Random, alphabet: str = STEM_ALPHABET) -> str:
@@ -106,6 +115,11 @@ def _mutate_stem(stem: str, rng: random.Random, weights, forbidden: frozenset) -
     return stem
 
 
+def _values_of(stem: str, tld: str) -> tuple[str, ...]:
+    """The ``N_SUFFIXES`` values of a stem, by suffix."""
+    return tuple(f"{stem}{k}.{tld}" for k in range(N_SUFFIXES))
+
+
 def gen_synthetic(cfg: DriftConfig) -> Iterator[Event]:
     """Infinite deterministic stream of labeled events.
 
@@ -113,6 +127,14 @@ def gen_synthetic(cfg: DriftConfig) -> Iterator[Event]:
     ``window_hint`` events each positive stem mutates independently with
     probability ``drift_rate``; the negative pool never changes, so the
     truth label is a fixed function of the value.
+
+    An event draws, in order: ``random()`` for its class, its stem
+    (``choice`` over the positive stems, or ``choices`` over the Zipf
+    weights of the negative ones) and ``randrange(N_SUFFIXES)`` for its
+    suffix.  The loop makes those draws from the primitives the library
+    calls build them from, so it yields the events the library calls
+    would.  A stem's values are rendered when it joins a pool, and its
+    events share them.
     """
     rng = random.Random(cfg.seed)
 
@@ -136,27 +158,45 @@ def gen_synthetic(cfg: DriftConfig) -> Iterator[Event]:
     # rare negatives matter: Zipf weights give the pool a long tail
     neg_cum = list(accumulate(1.0 / (i + 1) ** ZIPF_EXPONENT for i in range(cfg.n_neg_seeds)))
     tld_of = {stem: rng.choice(TLDS) for stem in neg_stems + pos_stems}
+    neg_values = [_values_of(stem, tld_of[stem]) for stem in neg_stems]
+    pos_values = [_values_of(stem, tld_of[stem]) for stem in pos_stems]
 
-    def value_of(stem: str) -> str:
-        return f"{stem}{rng.randrange(N_SUFFIXES)}.{tld_of[stem]}"
+    rand = rng.random
+    getrandbits = rng.getrandbits
+    positive_frac = cfg.positive_frac
+    # choices(neg_stems, cum_weights=neg_cum) bisects random() * total
+    neg_total = neg_cum[-1]
+    neg_hi = len(neg_cum) - 1
+    # choice and randrange draw below n by rejection from n.bit_length() bits
+    n_pos = len(pos_stems)
+    pos_bits = n_pos.bit_length()
+    suffix_bits = N_SUFFIXES.bit_length()
+    make_event = tuple.__new__  # Event(...) without the Python-level __new__
 
-    seq = 0
+    start = 0
     while True:
-        if seq > 0 and seq % cfg.window_hint == 0:
-            for i, stem in enumerate(pos_stems):
-                if rng.random() < cfg.drift_rate:
-                    mutated = _mutate_stem(stem, rng, cfg.mutation_weights, neg_set)
-                    if mutated not in tld_of:
-                        tld_of[mutated] = rng.choice(TLDS)
-                    pos_stems[i] = mutated
-        if rng.random() < cfg.positive_frac:
-            stem = rng.choice(pos_stems)
-            truth = 1
-        else:
-            stem = rng.choices(neg_stems, cum_weights=neg_cum)[0]
-            truth = 0
-        yield Event(seq, value_of(stem), truth)
-        seq += 1
+        for seq in range(start, start + cfg.window_hint):
+            if rand() < positive_frac:
+                i = getrandbits(pos_bits)
+                while i >= n_pos:
+                    i = getrandbits(pos_bits)
+                values = pos_values[i]
+                truth = 1
+            else:
+                values = neg_values[bisect(neg_cum, rand() * neg_total, 0, neg_hi)]
+                truth = 0
+            k = getrandbits(suffix_bits)
+            while k >= N_SUFFIXES:
+                k = getrandbits(suffix_bits)
+            yield make_event(Event, (seq, values[k], truth))
+        start += cfg.window_hint
+        for i, stem in enumerate(pos_stems):
+            if rand() < cfg.drift_rate:
+                mutated = _mutate_stem(stem, rng, cfg.mutation_weights, neg_set)
+                if mutated not in tld_of:
+                    tld_of[mutated] = rng.choice(TLDS)
+                pos_stems[i] = mutated
+                pos_values[i] = _values_of(mutated, tld_of[mutated])
 
 
 def load_tsv(path) -> Iterator[Event]:

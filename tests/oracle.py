@@ -5,14 +5,16 @@ written without looking at the engine's simulation: quantifiers consume
 greedily and give back one repetition at a time.  The automaton here is
 a textbook subset construction over sets of (pattern, atoms consumed)
 positions, with no bitsets.  The replay readers here read one row at a
-time.  Slow and obviously correct is the whole point.
+time.  The synthetic generator here draws each event through the
+``random`` calls that define it and formats its value per event.  Slow
+and obviously correct is the whole point.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import numpy as np
 
@@ -20,7 +22,18 @@ from driftsig.alphabet import ALPHABET, ALPHABET_SET, CHAR_TO_CODE, CODE_ANY, N_
 from driftsig.errors import LabelError, ParseError
 from driftsig.metrics import Counts
 from driftsig.patterns import TOKEN_ATOMS, Atom, Pattern, Quant, parse_pattern
-from driftsig.streams import Event
+from driftsig.streams import (
+    N_SUFFIXES,
+    STEM_ALPHABET,
+    TAIL_ALPHABET,
+    TAIL_START,
+    TLDS,
+    ZIPF_EXPONENT,
+    DriftConfig,
+    Event,
+    _draw_stem,
+    _mutate_stem,
+)
 
 
 def _atom_accepts(atom: Atom, ch: str) -> bool:
@@ -409,3 +422,54 @@ def bootstrap_label_reference(value: str, positive: set[str]) -> int:
         if ".".join(parts[i:]) in positive:
             return 1
     return 0
+
+
+# The synthetic generator as it was before its per-event loop drew from
+# getrandbits and bisect directly: choice, choices and randrange per event.
+
+
+def gen_synthetic_reference(cfg: DriftConfig):
+    """Reference for streams.gen_synthetic."""
+    rng = random.Random(cfg.seed)
+
+    neg_stems: list[str] = []
+    taken = set()
+    while len(neg_stems) < cfg.n_neg_seeds:
+        alphabet = TAIL_ALPHABET if len(neg_stems) >= TAIL_START else STEM_ALPHABET
+        stem = _draw_stem(rng, alphabet)
+        if stem not in taken:
+            taken.add(stem)
+            neg_stems.append(stem)
+    neg_set = frozenset(neg_stems)
+
+    pos_stems: list[str] = []
+    while len(pos_stems) < cfg.n_pos_seeds:
+        stem = _draw_stem(rng)
+        if stem not in taken:
+            taken.add(stem)
+            pos_stems.append(stem)
+
+    # rare negatives matter: Zipf weights give the pool a long tail
+    neg_cum = list(accumulate(1.0 / (i + 1) ** ZIPF_EXPONENT for i in range(cfg.n_neg_seeds)))
+    tld_of = {stem: rng.choice(TLDS) for stem in neg_stems + pos_stems}
+
+    def value_of(stem: str) -> str:
+        return f"{stem}{rng.randrange(N_SUFFIXES)}.{tld_of[stem]}"
+
+    seq = 0
+    while True:
+        if seq > 0 and seq % cfg.window_hint == 0:
+            for i, stem in enumerate(pos_stems):
+                if rng.random() < cfg.drift_rate:
+                    mutated = _mutate_stem(stem, rng, cfg.mutation_weights, neg_set)
+                    if mutated not in tld_of:
+                        tld_of[mutated] = rng.choice(TLDS)
+                    pos_stems[i] = mutated
+        if rng.random() < cfg.positive_frac:
+            stem = rng.choice(pos_stems)
+            truth = 1
+        else:
+            stem = rng.choices(neg_stems, cum_weights=neg_cum)[0]
+            truth = 0
+        yield Event(seq, value_of(stem), truth)
+        seq += 1

@@ -20,7 +20,13 @@ from driftsig.streams import (
     write_tsv,
 )
 
-from oracle import bootstrap_label_reference, load_blacklist_reference, load_tsv_reference, spearman_rho
+from oracle import (
+    bootstrap_label_reference,
+    gen_synthetic_reference,
+    load_blacklist_reference,
+    load_tsv_reference,
+    spearman_rho,
+)
 
 
 def take(cfg, n):
@@ -39,12 +45,44 @@ def test_same_seed_same_stream():
 
 
 def test_golden_stream():
-    # sha256 of the first 5000 events: any change to the draw order or the
-    # weights changes it
+    # sha256 of the first 5000 events and of the whole 50,000-event
+    # criterion-4 stream: any change to the draw order or the weights
+    # changes them
     h = hashlib.sha256()
-    for e in take(DriftConfig(seed=29), 5000):
+    for e in take(DriftConfig(seed=29), 50_000):
         h.update(f"{e.seq}\t{e.value}\t{e.truth}\n".encode())
-    assert h.hexdigest() == "7fca22102d04d35f4984478b2ba39b9facb4dcac2652c262a6908ee69083b9ba"
+        if e.seq == 4999:
+            assert h.hexdigest() == "7fca22102d04d35f4984478b2ba39b9facb4dcac2652c262a6908ee69083b9ba"
+    assert h.hexdigest() == "d54aaecb52bd56b55d547660ec4873bd4f4c8a935b349fe75eb00985d7153831"
+
+
+@st.composite
+def _drift_configs(draw):
+    drift_rate = draw(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0))
+    weight = st.sampled_from((0.0, 0.25, 1.0, 3.0))
+    weights = draw(st.tuples(weight, weight, weight, weight).filter(lambda w: any(w) or drift_rate == 0))
+    return DriftConfig(
+        positive_frac=draw(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)),
+        drift_rate=drift_rate,
+        mutation_weights=weights,
+        n_pos_seeds=draw(st.integers(1, 9)),
+        n_neg_seeds=draw(st.integers(1, streams.TAIL_START + 20)),
+        window_hint=draw(st.integers(1, 60)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_drift_configs(), st.integers(0, 400))
+@example(DriftConfig(positive_frac=1.0, drift_rate=1.0, n_pos_seeds=1, n_neg_seeds=1, window_hint=1, seed=1), 300)
+@example(DriftConfig(positive_frac=0.0, drift_rate=0.0, mutation_weights=(0.0, 0.0, 0.0, 0.0),
+                     n_neg_seeds=streams.TAIL_START - 1, window_hint=7, seed=2), 400)
+@example(DriftConfig(drift_rate=1.0, mutation_weights=(0.0, 0.0, 1.0, 0.0), n_pos_seeds=1,
+                     n_neg_seeds=streams.TAIL_START + 1, window_hint=5, seed=3), 400)
+@example(DriftConfig(positive_frac=0.5, drift_rate=0.5, mutation_weights=(1.0, 1.0, 0.0, 0.0), n_pos_seeds=5,
+                     n_neg_seeds=streams.TAIL_START, window_hint=1, seed=4), 400)
+def test_gen_synthetic_matches_reference(cfg, n):
+    assert take(cfg, n) == list(islice(gen_synthetic_reference(cfg), n))
 
 
 def test_different_seed_different_stream():
@@ -117,6 +155,23 @@ def test_drift_config_validation():
         DriftConfig(mutation_weights=(1.0, 1.0))
     with pytest.raises(ValueError):
         DriftConfig(window_hint=0)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (0.0, 0.0, 0.0, 0.0),
+        (float("nan"), 0.1, 0.4, 0.1),
+        (float("inf"), 0.0, 0.0, 0.0),
+        (1e308, 1e308, 0.0, 0.0),
+    ],
+    ids=["zero", "nan", "inf", "overflowing-total"],
+)
+def test_drift_config_rejects_weights_choices_refuses(weights):
+    # random.choices would raise these at the first drift step, after a
+    # window of events had been yielded
+    with pytest.raises(ValueError, match="mutation_weights"):
+        DriftConfig(mutation_weights=weights)
 
 
 def test_tsv_round_trip(tmp_path):
