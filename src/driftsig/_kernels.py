@@ -77,10 +77,10 @@ def time_major(scodes, s_off):
 #
 # Pattern p occupies atom slots pat_off[p]:pat_off[p+1] of the flat
 # arrays.  Every atom is one bit of a state vector of uint64 words, a
-# pattern's atoms on consecutive bits.  _word_layout places each chunk
-# of whole patterns so that none of at most 64 atoms crosses a word:
-# patterns of one length share words, a longer pattern starts a word of
-# its own, and no mask sets the bits left between.
+# pattern's atoms on consecutive bits.  _word_layout places the patterns
+# so that none of at most 64 atoms crosses a word: patterns of one
+# length share words, a longer pattern starts a word of its own, and no
+# mask sets the bits left between.
 # Bit i set means "atoms up to and including bit i consumed"; each
 # pattern's start state is implicit.  Flags:
 #   loop[i] -- atom i may consume another copy of itself (* and +)
@@ -100,8 +100,7 @@ def time_major(scodes, s_off):
 # character (LAST_END, anchored end).
 # ---------------------------------------------------------------------------
 
-_CHUNK_ATOMS = 4096  # atoms packed together; bounds the bool mask arrays
-_BATCH_CELLS = _CHUNK_ATOMS * 1024  # string x atom cells stepped together; bounds the state arrays
+_BATCH_CELLS = 1 << 22  # string x atom cells stepped together; bounds the state arrays
 _ONE = np.uint64(1)
 _TOP = np.uint64(63)
 
@@ -121,18 +120,6 @@ def _shift1(d, carry, out=None):
     if carry:
         out[:, 1:] |= top
     return out
-
-
-def _chunks(pat_off):
-    """Split the patterns into runs of whole patterns with at most
-    ``_CHUNK_ATOMS`` atoms each (a longer pattern gets a run of its own)."""
-    n_pat = len(pat_off) - 1
-    p0 = 0
-    while p0 < n_pat:
-        p1 = int(np.searchsorted(pat_off, pat_off[p0] + _CHUNK_ATOMS, side="right")) - 1
-        p1 = min(max(p1, p0 + 1), n_pat)
-        yield p0, p1
-        p0 = p1
 
 
 def _word_layout(pat_off):
@@ -182,10 +169,6 @@ class Masks(NamedTuple):
     last: np.ndarray  # bit of each pattern's last atom
     rows: np.ndarray  # (N_SYMBOLS + 7, width) bool
 
-    @property
-    def table(self) -> np.ndarray:
-        return self.rows[:N_SYMBOLS]
-
 
 # _ROW[code]: the row of Masks.rows an atom with this code sets, its own
 # symbol's for a literal and the wild row for the wildcard
@@ -225,25 +208,16 @@ def shift_and_masks(codes, loop, skip, pat_off, pat_flags, layout=None) -> Masks
 def _pack(codes, loop, skip, pat_off, pat_flags):
     """The patterns' masks in uint64 words, for :func:`_simulate`.
 
-    Each chunk is laid out by :func:`_word_layout` and packed on its own,
-    so no bool array is larger than a chunk's, and the chunks' words sit
-    side by side: a bit that moves on from one chunk's last word meets a
-    first atom or a bit no mask sets.  Returns the bit of each pattern's
-    last atom and ``(words, carry, repeats, n_closure)``: the table's rows
-    and the seven masks of :class:`Masks` as words, whether some pattern
-    is longer than 64 atoms, whether some atom repeats, and the longest
-    run of skippable atoms inside one pattern (the closure moves each bit
-    one atom further per round).
+    All the patterns are laid out by one :func:`_word_layout`, and their
+    bool masks packed into words with one ``packbits``.  Returns the bit
+    of each pattern's last atom and ``(words, carry, repeats,
+    n_closure)``: the table's rows and the seven masks of :class:`Masks`
+    as words, whether some pattern is longer than 64 atoms, whether some
+    atom repeats, and the longest run of skippable atoms inside one
+    pattern (the closure moves each bit one atom further per round).
     """
-    parts, last = [], []
-    n_words = 0
-    for p0, p1 in _chunks(pat_off):
-        run = pat_off[p0 : p1 + 1]
-        bit, n = _word_layout(run)
-        m = shift_and_masks(codes, loop, skip, run, pat_flags[p0:p1], (bit, n))
-        parts.append(np.packbits(m.rows, axis=-1, bitorder="little").view("<u8"))
-        last.append(m.last + 64 * n_words)
-        n_words += n
+    m = shift_and_masks(codes, loop, skip, pat_off, pat_flags, _word_layout(pat_off))
+    words = np.packbits(m.rows, axis=-1, bitorder="little").view("<u8")
 
     n_closure = 0
     skippable = skip[pat_off[0] : pat_off[-1]] != 0
@@ -255,7 +229,7 @@ def _pack(codes, loop, skip, pat_off, pat_flags):
         n_closure = int((slot - np.maximum.accumulate(brk)).max())
     carry = bool(np.diff(pat_off).max() > 64)
     repeats = bool(loop[pat_off[0] : pat_off[-1]].any())
-    return np.concatenate(last), (np.hstack(parts), carry, repeats, n_closure)
+    return m.last, (words, carry, repeats, n_closure)
 
 
 def _simulate(packed, cols, bounds, s0, s1):

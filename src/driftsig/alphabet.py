@@ -31,12 +31,6 @@ BYTE_TABLE = bytes(
 )
 
 
-def encode(value: str) -> np.ndarray:
-    """Encode one string as a uint8 code array."""
-    raw = value.encode("utf-8", "surrogatepass")
-    return np.frombuffer(raw.translate(BYTE_TABLE), dtype=np.uint8)
-
-
 def encode_many(values) -> tuple[np.ndarray, np.ndarray]:
     """Encode a sequence of strings as (flat codes, offsets).
 

@@ -24,7 +24,7 @@ components) from the kernel to greedy, and the components greedy picks
 are read back from the buffer and become patterns as they are, with no
 anchors.
 
-``learn`` leaves out the variants whose first or last non-wildcard atom
+The pool leaves out the variants whose first or last non-wildcard atom
 carries a ``+``, or a ``?`` or ``*`` when there is another non-wildcard
 atom: each matches exactly what a shorter component of the pool matches,
 which sorts before it, so greedy never picks it.  With the regex-golf
@@ -69,9 +69,10 @@ class LearnerConfig:
             raise ValueError("caps must be >= 0")
 
 
-def generate_components(positives, cfg: LearnerConfig, negatives=()) -> dict[str, int]:
-    """The candidate components from positive-set n-grams that match no
-    negative.
+def _cut_pool(positives, cfg: LearnerConfig, negatives) -> dict[str, int]:
+    """The candidate components of the positives, cut to ``max_pool``
+    before the negative filter, which :func:`learn` runs in its kernel
+    pass.
 
     For every substring of length 1..max_ngram of every positive that
     occurs in no string of ``negatives``: all variants with at most
@@ -79,37 +80,23 @@ def generate_components(positives, cfg: LearnerConfig, negatives=()) -> dict[str
     them), each with at most ``max_quantified`` quantifiers inserted
     after non-wildcard atoms.  The pool maps each component's token
     string to its source, the lowest index (into the sorted positives)
-    of a string it was generated from.  A pool of more than ``max_pool``
+    of a string it was generated from, in generation order.  A gram
+    found in a negative is dropped before expansion, and so before the
+    cut: every variant of it matches a superset of its language, so the
+    filter would drop them all.  A pool of more than ``max_pool``
     components is cut to the ``max_pool`` with the shortest canonical
-    text (ties by text) before the filter; :func:`filter_components`
-    then drops every component matching a negative, and the survivors
-    are returned shortest-canonical-text-first, ties by text.
-    A gram found in a negative is dropped before expansion, and so
-    before the cut: every variant of it matches a superset of its
-    language, so the filter would drop them all.
+    text (ties by text), in that order; the filter then drops every
+    component matching a negative.
 
-    This returns every variant; only :func:`learn` defers the ones that
-    :func:`_shapes` names, which change none of its picks.
-    """
-    kept = filter_components(_cut_pool(positives, cfg, negatives), negatives)
-    tokens = list(kept)
-    return {tokens[i]: kept[tokens[i]] for i in _text_order(*pack_tokens(tokens)).tolist()}
-
-
-def _cut_pool(positives, cfg: LearnerConfig, negatives, defer: bool = False) -> dict[str, int]:
-    """:func:`generate_components`' pool before the filter: in generation
-    order, or cut to its ``max_pool`` first components in text order.
-
-    With ``defer``, as :func:`learn` calls it, the shapes :func:`_shapes`
-    defers are left out when no cut follows.  Each of their variants
-    matches exactly the strings some component of shorter text matches,
-    so the filter keeps both or neither, their cover rows are equal, and
-    greedy, which breaks ties by the lower index in text order, never
-    picks the variant.  A cut must count them, though: they are counted
-    (``len(srcs)`` a shape, an upper bound on the distinct ones), and
-    when the pool plus that count exceeds ``max_pool``, the deferred
-    shapes alone are expanded as well and the pool is cut as without
-    ``defer``.
+    The shapes :func:`_shapes` defers are left out when no cut follows.
+    Each of their variants matches exactly the strings some component of
+    shorter text matches, so the filter keeps both or neither, their
+    cover rows are equal, and greedy, which breaks ties by the lower
+    index in text order, never picks the variant.  A cut must count
+    them, though: they are counted (``len(srcs)`` a shape, an upper
+    bound on the distinct ones), and when the pool plus that count
+    exceeds ``max_pool``, the deferred shapes are expanded as well and
+    the whole pool is cut.
     """
     if not positives:
         raise EmptyPositiveSetError("no positive strings to learn from")
@@ -122,7 +109,7 @@ def _cut_pool(positives, cfg: LearnerConfig, negatives, defer: bool = False) -> 
     deferred = []  # (grams, length, srcs, deferred shapes) per gram length
     n_deferred = 0
     for length, grams, srcs in _grams(ordered, negatives, cfg.max_ngram):
-        now, later = _shapes(length, cfg.max_wildcards, cfg.max_quantified, defer)
+        now, later = _shapes(length, cfg.max_wildcards, cfg.max_quantified)
         _expand_grams(grams, length, srcs, now, pool)
         if later:
             deferred.append((grams, length, srcs, later))
@@ -235,13 +222,13 @@ _PLUS = 2  # the index of the ``+`` table in QUANTIFY
 # one entry holds the shapes of one gram length, no more than the variants
 # of one gram, under one set of caps
 @lru_cache(maxsize=256)
-def _shapes(length: int, max_wildcards: int, max_quantified: int, defer: bool):
+def _shapes(length: int, max_wildcards: int, max_quantified: int):
     """The variant shapes of a ``length``-character gram, as ``(wild,
     quants)``: its wildcard positions (never all of them), then its
     quantifier positions and kinds (indices into ``QUANTIFY``).
 
-    Returns the shapes to expand now and, with ``defer``, apart from them
-    the shapes :func:`learn` defers: a ``+`` on the first or last
+    Returns the shapes to expand now and, apart from them, the shapes
+    :func:`_cut_pool` defers: a ``+`` on the first or last
     non-wildcard atom, or any quantifier there when the shape has two
     non-wildcard atoms or more.  An unanchored component of such a shape
     matches exactly what a shorter one matches.  ``x+`` matches as ``x``:
@@ -267,7 +254,7 @@ def _shapes(length: int, max_wildcards: int, max_quantified: int, defer: bool):
                     for kinds in product(range(len(QUANTIFY)), repeat=n_q):
                         quants = tuple(zip(q_pos, kinds))
                         reducible = any(i in ends and (k == _PLUS or len(plain) > 1) for i, k in quants)
-                        (later if defer and reducible else now).append((wild, quants))
+                        (later if reducible else now).append((wild, quants))
     return tuple(now), tuple(later)
 
 
@@ -281,10 +268,10 @@ def _expand_grams(grams: str, length: int, srcs: list[int], shapes, seen: dict) 
     and zipping the columns back gives that shape's variant of every gram.
     A component's tokens fix its shape, so shapes never share a component;
     within a shape, ``srcs`` runs from the highest source down, so a
-    variant several grams share keeps the lowest.  :func:`learn` passes
-    the shapes it defers only when its ``max_pool`` cut must count them:
-    their variants match exactly what shorter components match, and
-    greedy picks those first.
+    variant several grams share keeps the lowest.  :func:`_cut_pool`
+    passes the shapes it defers only when its ``max_pool`` cut must count
+    them: their variants match exactly what shorter components match,
+    and greedy picks those first.
     """
     columns = [grams[i::length] for i in range(length)]
     # each column's ?, * and + forms, translated once for every shape
@@ -300,7 +287,11 @@ def _expand_grams(grams: str, length: int, srcs: list[int], shapes, seen: dict) 
 
 
 def filter_components(pool: dict[str, int], negatives) -> dict[str, int]:
-    """The sub-dict of ``pool`` whose components match no negative string."""
+    """The sub-dict of ``pool`` whose components match no negative string.
+
+    :func:`learn` filters inside its one kernel pass and never calls this;
+    it is kept because perfbench's tracer wraps it by attribute.
+    """
     if not negatives or not pool:
         return dict(pool)
     hits = match_any_of(pool, set(negatives))
@@ -352,7 +343,7 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
 
     Pipeline: generate components from the positives, match them against
     the positives and the negatives in one pass, keep those that match no
-    negative (:func:`generate_components`' survivors, in its order), pick
+    negative (:func:`_cut_pool`'s survivors, in text order), pick
     a cover of the positives they reach greedily, then append an anchored
     exact-match fallback for each positive no component reaches
     (disjointness guarantees those are safe), in sorted order.
@@ -365,7 +356,7 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
         raise DisjointnessViolation(overlap)
 
     pos = sorted(positives)
-    raw, offsets = pack_tokens(_cut_pool(pos, cfg, negatives, defer=True))
+    raw, offsets = pack_tokens(_cut_pool(pos, cfg, negatives))
     words, last, hit = match_split(raw, offsets, pos, negatives)
     order = _text_order(raw, offsets)
     order = order[~hit[order]]

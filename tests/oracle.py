@@ -194,16 +194,23 @@ def gram_variants(gram: str, max_wild: int, max_quant: int):
                         yield "".join(parts)
 
 
-def pool_reference(positives, negatives, cfg) -> dict[str, int]:
-    """The learner's component pool by its contract, on pattern text:
-    every variant of every gram no negative holds, with the lowest source
-    positive of the grams giving it; all of them ordered by (length,
-    text) and cut at ``cfg.max_pool``; then every component that
-    :func:`backtrack_match` finds in some negative dropped."""
+def variant_pool_reference(positives, negatives, cfg) -> dict[str, int]:
+    """Every variant of every gram no negative holds, on pattern text,
+    with the lowest source positive of the grams giving it: the pool
+    before its cut and filter."""
     pool: dict[str, int] = {}
     for gram, src in kept_grams_reference(positives, negatives, cfg.max_ngram).items():
         for text in gram_variants(gram, cfg.max_wildcards, cfg.max_quantified):
             pool[text] = min(pool.get(text, src), src)
+    return pool
+
+
+def pool_reference(positives, negatives, cfg) -> dict[str, int]:
+    """The learner's component pool by its contract, on pattern text:
+    :func:`variant_pool_reference` ordered by (length, text) and cut at
+    ``cfg.max_pool``; then every component that :func:`backtrack_match`
+    finds in some negative dropped."""
+    pool = variant_pool_reference(positives, negatives, cfg)
     cut = sorted(pool, key=lambda t: (len(t), t))[: cfg.max_pool]
     negs = sorted(set(negatives))
     return {t: pool[t] for t in cut if not any(backtrack_match(parse_pattern(t), s) for s in negs)}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from driftsig import _kernels, engine
 from driftsig.engine import DEFAULT_STATE_LIMIT, compile_set, extend_set, match_many, pack_patterns
-from driftsig.alphabet import ALPHABET, CODE_ANY, CODE_OTHER, N_SYMBOLS, encode, encode_many
+from driftsig.alphabet import ALPHABET, BYTE_TABLE, CODE_ANY, CODE_OTHER, N_SYMBOLS, encode_many
 from driftsig.errors import CapacityError
 from driftsig.patterns import Atom, Pattern, Quant, exact_pattern, parse_pattern
 
@@ -153,7 +153,7 @@ def test_single_shared_pass_over_input():
     m = compile_set(patterns)
     event = "".join(rng.choice("abcdefgh") for _ in range(64))
     cols, off, order = _kernels.time_major(*encode_many([event]))
-    assert np.array_equal(cols, encode(event)) and np.array_equal(off, np.arange(65))
+    assert np.array_equal(cols, encode_many([event])[0]) and np.array_equal(off, np.arange(65))
     steps = list(_kernels.dfa_states(m._trans, cols, off))
     assert [len(s) for s in steps] == [1] * 64
     assert m.match_set(event) == match_set_bruteforce(patterns, event)
@@ -221,7 +221,7 @@ def test_kernel_paths_agree():
     live = np.diff(off).tolist()
     assert live == [sum(n > t for n in lengths) for t in range(max(lengths))]
     for j, i in enumerate(order):
-        assert [int(cols[off[t] + j]) for t in range(lengths[j])] == encode(subjects[i]).tolist()
+        assert [int(cols[off[t] + j]) for t in range(lengths[j])] == encode_many([subjects[i]])[0].tolist()
 
     # the shared scan: each step yields the live strings' states, so a
     # string's walk is state 0 and then one state per character it reads,
@@ -234,7 +234,7 @@ def test_kernel_paths_agree():
             walks[order[j]].append(state)
     for walk, s in zip(walks, subjects):
         state, expected = 0, [0]
-        for c in encode(s):
+        for c in encode_many([s])[0]:
             state = int(m._trans[state, c])
             expected.append(state)
         assert walk == expected, s
@@ -367,8 +367,8 @@ def test_kernels_on_multiword_and_multichunk_batches():
         pat("^a?b?c?$"), pat("a?b?c?"), pat("^a?b?c?d"), pat("x*a?b?c?$"),
         pat("^" + "a" * 60 + "b?c?d$"),
     ]
-    # more atoms than one chunk, so several chunks run in one call
-    while sum(len(p.atoms) for p in patterns) <= _kernels._CHUNK_ATOMS + 200:
+    # more than 4096 atoms, laid out and packed in one pass
+    while sum(len(p.atoms) for p in patterns) <= 4096 + 200:
         patterns.append(random_pattern(rng, max_atoms=8))
     codes, loop, skip, offs, flags = pack_patterns(patterns)
     straddle = [p for p in range(len(patterns))
@@ -409,8 +409,8 @@ def test_kernels_on_an_empty_pattern_list():
 
 
 def test_kernels_at_word_boundaries():
-    # patterns of 64, 65 and 130 atoms, anchored at either end, in one
-    # chunk with short patterns: the word layout keeps every pattern of at
+    # patterns of 64, 65 and 130 atoms, anchored at either end, with
+    # short patterns: the word layout keeps every pattern of at
     # most 64 atoms inside one word, so only the longer ones need the
     # carry from word to word, in the step and in the skip closure
     rng = random.Random(64)
@@ -425,7 +425,6 @@ def test_kernels_at_word_boundaries():
     patterns += [random_pattern(rng, max_atoms=3) for _ in range(40)]
     rng.shuffle(patterns)
     codes, loop, skip, offs, flags = pack_patterns(patterns)
-    assert list(_kernels._chunks(offs)) == [(0, len(patterns))]
     assert sorted(len(p.atoms) for p in patterns)[-8:] == [64, 64, 65, 65, 130, 130, 130, 130]
 
     bit, n_words = _kernels._word_layout(offs)
@@ -461,10 +460,9 @@ def test_kernels_at_word_boundaries():
 
 
 def test_kernels_step_string_batches_with_every_pattern_at_once():
-    # every pattern is stepped at once, its chunks' words side by side,
-    # over the length-sorted strings in batches of at most _BATCH_CELLS
-    # string x atom cells; small bounds make four chunks, one of a
-    # 70-atom pattern, and batches of two strings
+    # every pattern is stepped at once, a 70-atom one among them, over
+    # the length-sorted strings in batches of at most _BATCH_CELLS
+    # string x atom cells; a small bound makes batches of two strings
     rng = random.Random(256)
     patterns = [pat("^" + "".join(rng.choice("ab01") for _ in range(70)))]
     patterns += [random_pattern(rng, max_atoms=6) for _ in range(40)]
@@ -489,8 +487,7 @@ def test_kernels_step_string_batches_with_every_pattern_at_once():
         steps.append((s0, s1))
         return simulate(packed, cols, bounds, s0, s1)
 
-    with mock.patch.multiple(_kernels, _CHUNK_ATOMS=64, _BATCH_CELLS=2 * int(offs[-1]), _simulate=recorded):
-        assert len(list(_kernels._chunks(offs))) == 4
+    with mock.patch.multiple(_kernels, _BATCH_CELLS=2 * int(offs[-1]), _simulate=recorded):
         assert len(_kernels._pack(codes, loop, skip, offs, flags)[0]) == len(patterns)
         matrix = _kernels.nfa_match_matrix(codes, loop, skip, offs, flags, scodes, s_off)
         assert steps == [(s0, min(s0 + 2, len(subjects))) for s0 in range(0, len(subjects), 2)]
@@ -634,7 +631,7 @@ def test_shift_and_table_is_the_code_compare(run):
     # every alphabet symbol and never CODE_OTHER
     patterns, p0, p1 = run
     codes, loop, skip, off, flags = pack_patterns(patterns)
-    table = _kernels.shift_and_masks(codes, loop, skip, off[p0 : p1 + 1], flags[p0:p1]).table
+    table = _kernels.shift_and_masks(codes, loop, skip, off[p0 : p1 + 1], flags[p0:p1]).rows[:N_SYMBOLS]
     pcodes = codes[off[p0] : off[p1]]
     sym = np.arange(N_SYMBOLS)[:, None]
     assert table.dtype == bool
@@ -736,7 +733,8 @@ def test_subset_construction_equals_reference(patterns):
 
 
 def _encode_each(values):
-    codes = [encode(v) for v in values]
+    # each value on its own: its UTF-8 bytes through the alphabet's byte table
+    codes = [np.frombuffer(v.encode("utf-8", "surrogatepass").translate(BYTE_TABLE), dtype=np.uint8) for v in values]
     offsets = np.zeros(len(values) + 1, dtype=np.int64)
     np.cumsum([len(c) for c in codes], out=offsets[1:])
     return np.concatenate(codes) if codes else np.zeros(0, dtype=np.uint8), offsets

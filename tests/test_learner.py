@@ -16,7 +16,6 @@ from driftsig.learner import (
     _grams,
     _text_order,
     filter_components,
-    generate_components,
     greedy_set_cover,
     learn,
 )
@@ -25,11 +24,13 @@ from driftsig.patterns import ANY_TOKEN, TOKEN_ATOMS, Quant, parse_pattern, rend
 from oracle import (
     backtrack_match,
     cover_matrix,
+    gram_variants,
     greedy_cover_reference,
     kept_grams_reference,
     minimum_cover_size,
     pool_reference,
     reference_learn,
+    variant_pool_reference,
 )
 
 
@@ -46,28 +47,60 @@ def texts_of(pool):
     return set(texts(pool))
 
 
+def _reducible(text):
+    """Whether a component's first or last non-wildcard atom carries a
+    ``+``, or any quantifier when it has two non-wildcard atoms or more."""
+    plain = [a for a in parse_pattern(text).atoms if not a.is_any]
+    return any(
+        a.quant is Quant.ONE_OR_MORE or (a.quant is not Quant.ONE and len(plain) > 1)
+        for a in (plain[0], plain[-1])
+    )
+
+
+def survivors(pos, neg, cfg):
+    """learn's surviving components and their sources, as learn finds
+    them: the cut pool, matched against the sorted positives and the
+    negatives in one kernel pass, less those a negative matches, in text
+    order."""
+    pool = _cut_pool(pos, cfg, neg)
+    tokens = list(pool)
+    raw, offsets = pack_tokens(tokens)
+    hit = match_split(raw, offsets, sorted(pos), neg)[2]
+    return {tokens[i]: pool[tokens[i]] for i in _text_order(raw, offsets).tolist() if not hit[i]}
+
+
 def test_generate_basic_pool():
     cfg = LearnerConfig(max_ngram=2, max_wildcards=1, max_quantified=0)
-    pool = generate_components({"ab"}, cfg)
+    assert texts_of(_cut_pool({"ab"}, cfg, set())) == {"a", "b", "ab", "a.", ".b"}
+    pool = survivors({"ab"}, set(), cfg)
     assert texts_of(pool) == {"a", "b", "ab", "a.", ".b"}
     # ordered shortest text first, then lexicographic
     assert texts(pool) == sorted(texts(pool), key=lambda t: (len(t), t))
 
 
 def test_generate_single_char_with_quantifiers():
-    pool = generate_components({"a"}, LearnerConfig())
-    assert texts_of(pool) == {"a", "a?", "a*", "a+"}
+    # a+ matches as a, so the pool defers it until a cut must count it
+    cfg = LearnerConfig()
+    assert set(pool_reference({"a"}, set(), cfg)) == {"a", "a?", "a*", "a+"}
+    assert texts_of(_cut_pool({"a"}, cfg, set())) == {"a", "a?", "a*"}
+    assert texts(_cut_pool({"a"}, LearnerConfig(max_pool=3), set())) == ["a", "a*", "a+"]
 
 
 def test_generate_quantifier_insertions_superset():
     cfg = LearnerConfig(max_ngram=2, max_wildcards=1, max_quantified=1)
-    got = texts_of(generate_components({"ab"}, cfg))
     expected_subset = {
         "a?", "a*", "a+", "b?", "b*", "b+",
         "a?b", "a*b", "a+b", "ab?", "ab*", "ab+",
         "a.", "a?.", "a*.", "a+.", ".b", ".b?", ".b*", ".b+",
     }
-    assert expected_subset <= got
+    assert expected_subset <= set(pool_reference({"ab"}, set(), cfg))
+    got = texts_of(_cut_pool({"ab"}, cfg, set()))
+    assert {t for t in expected_subset if not _reducible(t)} <= got
+    # a cut of one component expands the deferred variants too, and drops
+    # the last text, ab?
+    whole = len(variant_pool_reference({"ab"}, set(), cfg))
+    got = texts_of(_cut_pool({"ab"}, LearnerConfig(2, 1, 1, max_pool=whole - 1), set()))
+    assert len(got) == whole - 1 and expected_subset - got == {"ab?"}
 
 
 def test_generate_enumeration_matches_brute_force():
@@ -102,17 +135,24 @@ def test_generate_enumeration_matches_brute_force():
 
     for strings, caps in [({"abc", "b.c", "dd"}, (3, 2, 1)), ({"xbcd", "abc", "bcd.", "c"}, (4, 1, 2))]:
         cfg = LearnerConfig(max_ngram=caps[0], max_wildcards=caps[1], max_quantified=caps[2])
-        pool = generate_components(strings, cfg)
-        assert dict(zip(texts(pool), pool.values())) == brute(strings, *caps)
+        want = brute(strings, *caps)
+        pool = _cut_pool(strings, cfg, set())
+        assert dict(zip(texts(pool), pool.values())) == {t: s for t, s in want.items() if not _reducible(t)}
+        # a cut of one component expands the deferred variants, then keeps
+        # the rest in text order
+        cut = LearnerConfig(*caps, max_pool=len(want) - 1)
+        pool = _cut_pool(strings, cut, set())
+        ranked = sorted(want, key=lambda t: (len(t), t))[:-1]
+        assert list(zip(texts(pool), pool.values())) == [(t, want[t]) for t in ranked]
 
 
 def test_generate_rejects_bad_input():
     with pytest.raises(EmptyPositiveSetError):
-        generate_components(set(), LearnerConfig())
+        _cut_pool(set(), LearnerConfig(), set())
     with pytest.raises(ValueError):
-        generate_components({"UPPER"}, LearnerConfig())
+        _cut_pool({"UPPER"}, LearnerConfig(), set())
     with pytest.raises(ValueError):
-        generate_components({""}, LearnerConfig())
+        _cut_pool({""}, LearnerConfig(), set())
 
 
 @pytest.mark.parametrize(
@@ -126,10 +166,11 @@ def test_learner_config_rejects_bad_caps(caps):
 
 def test_max_pool_truncation_keeps_shortest():
     cfg = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=0, max_pool=5)
-    full = generate_components({"abcd"}, LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=0))
-    pool = generate_components({"abcd"}, cfg)
+    full = survivors({"abcd"}, set(), LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=0))
+    pool = _cut_pool({"abcd"}, cfg, set())
     assert len(pool) == 5
     assert list(pool.items()) == list(full.items())[:5]
+    assert list(survivors({"abcd"}, set(), cfg).items()) == list(pool.items())
 
 
 def test_max_pool_cut_comes_before_the_filter():
@@ -137,10 +178,11 @@ def test_max_pool_cut_comes_before_the_filter():
     # the filter drops it; cutting after the filter would keep "a+" instead
     pos, neg = {"ab"}, {"c"}
     caps = {"max_ngram": 1, "max_wildcards": 0, "max_quantified": 1}
-    everything = generate_components(pos, LearnerConfig(**caps))
-    assert texts(everything)[:4] == ["a", "b", "a*", "a+"]
-    cut = dict(list(everything.items())[:3])
-    pool = generate_components(pos, LearnerConfig(**caps, max_pool=3), neg)
+    everything = pool_reference(pos, set(), LearnerConfig(**caps))
+    assert list(everything)[:4] == ["a", "b", "a*", "a+"]
+    cut = _cut_pool(pos, LearnerConfig(**caps, max_pool=3), neg)
+    assert list(zip(texts(cut), cut.values())) == list(everything.items())[:3]
+    pool = survivors(pos, neg, LearnerConfig(**caps, max_pool=3))
     assert list(pool.items()) == list(filter_components(cut, neg).items())
     assert texts(pool) == ["a", "b"]
 
@@ -183,10 +225,20 @@ def pool_inputs(draw):
 @PROPERTY
 @given(pool_inputs())
 @example(({"ab"}, {"c"}, LearnerConfig(max_ngram=1, max_wildcards=0, max_quantified=1, max_pool=3)))
-def test_generate_components_equals_the_reference_pool(inp):
+def test_learn_survivors_equal_the_reference_pool(inp):
+    # the pool defers the reducible variants unless a max_pool cut must
+    # count them: when the pool less them, plus one for each of their
+    # (gram, shape) pairs, exceeds max_pool
     pos, neg, cfg = inp
-    pool = generate_components(pos, cfg, neg)
-    assert list(zip(texts(pool), pool.values())) == list(pool_reference(pos, neg, cfg).items())
+    pool = survivors(pos, neg, cfg)
+    want = pool_reference(pos, neg, cfg)
+    whole = variant_pool_reference(pos, neg, cfg)
+    grams = kept_grams_reference(pos, neg, cfg.max_ngram)
+    variants = (t for g in grams for t in gram_variants(g, cfg.max_wildcards, cfg.max_quantified))
+    n_deferred = sum(map(_reducible, variants))
+    if len(whole) - sum(map(_reducible, whole)) + n_deferred <= cfg.max_pool:
+        want = {t: src for t, src in want.items() if not _reducible(t)}
+    assert list(zip(texts(pool), pool.values())) == list(want.items())
 
 
 @PROPERTY
@@ -209,16 +261,6 @@ def test_learn_equals_the_reference_learn(inp):
     assert learn(pos, neg, cfg).texts() == reference_learn(pos, neg, cfg)
 
 
-def _reducible(text):
-    """Whether a component's first or last non-wildcard atom carries a
-    ``+``, or any quantifier when it has two non-wildcard atoms or more."""
-    plain = [a for a in parse_pattern(text).atoms if not a.is_any]
-    return any(
-        a.quant is Quant.ONE_OR_MORE or (a.quant is not Quant.ONE and len(plain) > 1)
-        for a in (plain[0], plain[-1])
-    )
-
-
 @PROPERTY
 @given(pool_inputs())
 @example(({"abc"}, set(), LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=2)))
@@ -227,9 +269,9 @@ def test_learn_defers_exactly_the_reducible_variants(inp):
     # variants whose end quantifier a shorter component makes redundant
     pos, neg, cfg = inp
     cfg = LearnerConfig(cfg.max_ngram, cfg.max_wildcards, cfg.max_quantified, max_pool=10**6)
-    whole = texts(_cut_pool(pos, cfg, neg))
-    deferred_free = texts(_cut_pool(pos, cfg, neg, defer=True))
-    assert sorted(deferred_free) == sorted(t for t in whole if not _reducible(t))
+    whole = variant_pool_reference(pos, neg, cfg)
+    pool = _cut_pool(pos, cfg, neg)
+    assert dict(zip(texts(pool), pool.values())) == {t: src for t, src in whole.items() if not _reducible(t)}
 
 
 @st.composite
@@ -298,7 +340,7 @@ def test_middle_and_lone_end_quantifiers_are_not_deferred():
     assert m(".a?", "b") and not m(".a", "b")
     with pytest.raises(ValueError):
         parse_pattern(".")
-    pool = texts(_cut_pool({"abc"}, LearnerConfig(max_ngram=3, max_wildcards=1), set(), defer=True))
+    pool = texts(_cut_pool({"abc"}, LearnerConfig(max_ngram=3, max_wildcards=1), set()))
     assert {"ab?c", "ab+c", ".b?", "a?"} <= set(pool)
     assert not {"a?bc", "ab?", "a+", "a+bc", ".b+"} & set(pool)
 
@@ -421,11 +463,11 @@ def test_learn_places_fallbacks_after_the_cover():
     model = learn(pos, neg)
     assert model.texts() == ["x", "^ab$", "^ba$"]
     ordered = sorted(pos)
-    pool = list(filter_components(generate_components(ordered, LearnerConfig(), neg), neg))
-    cover = match_many(pool, ordered)
+    pool = list(pool_reference(ordered, neg, LearnerConfig()))
+    cover = match_many([parse_pattern(t) for t in pool], ordered)
     reached = cover.any(axis=0)
     picks = greedy_set_cover(cover[:, reached])
-    assert model.texts()[: len(picks)] == texts([pool[i] for i in picks])
+    assert model.texts()[: len(picks)] == [pool[i] for i in picks]
 
 
 @PROPERTY
@@ -513,9 +555,9 @@ def test_learn_ignores_the_order_of_the_negatives():
         shuffled = neg + neg[:3]
         rng.shuffle(shuffled)
         for pair in [(neg, shuffled), (neg, neg[::-1])]:
-            a, b = (generate_components(pos, cfg, n) for n in pair)
+            a, b = (survivors(pos, n, cfg) for n in pair)
             assert list(a.items()) == list(b.items())
-            packed = pack_tokens(generate_components(pos, cfg))
+            packed = pack_tokens(_cut_pool(pos, cfg, ()))
             hits = [match_split(*packed, sorted(pos), n)[2] for n in pair]
             assert hits[0].tolist() == hits[1].tolist()
             assert learn(pos, pair[0], cfg).texts() == learn(pos, pair[1], cfg).texts()
@@ -523,15 +565,21 @@ def test_learn_ignores_the_order_of_the_negatives():
 
 def test_learn_pool_matches_literal_composition():
     # the fused gram prefilter inside learn must agree with the plain
-    # generate -> filter pipeline
+    # generate -> filter pipeline: every variant of every gram, less
+    # those a negative matches (and the reducible ones, which no cut
+    # makes learn expand here)
     rng = random.Random(31)
     for _ in range(10):
         pos = {"".join(rng.choice("abc0.") for _ in range(rng.randint(1, 9))) for _ in range(5)}
         neg = {"".join(rng.choice("abc0.") for _ in range(rng.randint(1, 9))) for _ in range(5)} - pos
         cfg = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=1)
-        full = filter_components(generate_components(pos, cfg), neg)
-        fused = filter_components(generate_components(pos, cfg, neg), neg)
-        assert list(full.items()) == list(fused.items())
+        full = {
+            t: src for t, src in pool_reference(pos, set(), cfg).items()
+            if not _reducible(t) and not any(backtrack_match(parse_pattern(t), s) for s in neg)
+        }
+        fused = survivors(pos, neg, cfg)
+        assert list(zip(texts(fused), fused.values())) == list(full.items())
+        assert filter_components(_cut_pool(pos, cfg, ()), neg) == filter_components(_cut_pool(pos, cfg, neg), neg)
 
 
 @st.composite

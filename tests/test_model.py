@@ -154,7 +154,7 @@ def test_load_dedups_repeated_lines(tmp_path):
 
 def test_long_event_memory_is_bounded_by_its_characters():
     # 1000 synthetic events plus one 50,000-character event: the scan and
-    # the learner's filter lay a batch out with one entry per character,
+    # the learner's kernel pass lay a batch out with one entry per character,
     # so their peak is a small multiple of the batch's characters, not of
     # its event count times its longest event (477 MB and 57.6 MB when
     # every event was padded to the longest)
@@ -163,7 +163,8 @@ def test_long_event_memory_is_bounded_by_its_characters():
     from itertools import islice
 
     from driftsig.alphabet import ALPHABET
-    from driftsig.learner import LearnerConfig, filter_components, generate_components, learn
+    from driftsig.engine import match_split, pack_tokens
+    from driftsig.learner import LearnerConfig, _cut_pool, learn
     from driftsig.streams import DriftConfig, gen_synthetic
 
     events = list(islice(gen_synthetic(DriftConfig(seed=1)), 1000))
@@ -172,7 +173,7 @@ def test_long_event_memory_is_bounded_by_its_characters():
     cfg = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=0)
     model = learn(pos, neg, cfg)
     model.matcher
-    pool = generate_components(pos, cfg)
+    raw, offsets = pack_tokens(_cut_pool(pos, cfg, ()))
     rng = random.Random(5)
     long_event = "".join(rng.choice(ALPHABET) for _ in range(50_000))
     values = [e.value for e in events] + [long_event]
@@ -187,13 +188,13 @@ def test_long_event_memory_is_bounded_by_its_characters():
             tracemalloc.stop()
 
     labels, scan_peak = peak(model.predict_batch, values)
-    kept, filter_peak = peak(filter_components, pool, neg + [long_event])
+    (_, _, hit), split_peak = peak(match_split, raw, offsets, pos, neg + [long_event])
     assert scan_peak < 100 * n_chars, scan_peak
-    assert filter_peak < 100 * n_chars, filter_peak
-    # the long event changes no other event's label, and the filter drops
+    assert split_peak < 100 * n_chars, split_peak
+    # the long event changes no other event's label, and the pass drops
     # some components for it but keeps none that a short negative holds
     assert labels[:-1].tolist() == model.predict_batch(values[:-1]).tolist()
     assert model.predict_batch([long_event]).tolist() == [labels[-1]]
-    short_kept = filter_components(pool, neg)
-    assert kept.keys() <= short_kept.keys()
-    assert [c for c in short_kept if c not in kept]
+    short_hit = match_split(raw, offsets, pos, neg)[2]
+    assert not (short_hit & ~hit).any()
+    assert (hit & ~short_hit).any()
