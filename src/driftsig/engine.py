@@ -17,16 +17,17 @@ whole pattern set is matched in a single pass over the input, with one
 table lookup per character regardless of how many patterns are loaded.
 An automaton state is the Shift-And state of all the chains at once,
 a Python int with one bit per atom, and its successor on a symbol is a
-few integer operations.  Most successors are shared: on a symbol that
-none of a state's own atoms reads, every state moves to the same
-state, so each compile fills the table with one base row, which the
-automaton keeps, and a state overwrites only the entries of the
-symbols its atoms read (a state holding a live wildcard, and state 0,
-write their whole row).  The
-chains' start states are implicit: the unanchored ones are live in
-every state, the anchored ones only in state 0, so state 0 is a state
-of its own exactly when some pattern is anchored at the start.  Each
-state's accepts, the ids of the patterns it matches, are stored once
+few integer operations.  The chains' start states are implicit: the
+unanchored ones are live in every state, the anchored ones only in
+state 0, so state 0 is a state of its own exactly when some pattern is
+anchored at the start.  Every state holds the atoms of the core state,
+where every string goes on a character outside the alphabet, and most
+successors are shared: on a symbol that none of a state's own atoms
+(those outside the core) reads, every state moves where the core state
+moves.  So a compile fills the table with the core state's row, and a
+state past it overwrites only the entries of the symbols its own atoms
+read (a state with a live wildcard of its own writes its whole row).
+Each state's accepts, the ids of the patterns it matches, are stored once
 as CSR arrays, and one numpy scan (:func:`driftsig._kernels.dfa_states`)
 reads every automaton.  The scan steps a batch's strings together, one
 character position at a time, over the unpadded time-major layout of
@@ -37,9 +38,10 @@ gather from the table, and a long event costs only its own characters.
 subset construction: it takes the reachable product of the two
 automata, which is the automaton one construction builds for the
 joined list, state for state.  Its search is sparse too: a pair's
-successor on a symbol is mostly the pair of the two base states, so a
-level fills its rows from the base row and sorts only the other
-successors (on the serve model, 2-29% of a join's entries).  Each
+successor on a symbol is mostly the pair of the two core states'
+successors, so a level fills its rows from the core pair's row and
+sorts only the other successors (on the serve model, 2-29% of a join's
+entries).  Each
 automaton counts its own patterns, so the appended set's ids shift
 past the first's without the caller's bookkeeping.
 :func:`compile_set` uses the same join to build a long list as a
@@ -59,7 +61,7 @@ from collections import deque
 import numpy as np
 
 from . import _kernels
-from .alphabet import CHAR_TO_CODE, CODE_ANY, N_SYMBOLS, encode_many
+from .alphabet import CHAR_TO_CODE, CODE_ANY, CODE_OTHER, N_SYMBOLS, encode_many
 from .errors import CapacityError
 from .patterns import TOKEN_ATOMS, Quant
 
@@ -98,19 +100,11 @@ def _atom_arrays(raw):
 
 
 def pack_patterns(patterns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten patterns into (codes, loop, skip, offsets, flags) kernel arrays.
-
-    ``patterns`` holds :class:`Pattern` objects, or the token strings of
-    unanchored patterns, as the learner keeps its components.
-    """
+    """Flatten :class:`Pattern` objects into (codes, loop, skip, offsets,
+    flags) kernel arrays."""
     pats = list(patterns)
-    if pats and isinstance(pats[0], str):
-        keys = pats
-        flags = np.zeros(len(pats), dtype=np.uint8)
-    else:
-        keys = [p.tokens for p in pats]
-        flags = np.array([p.anchored_start + 2 * p.anchored_end for p in pats], dtype=np.uint8)
-    raw, offsets = pack_tokens(keys)
+    flags = np.array([p.anchored_start + 2 * p.anchored_end for p in pats], dtype=np.uint8)
+    raw, offsets = pack_tokens(p.tokens for p in pats)
     return (*_atom_arrays(raw), offsets, flags)
 
 
@@ -140,7 +134,8 @@ def match_split(raw, offsets, values, others) -> tuple[np.ndarray, np.ndarray, n
     Returns ``(words, last, hit)`` as ``_kernels.nfa_match_split`` does:
     one row of match words per value, in order, where bit ``last[i]``
     is set when token string i matches it, and per token string whether
-    it matches any of ``others`` (``match_any_of(tokens, others)``).
+    it matches any of ``others`` (``match_any_of`` of its unanchored
+    :class:`Pattern`).
     """
     values = list(values)
     flags = np.zeros(len(offsets) - 1, dtype=np.uint8)
@@ -157,21 +152,22 @@ class MultiMatcher:
     and ``end_pid[end_off[s]:end_off[s + 1]]`` at the end of the subject
     (CSR arrays, ids ascending), so a pattern that matches everywhere is
     listed in every state.  The scan's hit flags derive from the offsets.
-    ``base_row[c]`` is the id of symbol c's base state, where every state
-    none of whose atoms reads c moves on c, or -1 when no state is that
-    state; :func:`extend_set` keys its sparse search by it.
+    ``trans[0, CODE_OTHER]`` is the core state, which every string reaches
+    after a character outside the alphabet, and its row holds each
+    symbol's base state, where a state moves on every symbol that none
+    of its own atoms reads (see :func:`_subset_construction`).
     Every array is read-only and matching never mutates state, so
     instances can be shared freely across threads.
     """
 
-    def __init__(self, trans, base_row, run_off, run_pid, end_off, end_pid, n_patterns):
-        self._trans, self._base_row = trans, base_row
+    def __init__(self, trans, run_off, run_pid, end_off, end_pid, n_patterns):
+        self._trans = trans
         self._run_off, self._run_pid = run_off, run_pid
         self._end_off, self._end_pid = end_off, end_pid
         self._hit_run = run_off[1:] != run_off[:-1]
         self._hit_end = end_off[1:] != end_off[:-1]
         self.n_patterns = n_patterns
-        for arr in (trans, base_row, run_off, run_pid, end_off, end_pid, self._hit_run, self._hit_end):
+        for arr in (trans, run_off, run_pid, end_off, end_pid, self._hit_run, self._hit_end):
             arr.setflags(write=False)
 
     @property
@@ -251,18 +247,19 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
     (parent state, symbol).
 
     The skip closure distributes over OR, so a state's successor on
-    symbol c is ``base[c] | closed(rest & table[c])``.  ``base[c]``, the
-    closure of the unanchored starts that read c plus ``core``, is the
-    same for every state; ``rest`` holds the state's own atoms: the
-    consumed ones moved on a slot, the repeating ones kept and, in state
-    0, every start.  On a symbol no atom of ``rest`` reads, the
-    successor is base[c]'s state.  Once whole rows have met every
-    symbol's base state, a state with no wildcard in ``rest`` computes
-    only the entries of the symbols its literal atoms read; the other
-    states, state 0 first among them, write their whole row.  The base
-    states' ids, the base row (-1 for a base state no string reaches),
-    fill the table first, the rows overwrite it, and the automaton
-    keeps the base row for :func:`extend_set`.
+    symbol c is ``base[c] | closed(own & table[c])``.  ``own`` holds the
+    state's own atoms: the consumed ones moved on a slot and the
+    repeating ones kept, less the ``shared`` ones that ``core`` makes
+    live in every state, and, in state 0, every start.  ``base[c]``,
+    ``core`` plus the closure of the unanchored starts and the shared
+    atoms that read c, is the same for every state: it is the successor
+    of the core state, which holds only ``core`` and is where state 0
+    moves on ``CODE_OTHER``, a symbol no atom reads.  On a symbol no
+    atom of ``own`` reads, a state moves to base[c]'s state.  Rows are
+    written whole up to the core state's, which gives every base state
+    its id; past it, a state with no wildcard in ``own`` computes only
+    the entries of the symbols its literal atoms read, and the base
+    states' ids fill the rest of its row.
     """
     codes, loop, skip, offsets, flags = pack_patterns(pats)
     m = _kernels.shift_and_masks(codes, loop, skip, offsets, flags)
@@ -283,26 +280,27 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
         return x
 
     core = closed(start_free & skips)
-    base = [closed(start_free & row) | core for row in table]
-    missing = set(range(N_SYMBOLS))  # symbols no whole row has shown to be base
+    shared = ((core << 1) & inner) | (core & loops)
+    base = [closed((start_free | shared) & row) | core for row in table]
     states = [closed(first & skips)]
     index = {core if start_free == first else -1: 0}
+    core_sid = 0  # the core state's id, known once state 0's row is written
     # whole rows back to back with their states, and the sparse states'
-    # (state, symbol, successor) overwrites of the base row
+    # (state, symbol, successor) overwrites of the base states' ids
     full_sid, full = array("i"), array("i")
     patch_sid, patch_sym, patch = array("i"), array("i"), array("i")
     work = deque([0])
     while work:
         sid = work.popleft()
         d = states[sid]
-        rest = ((d << 1) & inner) | (d & loops)
+        own = (((d << 1) & inner) | (d & loops)) & ~shared
         if not sid:
-            rest |= first
-        if missing or rest & wild:
+            own |= first
+        if sid <= core_sid or own & wild:
             symbols, out = range(N_SYMBOLS), full
             full_sid.append(sid)
         else:
-            read, r = set(), rest
+            read, r = set(), own
             while r:
                 low = r & -r
                 read.add(code_of[low.bit_length() - 1])
@@ -311,7 +309,7 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
             patch_sid.extend([sid] * len(symbols))
             patch_sym.extend(symbols)
         for c in symbols:
-            x = rest & table[c]
+            x = own & table[c]
             if x & may_follow:
                 x = closed(x)
             x |= base[c]
@@ -326,17 +324,14 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
                 states.append(x)
                 work.append(nid)
             out.append(nid)
-        if missing:  # so this row was written whole
-            missing -= {c for c in missing if not rest & table[c]}
+        if not sid:
+            core_sid = index[core]
 
     def ints(buf: array) -> np.ndarray:
         return np.frombuffer(buf, dtype=np.int32)
 
-    # the base states' ids; one that no string reaches gets -1, and then
-    # every state reads its symbol, so ``missing`` kept every row whole
-    base_row = np.array([index.get(x, -1) for x in base], dtype=np.int32)
     trans = np.empty((len(states), N_SYMBOLS), dtype=np.int32)
-    trans[:] = base_row
+    trans[:] = [index[x] for x in base]
     trans[ints(full_sid)] = ints(full).reshape(-1, N_SYMBOLS)
     trans[ints(patch_sid), ints(patch_sym)] = ints(patch)
 
@@ -358,7 +353,7 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
             off.append(len(pid))
         return ints(off), ints(pid)
 
-    return MultiMatcher(trans, base_row, *accepts(last_run), *accepts(last_end), len(pats))
+    return MultiMatcher(trans, *accepts(last_run), *accepts(last_end), len(pats))
 
 
 def extend_set(
@@ -377,31 +372,24 @@ def extend_set(
     state, symbol), so every field of the result equals compile_set's.
     Raises :class:`CapacityError` exactly when compile_set would.
 
-    The search is sparse, as the leaf construction is: most successors
-    on a symbol c are its base pair ``(base_row[c] of a, base_row[c] of
-    b)``, the combined base state, so the result's ``base_row`` holds
-    the base pairs' ids, as the single construction's does.  Once the
-    search has met a symbol's base pair, a level fills its rows with the
-    base ids and keys, sorts and deduplicates only the successors off
-    the base pair.  A symbol whose base pair has no id yet is keyed
-    whole, so every pair is still numbered at its first place.
+    The search is sparse, as the leaf construction is: a pair's successor
+    on a symbol c is mostly its base pair, the pair of the two automata's
+    base states for c (each the successor of its core state, see
+    :class:`MultiMatcher`), which is the successor of the core pair.  The
+    core pair is the start pair or one of its successors, so once the
+    first levels have written its row, a level fills its rows with the
+    base pairs' ids and keys, sorts and deduplicates only the successors
+    off the base pair; until then a level keys every successor, so every
+    pair is numbered at its first place.
     """
     trans_a, trans_b = base._trans, addition._trans
     n_add = trans_b.shape[0]
-    base_a, base_b = base._base_row, addition._base_row
+    base_a = trans_a[trans_a[0, CODE_OTHER]]
+    base_b = trans_b[trans_b[0, CODE_OTHER]]
     # pair (a, b) is keyed a * n_add + b; by_id holds the keys of the
     # pairs met so far in state order, the start pair (0, 0) being state 0
     by_id = level = np.zeros(1, dtype=np.int64)
-    base_key = base_a.astype(np.int64) * n_add + base_b
-    # the result's base row: the id of each symbol's base pair once the
-    # search has met it (the start pair's from the outset), -1 before and
-    # where an automaton has no base state for the symbol
-    has = (base_a >= 0) & (base_b >= 0)
-    base_row = np.where(has & (base_key == 0), 0, -1).astype(np.int32)
-    pending = np.flatnonzero(has & (base_row < 0))
-    # a's base successors of the symbols whose base pair has an id, -1
-    # (which no successor equals, so the symbol is keyed whole) elsewhere
-    met_a = np.where(base_row >= 0, base_a, -1)
+    base_ids = None  # the core pair's row, once it is written
     # the table, filled a level of rows at a time, is sized once for as
     # many states as the two automata hold together, about what disjoint
     # chains reach; a search that outgrows it adds at least its size again
@@ -412,13 +400,16 @@ def extend_set(
         rank = by_id.argsort()
         known = by_id[rank]
         # successors of the level's pairs, row by row, at their (parent,
-        # symbol) places; those at their symbol's base pair, once it has an
-        # id, are not keyed
+        # symbol) places; those at their symbol's base pair, once its id is
+        # known, are not keyed
         succ_a = trans_a[level // n_add]
         succ_b = trans_b[level % n_add]
-        off = succ_a != met_a
-        off |= succ_b != base_b
-        places = off.ravel().nonzero()[0]
+        if base_ids is None:
+            places = np.arange(succ_a.size)
+        else:
+            off = succ_a != base_a
+            off |= succ_b != base_b
+            places = off.ravel().nonzero()[0]
         keys = succ_a.ravel()[places].astype(np.int64)
         keys *= n_add
         keys += succ_b.ravel()[places]
@@ -438,20 +429,17 @@ def extend_set(
         if len(fresh) and len(by_id) + len(fresh) > state_limit:
             raise CapacityError(f"combined automaton needs more than {state_limit} states")
         ids[fresh] = np.arange(len(by_id), len(by_id) + len(fresh))
-        if len(pending):
-            at = np.minimum(uniq.searchsorted(base_key[pending]), len(uniq) - 1)
-            found = uniq[at] == base_key[pending]
-            base_row[pending[found]] = ids[at[found]]
-            pending = pending[~found]
-            met_a = np.where(base_row >= 0, base_a, -1)
         # the level's rows: base ids, then every keyed successor's id,
         # which is the id of its run of equal sorted keys
         rows = trans[len(by_id) - len(level) : len(by_id)]
-        rows[:] = base_row
+        if base_ids is not None:
+            rows[:] = base_ids
         runs = np.empty_like(starts)
         np.subtract(starts[1:], starts[:-1], out=runs[:-1])
         runs[-1:] = len(keys) - starts[-1:]
         rows.reshape(-1)[places[order]] = ids.repeat(runs)
+        if base_ids is None and trans[0, CODE_OTHER] < len(by_id):
+            base_ids = trans[trans[0, CODE_OTHER]].copy()
         level = uniq[fresh]
         by_id = np.concatenate([by_id, level])
 
@@ -472,7 +460,6 @@ def extend_set(
 
     return MultiMatcher(
         trans,
-        base_row,
         *accepts(base._run_off, base._run_pid, addition._run_off, addition._run_pid),
         *accepts(base._end_off, base._end_pid, addition._end_off, addition._end_pid),
         base.n_patterns + addition.n_patterns,

@@ -294,7 +294,7 @@ def filter_components(pool: dict[str, int], negatives) -> dict[str, int]:
     """
     if not negatives or not pool:
         return dict(pool)
-    hits = match_any_of(pool, set(negatives))
+    hits = match_any_of(map(Pattern, pool), set(negatives))
     return dict(compress(pool.items(), (~hits).tolist()))
 
 

@@ -280,13 +280,12 @@ def state_ids(off, pid):
 
 
 def automaton_fields(matcher):
-    """The six fields of a compiled automaton, as one comparable value:
-    the transition table (dtype and shape included), the base row, both
-    hit flags and the per-state run and end-anchored pattern ids."""
-    trans, base_row = matcher._trans, matcher._base_row
+    """The five fields of a compiled automaton, as one comparable value:
+    the transition table (dtype and shape included), both hit flags and
+    the per-state run and end-anchored pattern ids."""
+    trans = matcher._trans
     return (
         (trans.dtype.str, trans.shape, trans.tobytes()),
-        (base_row.dtype.str, base_row.tobytes()),
         (matcher._hit_run.dtype.str, matcher._hit_run.tobytes()),
         (matcher._hit_end.dtype.str, matcher._hit_end.tobytes()),
         state_ids(matcher._run_off, matcher._run_pid),
@@ -294,31 +293,44 @@ def automaton_fields(matcher):
     )
 
 
-def subset_construction_fields(patterns):
-    """Reference for engine._subset_construction, as automaton_fields.
+# the oracle automaton's symbols: the alphabet, then None for any
+# character outside it (symbol ``len(ALPHABET)``)
+SYMBOLS = list(ALPHABET) + [None]
+
+
+def _skippable(atom):
+    return atom.quant in (Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE)
+
+
+def _repeats(atom):
+    return atom.quant in (Quant.ZERO_OR_MORE, Quant.ONE_OR_MORE)
+
+
+def _reads(atom, ch):
+    return ch is not None and _atom_accepts(atom, ch)
+
+
+def position_reads(pats, position, ch) -> bool:
+    """Whether position ``(p, k)`` of the frozenset construction over
+    ``pats`` moves on ``ch``: atom k reads it, or atom k - 1 repeats and
+    reads it."""
+    p, k = position
+    atoms = pats[p].atoms
+    if k < len(atoms) and _reads(atoms[k], ch):
+        return True
+    return k > 0 and _repeats(atoms[k - 1]) and _reads(atoms[k - 1], ch)
+
+
+def subset_construction_reference(patterns):
+    """A textbook subset construction, returning ``(states, trans)``.
 
     A state is the frozenset of (pattern, atoms consumed) positions that
     a string can reach, skip closure included.  Every unanchored
     pattern's start (p, 0) is in every state; the anchored ones' starts
     are only in the start state.  States are numbered breadth first, by
-    (parent, symbol); symbol ``len(ALPHABET)`` is any character outside
-    the alphabet.  A pattern that matches the empty string everywhere is
-    in every state's ids.  A symbol's base state is where a state goes
-    when none of its positions reads the symbol: only the unanchored
-    starts move.  Its id, or -1 when no string reaches it, is the
-    symbol's entry in the base row.
+    (parent, symbol) over ``SYMBOLS``; ``trans`` is the int32 table.
     """
     pats = list(patterns)
-    chars = list(ALPHABET) + [None]
-
-    def skippable(atom):
-        return atom.quant in (Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE)
-
-    def repeats(atom):
-        return atom.quant in (Quant.ZERO_OR_MORE, Quant.ONE_OR_MORE)
-
-    def reads(atom, ch):
-        return ch is not None and _atom_accepts(atom, ch)
 
     def closure(positions):
         out = set(positions)
@@ -326,7 +338,7 @@ def subset_construction_fields(patterns):
         while todo:
             p, k = todo.pop()
             atoms = pats[p].atoms
-            if k < len(atoms) and skippable(atoms[k]) and (p, k + 1) not in out:
+            if k < len(atoms) and _skippable(atoms[k]) and (p, k + 1) not in out:
                 out.add((p, k + 1))
                 todo.append((p, k + 1))
         return frozenset(out)
@@ -337,9 +349,9 @@ def subset_construction_fields(patterns):
         nxt = set(free)
         for p, k in state:
             atoms = pats[p].atoms
-            if k < len(atoms) and reads(atoms[k], ch):
+            if k < len(atoms) and _reads(atoms[k], ch):
                 nxt.add((p, k + 1))
-            if k > 0 and repeats(atoms[k - 1]) and reads(atoms[k - 1], ch):
+            if k > 0 and _repeats(atoms[k - 1]) and _reads(atoms[k - 1], ch):
                 nxt.add((p, k))
         return closure(nxt)
 
@@ -348,13 +360,22 @@ def subset_construction_fields(patterns):
     work = deque([start])
     while work:
         state = work.popleft()
-        for ch in chars:
+        for ch in SYMBOLS:
             nxt = step(state, ch)
             if nxt not in index:
                 index[nxt] = len(states)
                 states.append(nxt)
                 work.append(nxt)
             rows.append(index[nxt])
+    return states, np.array(rows, dtype=np.int32).reshape(-1, N_SYMBOLS)
+
+
+def subset_construction_fields(patterns):
+    """Reference for engine._subset_construction, as automaton_fields,
+    from :func:`subset_construction_reference`.  A pattern that matches
+    the empty string everywhere is in every state's ids."""
+    pats = list(patterns)
+    states, trans = subset_construction_reference(pats)
 
     def ids(state, anchored_end):
         done = (p for p, k in state if k == len(pats[p].atoms) and pats[p].anchored_end == anchored_end)
@@ -362,13 +383,10 @@ def subset_construction_fields(patterns):
 
     run = tuple(ids(s, False) for s in states)
     end = tuple(ids(s, True) for s in states)
-    trans = np.array(rows, dtype=np.int32).reshape(-1, N_SYMBOLS)
-    base_row = np.array([index.get(step(free, ch), -1) for ch in chars], dtype=np.int32)
     hit_run = np.array([bool(r) for r in run], dtype=bool)
     hit_end = np.array([bool(e) for e in end], dtype=bool)
     return (
         (trans.dtype.str, trans.shape, trans.tobytes()),
-        (base_row.dtype.str, base_row.tobytes()),
         (hit_run.dtype.str, hit_run.tobytes()),
         (hit_end.dtype.str, hit_end.tobytes()),
         run,

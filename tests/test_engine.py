@@ -11,18 +11,21 @@ from driftsig import _kernels, engine
 from driftsig.engine import DEFAULT_STATE_LIMIT, compile_set, extend_set, match_many, pack_patterns
 from driftsig.alphabet import ALPHABET, BYTE_TABLE, CODE_ANY, CODE_OTHER, N_SYMBOLS, encode_many
 from driftsig.errors import CapacityError
-from driftsig.patterns import Atom, Pattern, Quant, exact_pattern, parse_pattern
+from driftsig.patterns import Atom, Quant, exact_pattern, parse_pattern
 
 from oracle import (
+    SYMBOLS,
     atom_pattern,
     automaton_fields,
     backtrack_match,
     match_set_bruteforce,
     pack_patterns_per_atom,
+    position_reads,
     random_pattern,
     random_subject,
     state_ids,
     subset_construction_fields,
+    subset_construction_reference,
 )
 
 # no example database on disk, and the same examples on every run
@@ -170,8 +173,8 @@ def test_capacity_error():
     assert compile_set(patterns, state_limit=m.n_states).n_states == m.n_states
     with pytest.raises(CapacityError):
         compile_set(patterns, state_limit=m.n_states - 1)
-    # exact-match entries: past the first states, rows overwrite only the
-    # base row's entries for the symbols their atoms read
+    # exact-match entries: past the core state, rows overwrite only the
+    # base states' ids for the symbols their atoms read
     entries = [exact_pattern(v) for v in ["abc.com", "abd.net", "x-y.org", "q0_9.io", "bca.co", "zzz.com"]]
     n = engine._subset_construction(entries, DEFAULT_STATE_LIMIT).n_states
     assert n > 30
@@ -281,7 +284,7 @@ def test_golden_automaton():
     assert m.n_states == 2110
     assert _digest(m) == "39f4be09ca218394bf7dbc7cfd4f27110ef2cf5981cc65d097009c817c84162f"
     # shared across threads: no array the matcher holds can be written
-    for arr in (m._trans, m._base_row, m._run_off, m._run_pid, m._end_off, m._end_pid, m._hit_run, m._hit_end):
+    for arr in (m._trans, m._run_off, m._run_pid, m._end_off, m._end_pid, m._hit_run, m._hit_end):
         assert not arr.flags.writeable
 
 
@@ -608,11 +611,6 @@ def test_pack_patterns_matches_per_atom_packer(patterns):
     want = pack_patterns_per_atom(patterns)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
-    # the learner's form: token strings of unanchored patterns
-    bare = [Pattern(p.tokens) for p in patterns]
-    tokens = pack_patterns([p.tokens for p in bare])
-    for g, w in zip(tokens, pack_patterns_per_atom(bare)):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 @st.composite
@@ -667,9 +665,10 @@ _SPLIT_LISTS = st.lists(st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING), max_size=12).
 @example(([pat("a?"), pat("^b.c"), pat("0*$")], 3))
 # always-matching patterns on both sides; more than ten states
 @example(([pat("^a.c"), pat("b?d*e+"), pat("x?"), pat("x.y$"), pat("^q+z?$"), pat("..0"), pat("y*")], 3))
-# every state reads b (the core holds a? of a?b), and no state is b's base
-# state: base_row -1 for b in the base, in the addition, and in the join
-# of two automata that both hold theirs
+# every state reads b (the core holds a? of a?b), so b's base state is the
+# core state's successor on b: the always-live atom in the base, then in
+# the addition, each with an anchored state 0 on the other side, then in
+# both halves
 @example(([pat("a?b"), pat("b"), pat("^c")], 2))
 @example(([pat("^c"), pat("a?b"), pat("b")], 1))
 @example(([pat("a?b"), pat("^c"), pat("b")], 1))
@@ -725,11 +724,54 @@ def test_compile_tree_equals_single_construction(patterns, leaf):
 @example([pat("a+b"), pat("b0a")])  # a repeating first atom, in rest and in the starts
 @example([pat("0ba"), pat("ab+")])  # a repeating last atom: d << 1 sets the bit past the last slot
 @example([pat("a?"), pat("b*"), pat("^0?$"), pat("a?b*$")])  # all skippable
-@example([pat("a?b"), pat("b")])  # no state is b's base state: base_row -1
+@example([pat("a?b"), pat("b")])  # every state reads b: rows list only their other atoms' symbols
 @example([pat("^c"), pat("b+"), pat("a?b")])  # the same past an anchored state 0
 def test_subset_construction_equals_reference(patterns):
     got = engine._subset_construction(patterns, DEFAULT_STATE_LIMIT)
     assert automaton_fields(got) == subset_construction_fields(patterns)
+
+
+# unanchored patterns whose first atom may be skipped: the core state makes
+# their second atom live, so every state reads its symbols
+_LIVE_EVERYWHERE = st.builds(
+    lambda first, rest, end: atom_pattern([first, *rest], False, end),
+    st.builds(Atom, st.sampled_from(ALPHABET), st.sampled_from([Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE])),
+    st.lists(_ANY_ATOMS, min_size=1, max_size=3),
+    st.booleans(),
+)
+
+
+@PROPERTY
+@given(
+    st.lists(st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING, _LIVE_EVERYWHERE), max_size=8).flatmap(
+        lambda ps: st.tuples(st.just(ps), st.integers(0, len(ps)))
+    )
+)
+@example(([pat("a?b"), pat("b")], 1))  # every state reads b
+@example(([pat("^c"), pat("b+"), pat("a?b")], 2))  # the same past an anchored state 0
+# a wildcard live in every state, one live in some states, and one that
+# only an anchored state 0 reads
+@example(([pat("a*.b"), pat("ab.0"), pat("^.c")], 1))
+def test_states_move_as_the_core_state_on_symbols_their_own_positions_skip(case):
+    # the invariant sparse rows and sparse joins rest on: the core state,
+    # where state 0 moves on CODE_OTHER, is in every state, and a state
+    # moves as the core state does on every symbol that none of its own
+    # positions (those outside the core) reads.  Positions come from the
+    # oracle's frozenset construction; the tables from the oracle, a leaf
+    # and a join.
+    patterns, split = case
+    states, want = subset_construction_reference(patterns)
+    core = int(want[0, CODE_OTHER])
+    assert all(states[core] <= state for state in states)
+    leaf = engine._subset_construction(patterns, DEFAULT_STATE_LIMIT)
+    join = extend_set(compile_set(patterns[:split]), compile_set(patterns[split:]))
+    for trans in (want, leaf._trans, join._trans):
+        assert trans.shape[0] == len(states) and trans[0, CODE_OTHER] == core
+        for s, state in enumerate(states):
+            own = state - states[core]
+            for c, ch in enumerate(SYMBOLS):
+                if not any(position_reads(patterns, q, ch) for q in own):
+                    assert trans[s, c] == trans[core, c], (s, ch)
 
 
 def _encode_each(values):
