@@ -1,4 +1,4 @@
-"""Hot matching loops, vectorized with numpy.
+"""Hot matching loops, vectorized with numpy or on Python-int bitsets.
 
 Two kernels dominate runtime: the pattern-set x string-set match used by
 the learner, and the combined-automaton scan that labels events,
@@ -11,10 +11,10 @@ one call.  The learner reads the bits of the components it keeps from
 those rows with :func:`bits_at`, strings by components, and the match
 matrix of :func:`nfa_match_matrix` is read the same way.  Both kernels
 take flat arrays: patterns as packed by ``engine.pack_patterns`` and
-subjects as encoded by ``alphabet.encode_many``.  Both step the
-subjects one character position at a time over the same layout,
-:func:`time_major`: the strings sorted longest first and their codes
-laid out step by step,
+subjects as encoded by ``alphabet.encode_many``.  The scan, and the
+match on large inputs, step the subjects one character position at a
+time over the same layout, :func:`time_major`: the strings sorted
+longest first and their codes laid out step by step,
 so the strings still being read at a step are a prefix of the sorted
 ones and that step's characters one contiguous slice.  Nothing is
 padded: a batch costs one entry per character, and a step costs only
@@ -25,12 +25,17 @@ Patterns are matched by one bit-parallel extended Shift-And recurrence
 Navarro & Raffinot, *Flexible Pattern Matching in Strings*, 2002):
 every atom of every pattern is one bit, and :func:`shift_and_masks` is
 the one place that derives the recurrence's masks from the packed
-patterns.  It has two consumers.  The match lays the masks out in
-uint64 words that no pattern of at most 64 atoms crosses, and updates
-all patterns against all live strings with a few whole-array operations
-per input character; the engine's subset construction takes them with
-atom i at bit i, turns them into Python ints and runs the recurrence
-once per automaton state and symbol.
+patterns.  Three consumers run them, in two layouts:
+  - the match on a call of ``_SMALL_CELLS`` string x atom cells or more
+    lays the masks out in uint64 words that no pattern of at most 64
+    atoms crosses, and updates all patterns against all live strings
+    with a few whole-array operations per input character;
+  - the match on a smaller call, such as a regex-golf learn's, and the
+    engine's subset construction take the masks with atom i at bit i,
+    as Python ints (:func:`bitsets`), and close a state over its
+    skippable atoms with :func:`closed`: the match runs the recurrence
+    once per string and character, the construction once per
+    automaton state and symbol.
 """
 
 from __future__ import annotations
@@ -101,6 +106,7 @@ def time_major(scodes, s_off):
 # ---------------------------------------------------------------------------
 
 _BATCH_CELLS = 1 << 22  # string x atom cells stepped together; bounds the state arrays
+_SMALL_CELLS = 1 << 17  # calls of fewer string x atom cells run on Python ints
 _ONE = np.uint64(1)
 _TOP = np.uint64(63)
 
@@ -205,6 +211,21 @@ def shift_and_masks(codes, loop, skip, pat_off, pat_flags, layout=None) -> Masks
     return Masks(last, rows)
 
 
+def bitsets(rows) -> list[int]:
+    """Each row of a 2-D bool array as a Python int, element i being bit i."""
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(rows, axis=1, bitorder="little")]
+
+
+def closed(x: int, follow: int) -> int:
+    """The skip closure of the Python-int state ``x``: every consumed atom
+    passes over the skippable atoms after it, ``follow`` being the
+    skippable atoms that are not a pattern's first."""
+    y = x | ((x << 1) & follow)
+    while y != x:
+        x, y = y, y | ((y << 1) & follow)
+    return x
+
+
 def _pack(codes, loop, skip, pat_off, pat_flags):
     """The patterns' masks in uint64 words, for :func:`_simulate`.
 
@@ -278,20 +299,75 @@ def _simulate(packed, cols, bounds, s0, s1):
     return matched
 
 
+def _match_ints(codes, loop, skip, pat_off, pat_flags, scodes, s_off, n_rows):
+    """:func:`nfa_match_split` on Python-int bitsets in the dense layout
+    (atom i at bit i), one string at a time.
+
+    The same recurrence as :func:`_simulate`.  The skip closure
+    distributes over OR, so the closure of a step's unanchored starts,
+    ``core``, is computed once and ORed into every state.
+    """
+    m = shift_and_masks(codes, loop, skip, pat_off, pat_flags)
+    rows = bitsets(m.rows)
+    table = rows[:N_SYMBOLS]
+    _, loops, skips, first, start_free, last_run, last_end = rows[N_SYMBOLS:]
+    not_first = ~first
+    follow = skips & not_first
+    may_follow = follow >> 1
+    core = closed(start_free & skips, follow)
+    d0 = closed(first & skips, follow)
+    text = scodes.tolist()
+    bounds = s_off.tolist()
+    out, others = [], 0
+    for j in range(len(bounds) - 1):
+        d = matched = d0
+        start = first
+        for c in text[bounds[j] : bounds[j + 1]]:
+            x = (((d << 1) & not_first) | start | (d & loops)) & table[c]
+            if x & may_follow:
+                x = closed(x, follow)
+            d = x | core
+            matched |= d
+            start = start_free
+        matched = (matched & last_run) | (d & last_end)
+        if j < n_rows:
+            out.append(matched)
+        else:
+            others |= matched
+    n_bytes = -(-m.rows.shape[1] // 64) * 8
+    words = np.frombuffer(b"".join(r.to_bytes(n_bytes, "little") for r in out), dtype="<u8")
+    others = np.frombuffer(others.to_bytes(n_bytes, "little"), dtype="<u8")
+    return words.reshape(n_rows, n_bytes // 8), m.last, _bits(others)[m.last]
+
+
 def nfa_match_split(codes, loop, skip, pat_off, pat_flags, scodes, s_off, n_rows):
     """Match every pattern against every string in one pass.
 
     Returns ``(words, last, hit)``: one row of uint64 words per string of
     the first ``n_rows``, in input order, where bit ``last[p]`` is set
     when pattern p matches that string (:func:`bits_at` reads them), and
-    per pattern whether it matches any of the strings after them.  Every
-    pattern is stepped at once, over the length-sorted strings in
-    batches of at most ``_BATCH_CELLS`` string x atom cells, so a long
-    string's lone steps cost one pass over all the patterns.
+    per pattern whether it matches any of the strings after them.
+
+    A call of fewer than ``_SMALL_CELLS`` string x atom cells (the
+    strings' characters times the patterns' atoms, counted in whole
+    64-bit words), such as a regex-golf learn's, runs
+    :func:`_match_ints`: one string at a time on Python-int bitsets in
+    the dense layout, with no per-call layout and no numpy call per
+    character.  Its cost is per character, and a character costs about
+    a word's operations however few atoms fill the word, so the atoms
+    are rounded up.  A larger call lays the patterns out in words
+    (:func:`_word_layout`) and steps every pattern at once, over the
+    length-sorted strings in batches of at most ``_BATCH_CELLS`` cells,
+    so a long string's lone steps cost one pass over all the patterns.
+    Both return the same bits: only ``last`` and the words' layout
+    differ.
     """
     n_pat = len(pat_off) - 1
     if not n_pat:
         return np.zeros((n_rows, 0), dtype=np.uint64), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool)
+    atoms = -(-int(pat_off[-1] - pat_off[0]) // 64) * 64  # in whole words
+    if int(s_off[-1] - s_off[0]) * atoms < _SMALL_CELLS:
+        return _match_ints(codes, loop, skip, pat_off, pat_flags, scodes, s_off, n_rows)
     last, packed = _pack(codes, loop, skip, pat_off, pat_flags)
     cols, off, order = time_major(scodes, s_off)
     bounds = off.tolist()

@@ -227,11 +227,6 @@ def _compile_tree(pats: list, state_limit: int) -> MultiMatcher:
     return extend_set(left, right, state_limit)
 
 
-def _bitsets(rows) -> list[int]:
-    """Each row of a 2-D bool array as a Python int, element i being bit i."""
-    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(rows, axis=1, bitorder="little")]
-
-
 def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
     """One subset construction over the whole list, on Python-int bitsets.
 
@@ -263,7 +258,7 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
     """
     codes, loop, skip, offsets, flags = pack_patterns(pats)
     m = _kernels.shift_and_masks(codes, loop, skip, offsets, flags)
-    bitsets = _bitsets(m.rows)
+    bitsets = _kernels.bitsets(m.rows)
     table = bitsets[:N_SYMBOLS]
     wild, loops, skips, first, start_free, last_run, last_end = bitsets[N_SYMBOLS:]
     follow = skips & ~first
@@ -271,18 +266,11 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
     # where a consumed atom moves on to: not to a first atom, nor past the last slot
     inner = ((1 << len(codes)) - 1) & ~first
     code_of = codes.tolist()
-
-    def closed(x: int) -> int:
-        # skip closure: a consumed atom passes over the skippable ones after it
-        y = x | ((x << 1) & follow)
-        while y != x:
-            x, y = y, y | ((y << 1) & follow)
-        return x
-
-    core = closed(start_free & skips)
+    closed = _kernels.closed
+    core = closed(start_free & skips, follow)
     shared = ((core << 1) & inner) | (core & loops)
-    base = [closed((start_free | shared) & row) | core for row in table]
-    states = [closed(first & skips)]
+    base = [closed((start_free | shared) & row, follow) | core for row in table]
+    states = [closed(first & skips, follow)]
     index = {core if start_free == first else -1: 0}
     core_sid = 0  # the core state's id, known once state 0's row is written
     # whole rows back to back with their states, and the sparse states'
@@ -311,7 +299,7 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
         for c in symbols:
             x = own & table[c]
             if x & may_follow:
-                x = closed(x)
+                x = closed(x, follow)
             x |= base[c]
             nid = index.get(x)
             if nid is None:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 from unittest import mock
@@ -32,6 +33,24 @@ from oracle import (
 PROPERTY = settings(database=None, derandomize=True, deadline=None)
 
 
+# values of _kernels._SMALL_CELLS that send every nfa_match_split call to
+# the word layout and to the Python-int bitsets
+KERNEL_PATHS = (0, 1 << 62)
+
+
+def both_kernel_paths(test):
+    """Run ``test`` on both paths of ``_kernels.nfa_match_split``.  The
+    test keeps its name: it passes only when both runs do."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for cells in KERNEL_PATHS:
+            with mock.patch.object(_kernels, "_SMALL_CELLS", cells):
+                test(*args, **kwargs)
+
+    return run
+
+
 def pat(text):
     return parse_pattern(text)
 
@@ -54,14 +73,17 @@ def pat(text):
         ("a", "A", False),
     ],
 )
+@both_kernel_paths
 def test_match_one_cases(text, subject, expected):
     assert match_many([pat(text)], [subject]).tolist() == [[expected]]
 
 
+@both_kernel_paths
 def test_non_alphabet_chars_never_match_wildcard():
     assert match_many([pat("x.z")], ["xAz", "xaz"]).tolist() == [[False, True]]
 
 
+@both_kernel_paths
 def test_automaton_wildcard_never_reads_outside_alphabet():
     patterns = [pat("a.c"), pat("^.b"), pat("x.$"), pat("ud800"), pat("x."), pat("^x.$")]
     # lone surrogates must not encode to alphabet characters (an escaping
@@ -82,6 +104,7 @@ def test_automaton_wildcard_never_reads_outside_alphabet():
         assert single.match_any_batch(subjects).tolist() == expected, p.text
 
 
+@both_kernel_paths
 def test_match_one_agrees_with_backtracking_oracle():
     rng = random.Random(99)
     for _ in range(400):
@@ -90,6 +113,7 @@ def test_match_one_agrees_with_backtracking_oracle():
         assert match_many([p], [s]).tolist() == [[backtrack_match(p, s)]], (p.text, s)
 
 
+@both_kernel_paths
 def test_unanchored_matches_survive_superstrings():
     rng = random.Random(5)
     found = 0
@@ -193,6 +217,7 @@ def test_anchored_and_empty_matching_patterns_in_sets():
         assert m.match_set(s) == match_set_bruteforce(patterns, s), s
 
 
+@both_kernel_paths
 def test_kernel_paths_agree():
     # one batch of subjects with mixed lengths (including empty ones), so
     # short subjects are done while longer ones are still being read
@@ -343,6 +368,7 @@ def test_golden_automaton_above_leaf_size():
     assert _digest(m) == "6681b0f7cc066fb3d9c79ab0b545b9e23927b4f3b56010d9f46bfb2aa287d0e2"
 
 
+@both_kernel_paths
 def test_match_many_matrix_shape_and_content():
     patterns = [pat("ab"), pat("^z")]
     values = ["ab", "zebra", "none"]
@@ -363,6 +389,7 @@ def _witness(pattern, rng):
     return "".join(out)
 
 
+@both_kernel_paths
 def test_kernels_on_multiword_and_multichunk_batches():
     rng = random.Random(17)
     patterns = [
@@ -400,6 +427,7 @@ def _match_bits(words, last):
     return np.array(cells, dtype=bool).reshape(len(last), len(words))
 
 
+@both_kernel_paths
 def test_kernels_on_an_empty_pattern_list():
     # no pattern: no match words, no last bits and no hits, whatever the strings
     codes, loop, skip, offs, flags = pack_patterns([])
@@ -411,6 +439,7 @@ def test_kernels_on_an_empty_pattern_list():
     assert _kernels.nfa_match_any(codes, loop, skip, offs, flags, scodes, s_off).shape == (0,)
 
 
+@both_kernel_paths
 def test_kernels_at_word_boundaries():
     # patterns of 64, 65 and 130 atoms, anchored at either end, with
     # short patterns: the word layout keeps every pattern of at
@@ -490,7 +519,7 @@ def test_kernels_step_string_batches_with_every_pattern_at_once():
         steps.append((s0, s1))
         return simulate(packed, cols, bounds, s0, s1)
 
-    with mock.patch.multiple(_kernels, _BATCH_CELLS=2 * int(offs[-1]), _simulate=recorded):
+    with mock.patch.multiple(_kernels, _BATCH_CELLS=2 * int(offs[-1]), _SMALL_CELLS=0, _simulate=recorded):
         assert len(_kernels._pack(codes, loop, skip, offs, flags)[0]) == len(patterns)
         matrix = _kernels.nfa_match_matrix(codes, loop, skip, offs, flags, scodes, s_off)
         assert steps == [(s0, min(s0 + 2, len(subjects))) for s0 in range(0, len(subjects), 2)]
@@ -547,6 +576,7 @@ _WIDE_NO_REPEAT = [
 @example(_WIDE_PATTERNS, _WIDE_SUBJECTS)
 @example(_WIDE_NO_REPEAT, _WIDE_SUBJECTS)
 @example([exact_pattern(_LONG_EXACT)], [_LONG_EXACT, "a" + _LONG_EXACT, _LONG_EXACT[:-1]])
+@both_kernel_paths
 def test_match_many_and_match_set_agree_with_oracle(patterns, subjects):
     got = match_many(patterns, subjects)
     assert got.tolist() == [[backtrack_match(p, s) for s in subjects] for p in patterns]
@@ -580,6 +610,7 @@ _MIXED_BATCHES = st.builds(
 # subjects and on ones that hold no alphabet character
 @example([pat("a?")], ["", "é", "😀é", "Xb", "a"])
 @example([pat("0*$")], ["", "é", "😀é", "Xb", "a0"])
+@both_kernel_paths
 def test_kernels_agree_with_oracle_on_mixed_length_batches(patterns, subjects):
     expected = [[backtrack_match(p, s) for s in subjects] for p in patterns]
     assert match_many(patterns, subjects).tolist() == expected
@@ -588,6 +619,42 @@ def test_kernels_agree_with_oracle_on_mixed_length_batches(patterns, subjects):
     assert m.match_any_batch(subjects).tolist() == [any(row[j] for row in expected) for j in columns]
     for j, s in enumerate(subjects):
         assert m.match_set(s) == {i for i, row in enumerate(expected) if row[j]}
+
+
+# patterns over more than 64 atoms, with a string each matches
+_LONG_PATTERNS = st.builds(
+    atom_pattern,
+    st.lists(_ATOMS, min_size=65, max_size=80),
+    st.booleans(),
+    st.booleans(),
+).filter(lambda p: not all(a.is_any for a in p.atoms))
+
+
+@PROPERTY
+@given(
+    st.lists(_PATTERNS, max_size=8),
+    _LONG_PATTERNS,
+    st.integers(0, 8),
+    st.lists(st.text(alphabet=_MIXED_CHARS, max_size=10), max_size=8),
+)
+@example(_WIDE_PATTERNS, pat("ab" * 40), 3, _WIDE_SUBJECTS)
+@example(_WIDE_NO_REPEAT, pat("^" + _LONG_EXACT + "$"), 20, ["", _LONG_EXACT, "X" + _LONG_EXACT])
+def test_word_and_int_paths_give_the_same_bits(patterns, long, at, subjects):
+    patterns = patterns[:at] + [long] + patterns[at:]
+    # a string the long pattern matches (each atom once, 'a' for a
+    # wildcard), itself and inside others
+    witness = "".join(a.char or "a" for a in long.atoms)
+    assert backtrack_match(long, witness)
+    subjects = subjects + [witness, "X" + witness + "é", witness[1:]]
+    packed = pack_patterns(patterns)
+    strings = encode_many(subjects)
+    for n_rows in range(len(subjects) + 1):
+        results = []
+        for cells in KERNEL_PATHS:
+            with mock.patch.object(_kernels, "_SMALL_CELLS", cells):
+                words, last, hit = _kernels.nfa_match_split(*packed, *strings, n_rows)
+            results.append((_kernels.bits_at(words, last).tolist(), hit.tolist()))
+        assert results[0] == results[1], n_rows
 
 
 # every atom the grammar allows: all of the alphabet (the literal '.'

@@ -1,6 +1,10 @@
 import hashlib
+import importlib.util
 import random
+import sys
 from itertools import islice
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from driftsig import _kernels
 from driftsig.engine import match_many, match_split, pack_tokens
 from driftsig.errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from driftsig.learner import (
@@ -20,6 +25,7 @@ from driftsig.learner import (
     learn,
 )
 from driftsig.patterns import ANY_TOKEN, TOKEN_ATOMS, Quant, parse_pattern, render_tokens
+from driftsig.streams import gen_synthetic
 
 from oracle import (
     backtrack_match,
@@ -664,3 +670,39 @@ def test_learn_separates_disjoint_sets(pos, neg):
     model = learn(pos, neg, cfg)
     assert model.predict_batch(sorted(pos)).tolist() == [1] * len(pos)
     assert model.predict_batch(sorted(neg)).tolist() == [0] * len(neg)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _workloads():
+    """perfbench's workloads module, imported with its directory on the path."""
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    try:
+        with mock.patch.object(sys, "path", [str(PERFBENCH), *sys.path]):
+            spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_golf_learns_match_on_ints_and_w1_learns_on_words():
+    # the benchmark's golf learns stay below _kernels._SMALL_CELLS, so
+    # their match runs on Python ints; a W1 window's learn (about 15k
+    # characters x 2k atoms) is far above it and steps the word layout
+    workloads = _workloads()
+    with (
+        mock.patch.object(_kernels, "_match_ints", wraps=_kernels._match_ints) as ints,
+        mock.patch.object(_kernels, "_simulate", wraps=_kernels._simulate) as words,
+    ):
+        problems = workloads.golf_problems(1)
+        for pos, neg in problems:
+            learn(set(pos), set(neg), workloads.GOLF_LEARNER)
+        assert (ints.call_count, words.call_count) == (len(problems), 0)
+        window = list(islice(gen_synthetic(workloads.W1_STREAM), workloads.W1_WINDOW))
+        pos = {e.value for e in window if e.truth}
+        learn(pos, {e.value for e in window if not e.truth}, workloads.W1_LEARNER)
+        assert ints.call_count == len(problems) and words.call_count > 0
