@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alphabet import CODE_ANY, CODE_OTHER, N_SYMBOLS
+from .alphabet import CODE_OTHER, N_SYMBOLS
 
 # There is one numpy implementation of each kernel; these flags are kept
 # so that callers reporting the kernel path can still read them.
@@ -176,18 +176,14 @@ class Masks(NamedTuple):
     rows: np.ndarray  # (N_SYMBOLS + 7, width) bool
 
 
-# _ROW[code]: the row of Masks.rows an atom with this code sets, its own
-# symbol's for a literal and the wild row for the wildcard
-_ROW = np.arange(CODE_ANY + 1)
-_ROW[CODE_ANY] = N_SYMBOLS
-
-
 def shift_and_masks(codes, loop, skip, pat_off, pat_flags, layout=None) -> Masks:
     """Masks of the patterns in atom slots ``pat_off[0]:pat_off[-1]``.
 
     Slot ``pat_off[0] + i`` is bit i, or, given a :func:`_word_layout`
     ``(bit, n_words)``, bit ``bit[i]`` of ``n_words`` words.  Every mask
-    is scattered at the atoms' bits into one zeroed array.  A literal
+    is scattered at the atoms' bits into one zeroed array, an atom's
+    symbol row being its code: its own symbol's for a literal, and for
+    the wildcard, whose code is ``N_SYMBOLS``, the wild row.  A literal
     reads its own code and the wildcard every alphabet code, never
     ``CODE_OTHER``: the wild row is ORed into the alphabet's rows.
     """
@@ -196,8 +192,7 @@ def shift_and_masks(codes, loop, skip, pat_off, pat_flags, layout=None) -> Masks
     first = bit.take(pat_off[:-1] - lo)
     last = bit.take(pat_off[1:] - (lo + 1))
     rows = np.zeros((N_SYMBOLS + 7, width), dtype=bool)
-    at = _ROW.take(codes[lo:hi])
-    at *= width
+    at = np.multiply(codes[lo:hi], width, dtype=np.intp)
     at += bit
     rows.reshape(-1)[at] = True
     wild, loops, skips, start_all, start_free, last_run, last_end = rows[N_SYMBOLS:]

@@ -3,7 +3,9 @@
 Events are domain-like strings over lowercase letters, digits, '-', '.'
 and '_'.  The engine works on small integer codes; any character outside
 the alphabet maps to ``CODE_OTHER``, which no atom (not even the
-wildcard) can match.
+wildcard) can match.  The wildcard atom's code is ``N_SYMBOLS``, one
+past every symbol, so a symbol table indexed by atom code has its
+wildcard row right after the symbols' rows.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ ALPHABET_SET = frozenset(ALPHABET)
 LITERAL_CHARS = ALPHABET_SET - {"."}
 
 CODE_OTHER = len(ALPHABET)      # any character outside the alphabet
-N_SYMBOLS = len(ALPHABET) + 1   # alphabet codes plus CODE_OTHER
-CODE_ANY = 64                   # atom code reserved for the '.' wildcard
+N_SYMBOLS = len(ALPHABET) + 1   # alphabet codes plus CODE_OTHER; also the '.' wildcard's atom code
 
 CHAR_TO_CODE = {ch: i for i, ch in enumerate(ALPHABET)}
 

@@ -61,7 +61,7 @@ from collections import deque
 import numpy as np
 
 from . import _kernels
-from .alphabet import CHAR_TO_CODE, CODE_ANY, CODE_OTHER, N_SYMBOLS, encode_many
+from .alphabet import CHAR_TO_CODE, CODE_OTHER, N_SYMBOLS, encode_many
 from .errors import CapacityError
 from .patterns import TOKEN_ATOMS, Quant
 
@@ -79,7 +79,7 @@ def _token_table(value) -> np.ndarray:
 
 # per token: the atom's symbol code, whether it may repeat (* and +) and
 # whether it may be skipped (? and *)
-_TOKEN_CODE = _token_table(lambda a: CODE_ANY if a.is_any else CHAR_TO_CODE[a.char])
+_TOKEN_CODE = _token_table(lambda a: N_SYMBOLS if a.is_any else CHAR_TO_CODE[a.char])
 _TOKEN_LOOP = _token_table(lambda a: a.quant in (Quant.ZERO_OR_MORE, Quant.ONE_OR_MORE))
 _TOKEN_SKIP = _token_table(lambda a: a.quant in (Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE))
 
@@ -108,22 +108,16 @@ def pack_patterns(patterns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return (*_atom_arrays(raw), offsets, flags)
 
 
-def _packed(patterns, values):
-    """The kernels' pattern and string arrays: :func:`pack_patterns` of
-    ``patterns`` and ``encode_many`` of ``values``."""
-    return (*pack_patterns(patterns), *encode_many(values))
-
-
 def match_many(patterns, values) -> np.ndarray:
     """Boolean matrix: entry [p, j] is True when pattern p matches values[j].
     ``patterns`` is as for :func:`pack_patterns`."""
-    return _kernels.nfa_match_matrix(*_packed(patterns, values))
+    return _kernels.nfa_match_matrix(*pack_patterns(patterns), *encode_many(values))
 
 
 def match_any_of(patterns, values) -> np.ndarray:
     """Boolean vector: entry [p] is True when pattern p matches some value,
     the same result as ``match_many(...).any(axis=1)``."""
-    return _kernels.nfa_match_any(*_packed(patterns, values))
+    return _kernels.nfa_match_any(*pack_patterns(patterns), *encode_many(values))
 
 
 def match_split(raw, offsets, values, others) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -210,21 +204,16 @@ def compile_set(patterns, state_limit: int = DEFAULT_STATE_LIMIT) -> MultiMatche
     intermediate automaton is a projection of the final one and never
     has more states.
     """
-    return _compile_tree(list(patterns), state_limit)
 
+    # the halves recurse through ``tree``, not ``compile_set``, so a wrapper
+    # of the ``compile_set`` attribute (perfbench's tracer) sees one call
+    def tree(pats: list) -> MultiMatcher:
+        if len(pats) <= _LEAF_PATTERNS:
+            return _subset_construction(pats, state_limit)
+        half = len(pats) // 2
+        return extend_set(tree(pats[:half]), tree(pats[half:]), state_limit)
 
-# compile_set's recursion goes through this helper, not compile_set itself:
-# perfbench's tracer wraps engine.compile_set by attribute, and a recursive
-# compile_set would book every node of the tree as a compile of its own
-# (serve's traced compile_calls 15 instead of 1, dfa_states 92,068
-# instead of 23,006).
-def _compile_tree(pats: list, state_limit: int) -> MultiMatcher:
-    if len(pats) <= _LEAF_PATTERNS:
-        return _subset_construction(pats, state_limit)
-    half = len(pats) // 2
-    left = _compile_tree(pats[:half], state_limit)
-    right = _compile_tree(pats[half:], state_limit)
-    return extend_set(left, right, state_limit)
+    return tree(list(patterns))
 
 
 def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:

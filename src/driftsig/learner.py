@@ -20,9 +20,8 @@ the Shift-And kernel, which returns the positives' match words.  The
 order by text is one numpy sort over keys rendered from that buffer;
 the components that match no negative, in that order, are read from the
 words in one gather, so the cover stays elements-major (positives by
-components) from the kernel to greedy, and the components greedy picks
-are read back from the buffer and become patterns as they are, with no
-anchors.
+components) from the kernel to greedy, and the token strings greedy
+picks become patterns as they are, with no anchors.
 
 The pool leaves out the variants whose first or last non-wildcard atom
 carries a ``+``, or a ``?`` or ``*`` when there is another non-wildcard
@@ -356,7 +355,8 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
         raise DisjointnessViolation(overlap)
 
     pos = sorted(positives)
-    raw, offsets = pack_tokens(_cut_pool(pos, cfg, negatives))
+    tokens = list(_cut_pool(pos, cfg, negatives))
+    raw, offsets = pack_tokens(tokens)
     words, last, hit = match_split(raw, offsets, pos, negatives)
     order = _text_order(raw, offsets)
     order = order[~hit[order]]
@@ -364,6 +364,6 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
     cover = bits_at(words, last[order])
     reached = cover.any(axis=1)
     picks = order[greedy_set_cover(cover[reached].T)]
-    picked = [Pattern(raw[offsets[i] : offsets[i + 1]].tobytes().decode("latin-1")) for i in picks]
+    picked = [Pattern(tokens[i]) for i in picks]
     fallbacks = [exact_pattern(pos[j]) for j in np.flatnonzero(~reached)]
     return Model(tuple(picked + fallbacks))

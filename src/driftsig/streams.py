@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, NamedTuple
@@ -313,7 +314,7 @@ def load_blacklist(path) -> dict[str, set[str]]:
     first row that is not two tab-separated fields.  The file is read a
     block of lines at a time, and a block's rows are split all at once.
     """
-    categories: dict[str, set[str]] = {}
+    categories = defaultdict(set)
     line_no = 0
     with open(path, "r", encoding="utf-8") as fh:
         while lines := fh.readlines(_BLOCK_BYTES):
@@ -326,12 +327,9 @@ def load_blacklist(path) -> dict[str, set[str]]:
                 raise ParseError(bad, "expected category<TAB>domain")
             fields = text.replace("\n", "\t").split("\t")
             for category, domain in zip(fields[0::2], fields[1::2]):
-                domains = categories.get(category)
-                if domains is None:
-                    domains = categories[category] = set()
-                domains.add(domain)
+                categories[category].add(domain)
             line_no += len(lines)
-    return categories
+    return dict(categories)
 
 
 def bootstrap_label(value: str, positive: set[str]) -> int:

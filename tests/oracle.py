@@ -18,9 +18,9 @@ from itertools import accumulate, combinations, product
 
 import numpy as np
 
-from driftsig.alphabet import ALPHABET, ALPHABET_SET, CHAR_TO_CODE, CODE_ANY, N_SYMBOLS, in_alphabet
+from driftsig.alphabet import ALPHABET, ALPHABET_SET, CHAR_TO_CODE, N_SYMBOLS, in_alphabet
 from driftsig.errors import LabelError, ParseError
-from driftsig.metrics import Counts
+from driftsig.metrics import Counts, WindowRecord
 from driftsig.patterns import TOKEN_ATOMS, Atom, Pattern, Quant, parse_pattern
 from driftsig.streams import (
     N_SUFFIXES,
@@ -80,7 +80,7 @@ def pack_patterns_per_atom(patterns):
     atoms = [atom for pat in pats for atom in pat.atoms]
     offsets = np.zeros(len(pats) + 1, dtype=np.int64)
     np.cumsum([len(p.atoms) for p in pats], out=offsets[1:])
-    codes = np.array([CODE_ANY if a.is_any else CHAR_TO_CODE[a.char] for a in atoms], dtype=np.uint8)
+    codes = np.array([N_SYMBOLS if a.is_any else CHAR_TO_CODE[a.char] for a in atoms], dtype=np.uint8)
     loop = np.array([a.quant in (Quant.ZERO_OR_MORE, Quant.ONE_OR_MORE) for a in atoms], dtype=np.uint8)
     skip = np.array([a.quant in (Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE) for a in atoms], dtype=np.uint8)
     flags = np.array([p.anchored_start + 2 * p.anchored_end for p in pats], dtype=np.uint8)
@@ -229,6 +229,50 @@ def reference_learn(positives, negatives, cfg) -> list[str]:
     reached = cover.any(axis=0)
     picks = [pool[i] for i in greedy_cover_reference(cover[:, reached])]
     return picks + ["^" + s.replace(".", "\\.") + "$" for s, r in zip(pos, reached) if not r]
+
+
+def reference_track(events, mode: str, window: int, cfg):
+    """The tracking loop by its contract, on pattern text: returns the
+    cumulative :class:`WindowRecord` of every scored window and the model
+    texts of every generation.
+
+    The first ``window`` events are the bootstrap, split by their truth:
+    the naive model is the anchored exact pattern of each positive, in
+    sorted order, and the adaptive one :func:`reference_learn`'s (empty
+    with no positive).  Each later whole window is labeled by the model
+    as it stood before the window, through :func:`backtrack_match`, and
+    scored against the truth.  In adaptive mode a window with a
+    predicted positive then makes a new generation: its predicted
+    positives and negatives are learned with :func:`reference_learn`,
+    and the patterns the model lacks are appended after the old ones.
+    A trailing partial window is dropped."""
+    events = list(events)
+    boot = events[:window]
+    pos0 = sorted({e.value for e in boot if e.truth == 1})
+    neg0 = sorted({e.value for e in boot if e.truth == 0})
+    if mode == "naive":
+        model = ["^" + v.replace(".", "\\.") + "$" for v in pos0]
+    else:
+        model = reference_learn(pos0, neg0, cfg) if pos0 else []
+    generations = [model]
+    counts = Counts()
+    records = []
+    for k in range(1, len(events) // window):
+        chunk = events[k * window : (k + 1) * window]
+        patterns = [parse_pattern(t) for t in model]
+        label = {v: int(any(backtrack_match(p, v) for p in patterns)) for v in {e.value for e in chunk}}
+        for e in chunk:
+            counts = accumulate_reference(counts, e.truth, label[e.value])
+        positives = {v for v, y in label.items() if y}
+        if mode == "adaptive" and positives:
+            added = reference_learn(positives, set(label) - positives, cfg)
+            model = model + [t for t in added if t not in model]
+            generations.append(model)
+        pos, neg = counts.tp + counts.fn, counts.fp + counts.tn
+        tpr = counts.tp / pos if pos else 0.0
+        fpr = counts.fp / neg if neg else 0.0
+        records.append(WindowRecord(k, mode, counts, tpr, fpr, (1.0 + tpr - fpr) / 2.0, len(model)))
+    return records, generations
 
 
 def accumulate_reference(counts: Counts, y_true: int, y_pred: int) -> Counts:

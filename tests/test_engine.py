@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from driftsig import _kernels, engine
 from driftsig.engine import DEFAULT_STATE_LIMIT, compile_set, extend_set, match_many, pack_patterns
-from driftsig.alphabet import ALPHABET, BYTE_TABLE, CODE_ANY, CODE_OTHER, N_SYMBOLS, encode_many
+from driftsig.alphabet import ALPHABET, BYTE_TABLE, CODE_OTHER, N_SYMBOLS, encode_many
 from driftsig.errors import CapacityError
 from driftsig.patterns import Atom, Quant, exact_pattern, parse_pattern
 
@@ -700,9 +700,9 @@ def test_shift_and_table_is_the_code_compare(run):
     pcodes = codes[off[p0] : off[p1]]
     sym = np.arange(N_SYMBOLS)[:, None]
     assert table.dtype == bool
-    assert np.array_equal(table, (pcodes == sym) | ((pcodes == CODE_ANY) & (sym != CODE_OTHER)))
+    assert np.array_equal(table, (pcodes == sym) | ((pcodes == N_SYMBOLS) & (sym != CODE_OTHER)))
     assert not table[CODE_OTHER].any()
-    assert table[:CODE_OTHER, pcodes == CODE_ANY].all()
+    assert table[:CODE_OTHER, pcodes == N_SYMBOLS].all()
 
 
 # patterns whose every atom may be skipped match the empty string, so an

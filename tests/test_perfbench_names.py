@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 from driftsig import _kernels, engine, learner
-from driftsig.patterns import Pattern
+from driftsig.patterns import Pattern, parse_pattern
 
 SPANTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "spantrace.py"
 
@@ -40,6 +40,19 @@ def test_the_tracer_wraps_every_name_it_lists_and_restores_them():
     assert {"learner.learn", "learner.filter_components", "engine.match_any_of", "engine.compile_set"} <= names
     metrics = spantrace.layer_metrics(tracer.spans, 1.0)
     assert metrics["learner.learn_calls"] == 1 and metrics["engine.compile_calls"] >= 1
+
+
+def test_a_compile_books_one_span_however_deep_its_tree(monkeypatch):
+    # compile_set recurses through a function of its own, never through the
+    # attribute the tracer wraps, so a tree of joins books one compile with
+    # the whole automaton's states, not one per node
+    monkeypatch.setattr(engine, "_LEAF_PATTERNS", 2)
+    patterns = [parse_pattern(t) for t in ("ab", "b?c", "^d", "e.f", "g+", "h$", "a*i")]
+    with _spantrace().Tracer() as tracer:
+        matcher = engine.compile_set(patterns)
+    compiles = [span for span in tracer.spans if span[0] == "engine.compile_set"]
+    assert len(compiles) == 1
+    assert compiles[0][4][1] == matcher.n_states
 
 
 def test_the_runner_reads_the_kernel_flags_and_pattern_atoms():

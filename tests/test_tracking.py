@@ -1,6 +1,11 @@
+import os
+import tempfile
 from itertools import islice
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftsig import model as model_mod
 from driftsig import tracking
@@ -10,9 +15,9 @@ from driftsig.learner import LearnerConfig
 from driftsig.model import Model
 from driftsig.patterns import parse_pattern
 from driftsig.streams import DriftConfig, Event, gen_synthetic
-from driftsig.tracking import run_tracking, run_window
+from driftsig.tracking import MODES, run_tracking, run_window
 
-from oracle import automaton_fields
+from oracle import automaton_fields, reference_track
 
 FAST = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=0)
 
@@ -228,3 +233,49 @@ def test_invalid_mode_and_window():
         run_tracking([], "hybrid", 10, FAST)
     with pytest.raises(ValueError):
         run_tracking([], "naive", 0, FAST)
+
+
+@st.composite
+def tracking_inputs(draw):
+    # a stream of short values over a small alphabet, each value with one
+    # truth, cut into windows of 5-30 events, then a partial window; caps
+    # with quantifiers on and a max_pool small enough to cut most pools
+    alphabet = draw(st.sampled_from(["ab", "ab.", "abc", "a0-"]))
+    values = draw(st.lists(st.text(alphabet, min_size=1, max_size=6), min_size=2, max_size=16, unique=True))
+    truth = draw(st.lists(st.integers(0, 1), min_size=len(values), max_size=len(values)))
+    window = draw(st.integers(5, 30))
+    n_events = window * draw(st.integers(2, 6)) + draw(st.integers(0, window - 1))
+    span = draw(st.integers(2, len(values)))
+    rng = draw(st.randoms(use_true_random=False))
+    # event i draws from ``span`` values that slide along the list, so the
+    # windows drift: later ones hold values the bootstrap never saw, and
+    # lack some it did
+    picks = [i * (len(values) - span) // n_events + rng.randrange(span) for i in range(n_events)]
+    cfg = LearnerConfig(
+        max_ngram=draw(st.integers(1, 3)),
+        max_wildcards=draw(st.integers(0, 2)),
+        max_quantified=draw(st.integers(1, 2)),
+        max_pool=draw(st.integers(0, 30)),
+    )
+    return events_from((values[j], truth[j]) for j in picks), window, cfg
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=1000)
+@given(tracking_inputs())
+# the bootstrap learns b; window 1 learns a, which sorts before b, from its
+# positive ab, and a then labels window 2's negative ca positive
+@example((events_from([("b", 1), ("a", 0)] * 3 + [("ab", 1), ("c", 0)] * 3 + [("ca", 0), ("b", 1)] * 3), 6,
+          LearnerConfig(max_ngram=1, max_wildcards=0, max_quantified=1)))
+def test_run_tracking_equals_the_reference_track(inp):
+    # every scored window's record and every generation's model, in both
+    # modes, against the loop run on the oracle's matcher and learner
+    events, window, cfg = inp
+    for mode in MODES:
+        records, generations = reference_track(events, mode, window, cfg)
+        with tempfile.TemporaryDirectory() as snapshots:
+            assert run_tracking(events, mode, window, cfg, snapshot_dir=snapshots) == records
+            written = [
+                Path(snapshots, f"model_gen{k}.txt").read_text().splitlines()
+                for k in range(len(os.listdir(snapshots)))
+            ]
+        assert written == generations
