@@ -3,16 +3,17 @@
 Window 0 is the bootstrap: ground-truth labels split it into the initial
 positive/negative sets (the naive mode freezes an exact-match list of
 the positives, the adaptive mode learns a model).  From then on ground
-truth is only read by the metrics accumulator -- each later window is
-partitioned by the current model's own predictions, and in adaptive mode
-the learner's output is unioned into the model at the window boundary.
+truth is only read by the metrics accumulator: both modes run each
+later window through :func:`run_window`, which partitions it by the
+current model's own predictions and, in adaptive mode only, unions the
+learner's output into the model at the window boundary.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import chain, islice
 
 from .engine import DEFAULT_STATE_LIMIT
 from .errors import InsufficientStreamError
@@ -33,15 +34,18 @@ class WindowOutcome:
     pairs: list[tuple[int, int]]
 
 
-def run_window(model: Model, events, cfg: LearnerConfig | None = None):
-    """Run one self-training window; returns (updated model, outcome).
+def run_window(model: Model, events, cfg: LearnerConfig | None = None, mode: str = "adaptive"):
+    """Run one tracking window; returns (model, outcome).
 
     The model stays fixed while the window is labeled, so identical
-    strings always land on the same side.  If nothing was predicted
-    positive there is no new evidence and the model is returned as-is.
-    Ground-truth labels are copied into the outcome for scoring but
-    never shown to the learner.
+    strings always land on the same side.  Only in adaptive mode, and
+    only when something was predicted positive, is the partition learned
+    and the addition unioned into a new model; otherwise the same model
+    object is returned.  Ground-truth labels are copied into the outcome
+    for scoring but never shown to the learner.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     events = list(events)
     if not events:
         raise ValueError("window must contain at least one event")
@@ -51,7 +55,7 @@ def run_window(model: Model, events, cfg: LearnerConfig | None = None):
     negatives = [v for v, p in zip(values, preds) if not p]
     pairs = [(e.truth, p) for e, p in zip(events, preds)]
     outcome = WindowOutcome(positives, negatives, pairs)
-    if not positives:
+    if mode != "adaptive" or not positives:
         return model, outcome
     addition = learn(set(positives), set(negatives), cfg)
     return model.union(addition.patterns), outcome
@@ -71,9 +75,10 @@ def run_tracking(
     Emits one cumulative :class:`WindowRecord` per post-bootstrap window
     (the bootstrap window seeds the models and is not scored; a trailing
     partial window is dropped).  Requires at least ``2 * window_size``
-    events or raises :class:`InsufficientStreamError`.  ``on_record``,
-    when given, is called with each record as soon as its window is
-    scored, so a caller can persist it before the next window runs.
+    events or raises :class:`InsufficientStreamError`, before the
+    bootstrap is learned or any snapshot written.  ``on_record``, when
+    given, is called with each record as soon as its window is scored,
+    so a caller can persist it before the next window runs.
     ``state_limit`` caps every generation's automaton (see
     :class:`Model`); a limit below 1 raises before any event is read.
     """
@@ -85,11 +90,11 @@ def run_tracking(
     empty = Model(state_limit=state_limit)
 
     stream = iter(source)
-    bootstrap = list(islice(stream, window_size))
-    if len(bootstrap) < window_size:
-        raise InsufficientStreamError(
-            f"need at least {2 * window_size} events, got {len(bootstrap)}"
-        )
+    windows = iter(lambda: list(islice(stream, window_size)), [])
+    bootstrap, first = next(windows, []), next(windows, [])
+    if len(first) < window_size:
+        got = len(bootstrap) + len(first)
+        raise InsufficientStreamError(f"need at least {2 * window_size} events, got {got}")
 
     pos0 = sorted({e.value for e in bootstrap if e.truth == 1})
     neg0 = sorted({e.value for e in bootstrap if e.truth == 0})
@@ -102,22 +107,14 @@ def run_tracking(
 
     counts = Counts()
     records: list[WindowRecord] = []
-    window = 0
-    while True:
-        chunk = list(islice(stream, window_size))
+    for window, chunk in enumerate(chain([first], windows), 1):
         if len(chunk) < window_size:
             break
-        window += 1
-        if mode == "naive":
-            preds = model.predict_batch([e.value for e in chunk]).tolist()
-            pairs = [(e.truth, p) for e, p in zip(chunk, preds)]
-        else:
-            before = model.generation
-            model, outcome = run_window(model, chunk, cfg)
-            pairs = outcome.pairs
-            if model.generation != before:
-                _snapshot(model, snapshot_dir)
-        counts = accumulate_pairs(counts, pairs)
+        before = model
+        model, outcome = run_window(model, chunk, cfg, mode)
+        if model is not before:
+            _snapshot(model, snapshot_dir)
+        counts = accumulate_pairs(counts, outcome.pairs)
         tpr, fpr = rates(counts)
         record = WindowRecord(
             window=window,
@@ -131,10 +128,6 @@ def run_tracking(
         records.append(record)
         if on_record is not None:
             on_record(record)
-    if not records:
-        raise InsufficientStreamError(
-            f"need at least {2 * window_size} events for one scored window"
-        )
     return records
 
 

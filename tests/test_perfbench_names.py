@@ -7,10 +7,15 @@ other test.
 """
 
 import importlib.util
+from itertools import islice
 from pathlib import Path
 
-from driftsig import _kernels, engine, learner
+import pytest
+
+from driftsig import _kernels, engine, learner, tracking
+from driftsig.learner import LearnerConfig
 from driftsig.patterns import Pattern, parse_pattern
+from driftsig.streams import DriftConfig, gen_synthetic
 
 SPANTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "spantrace.py"
 
@@ -53,6 +58,26 @@ def test_a_compile_books_one_span_however_deep_its_tree(monkeypatch):
     compiles = [span for span in tracer.spans if span[0] == "engine.compile_set"]
     assert len(compiles) == 1
     assert compiles[0][4][1] == matcher.n_states
+
+
+@pytest.mark.parametrize("mode", tracking.MODES)
+def test_the_tracking_totals_count_each_scored_window_once(mode):
+    # a naive window is a run_window call that learns nothing; an adaptive
+    # one learns and unions once, and the unions add the model's growth
+    events = list(islice(gen_synthetic(DriftConfig(seed=29, drift_rate=0.1, window_hint=500)), 5000))
+    cfg = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=0)
+    spantrace = _spantrace()
+    with spantrace.Tracer() as tracer:
+        records = tracking.run_tracking(events, mode, 500, cfg)
+    metrics = spantrace.layer_metrics(tracer.spans, 1.0)
+    assert metrics["tracking.windows"] == len(records) == 9
+    if mode == "naive":
+        assert metrics["tracking.windows_learned"] == metrics["tracking.patterns_added"] == 0
+        return
+    # the first learn is the bootstrap's; its span holds the model's size
+    bootstrap = next(span[4] for span in tracer.spans if span[0] == "learner.learn")
+    assert metrics["tracking.windows_learned"] == metrics["model.union_calls"] == 9
+    assert metrics["tracking.patterns_added"] == records[-1].model_size - bootstrap == 22
 
 
 def test_the_runner_reads_the_kernel_flags_and_pattern_atoms():

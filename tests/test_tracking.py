@@ -68,6 +68,20 @@ def test_run_window_empty_positive_set_keeps_model():
     assert [p for _, p in outcome.pairs] == [0, 0]
 
 
+def test_naive_run_window_labels_alike_and_keeps_the_model():
+    model = model_of("ad")
+    window = events_from([("ad1", 1), ("news", 0), ("adx", 1), ("blog", 0)])
+    kept, naive = run_window(model, window, FAST, "naive")
+    _, adaptive = run_window(model, window, FAST, "adaptive")
+    assert kept is model
+    assert naive == adaptive
+
+
+def test_run_window_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="mode"):
+        run_window(model_of("ad"), events_from([("ad1", 1)]), FAST, "hybrid")
+
+
 def test_run_window_single_event():
     model = model_of("x")
     updated, outcome = run_window(model, events_from([("x", 1)]), FAST)
@@ -129,8 +143,8 @@ def test_every_generation_automaton_equals_compile_set(monkeypatch):
     models, extended = [], []
     extend_set = model_mod.extend_set
 
-    def recording_window(model, events, cfg=None):
-        new_model, outcome = run_window(model, events, cfg)
+    def recording_window(model, events, *args):
+        new_model, outcome = run_window(model, events, *args)
         models.append(new_model)
         return new_model, outcome
 
@@ -167,10 +181,34 @@ def test_run_tracking_caps_the_bootstrap_model(mode):
 
 
 def test_run_tracking_requires_two_windows():
-    with pytest.raises(InsufficientStreamError):
+    with pytest.raises(InsufficientStreamError, match="need at least 200 events, got 150"):
         run_tracking(naive_stationary_events(150), "naive", 100, FAST)
-    with pytest.raises(InsufficientStreamError):
+    with pytest.raises(InsufficientStreamError, match="need at least 200 events, got 50"):
         run_tracking(naive_stationary_events(50), "naive", 100, FAST)
+
+
+def test_a_short_stream_fails_before_the_bootstrap_learn(monkeypatch, tmp_path):
+    def no_learn(*args):
+        raise AssertionError("the bootstrap was learned")
+
+    monkeypatch.setattr(tracking, "learn", no_learn)
+    events = islice(gen_synthetic(DriftConfig(seed=29, window_hint=1000)), 1500)
+    with pytest.raises(InsufficientStreamError, match="need at least 2000 events, got 1500"):
+        run_tracking(events, "adaptive", 1000, FAST, snapshot_dir=tmp_path / "snaps")
+    assert not (tmp_path / "snaps").exists()
+
+
+def test_naive_scores_every_window_through_run_window(monkeypatch):
+    calls = []
+
+    def counting_window(model, events, *args):
+        calls.append(args)
+        return run_window(model, events, *args)
+
+    monkeypatch.setattr(tracking, "run_window", counting_window)
+    records = run_tracking(naive_stationary_events(400), "naive", 100, FAST)
+    assert len(calls) == len(records) == 3
+    assert all(mode == "naive" for _, mode in calls)
 
 
 def test_partial_trailing_window_dropped():
