@@ -77,8 +77,7 @@ class Model:
 def save_model(model: Model, path) -> None:
     """Write one rendered pattern per line (the model file format)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for text in model.texts():
-            fh.write(text + "\n")
+        fh.write("".join(text + "\n" for text in model.texts()))
 
 
 def load_model(path) -> Model:

@@ -36,19 +36,31 @@ PROPERTY = settings(database=None, derandomize=True, deadline=None)
 # values of _kernels._SMALL_CELLS that send every nfa_match_split call to
 # the word layout and to the Python-int bitsets
 KERNEL_PATHS = (0, 1 << 62)
+# values of engine._DENSE_PAIRS that send every extend_set join to the
+# sorted-key search and to the dense pair table; the second is the largest
+# bound whose pair keys int32 holds
+JOIN_PATHS = (0, np.iinfo(np.int32).max)
 
 
-def both_kernel_paths(test):
-    """Run ``test`` on both paths of ``_kernels.nfa_match_split``.  The
-    test keeps its name: it passes only when both runs do."""
+def _on_both_paths(module, bound, values):
+    """A decorator that runs a test once with ``module.bound`` patched to
+    each of ``values``.  The test keeps its name: it passes only when
+    every run does."""
 
-    @functools.wraps(test)
-    def run(*args, **kwargs):
-        for cells in KERNEL_PATHS:
-            with mock.patch.object(_kernels, "_SMALL_CELLS", cells):
-                test(*args, **kwargs)
+    def decorate(test):
+        @functools.wraps(test)
+        def run(*args, **kwargs):
+            for value in values:
+                with mock.patch.object(module, bound, value):
+                    test(*args, **kwargs)
 
-    return run
+        return run
+
+    return decorate
+
+
+both_kernel_paths = _on_both_paths(_kernels, "_SMALL_CELLS", KERNEL_PATHS)
+both_join_paths = _on_both_paths(engine, "_DENSE_PAIRS", JOIN_PATHS)
 
 
 def pat(text):
@@ -186,6 +198,7 @@ def test_single_shared_pass_over_input():
     assert m.match_set(event) == match_set_bruteforce(patterns, event)
 
 
+@both_join_paths
 def test_capacity_error():
     patterns = [pat("abc"), pat("xyz"), pat("q.r")]
     with pytest.raises(CapacityError):
@@ -355,6 +368,7 @@ def _large_golden_patterns():
     return patterns
 
 
+@both_join_paths
 def test_golden_automaton_above_leaf_size():
     # recorded from one subset construction over the whole list; the
     # list is long enough that compile_set builds it as a join tree
@@ -719,8 +733,18 @@ _EMPTY_MATCHING = st.builds(
 )
 
 
+# unanchored patterns whose first atom may be skipped: the core state makes
+# their second atom live, so every state reads its symbols
+_LIVE_EVERYWHERE = st.builds(
+    lambda first, rest, end: atom_pattern([first, *rest], False, end),
+    st.builds(Atom, st.sampled_from(ALPHABET), st.sampled_from([Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE])),
+    st.lists(_ANY_ATOMS, min_size=1, max_size=3),
+    st.booleans(),
+)
+
+
 # a pattern list and a point to split it at, empty halves included
-_SPLIT_LISTS = st.lists(st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING), max_size=12).flatmap(
+_SPLIT_LISTS = st.lists(st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING, _LIVE_EVERYWHERE), max_size=12).flatmap(
     lambda ps: st.tuples(st.just(ps), st.integers(0, len(ps)))
 )
 
@@ -739,6 +763,7 @@ _SPLIT_LISTS = st.lists(st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING), max_size=12).
 @example(([pat("a?b"), pat("b"), pat("^c")], 2))
 @example(([pat("^c"), pat("a?b"), pat("b")], 1))
 @example(([pat("a?b"), pat("^c"), pat("b")], 1))
+@both_join_paths
 def test_extend_set_equals_compile_set(case):
     patterns, split = case
     head, tail = patterns[:split], patterns[split:]
@@ -764,6 +789,7 @@ def test_extend_set_equals_compile_set(case):
 @PROPERTY
 @given(st.lists(st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING), max_size=12), st.integers(1, 3))
 @example([pat("^a.c"), pat("b?d*e+"), pat("x?"), pat("x.y$"), pat("^q+z?$"), pat("..0"), pat("y*")], 1)
+@both_join_paths
 def test_compile_tree_equals_single_construction(patterns, leaf):
     # patched here, not in a fixture: Hypothesis reruns the body per example
     with mock.patch.object(engine, "_LEAF_PATTERNS", leaf):
@@ -798,16 +824,6 @@ def test_subset_construction_equals_reference(patterns):
     assert automaton_fields(got) == subset_construction_fields(patterns)
 
 
-# unanchored patterns whose first atom may be skipped: the core state makes
-# their second atom live, so every state reads its symbols
-_LIVE_EVERYWHERE = st.builds(
-    lambda first, rest, end: atom_pattern([first, *rest], False, end),
-    st.builds(Atom, st.sampled_from(ALPHABET), st.sampled_from([Quant.ZERO_OR_ONE, Quant.ZERO_OR_MORE])),
-    st.lists(_ANY_ATOMS, min_size=1, max_size=3),
-    st.booleans(),
-)
-
-
 @PROPERTY
 @given(
     st.lists(st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING, _LIVE_EVERYWHERE), max_size=8).flatmap(
@@ -819,6 +835,7 @@ _LIVE_EVERYWHERE = st.builds(
 # a wildcard live in every state, one live in some states, and one that
 # only an anchored state 0 reads
 @example(([pat("a*.b"), pat("ab.0"), pat("^.c")], 1))
+@both_join_paths
 def test_states_move_as_the_core_state_on_symbols_their_own_positions_skip(case):
     # the invariant sparse rows and sparse joins rest on: the core state,
     # where state 0 moves on CODE_OTHER, is in every state, and a state

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftsig import _kernels
+from driftsig import _kernels, engine, tracking
+from driftsig import model as model_mod
 from driftsig.engine import match_many, match_split, pack_tokens
 from driftsig.errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from driftsig.learner import (
@@ -24,6 +25,7 @@ from driftsig.learner import (
     greedy_set_cover,
     learn,
 )
+from driftsig.model import load_model
 from driftsig.patterns import ANY_TOKEN, TOKEN_ATOMS, Quant, parse_pattern, render_tokens
 from driftsig.streams import gen_synthetic
 
@@ -706,3 +708,30 @@ def test_golf_learns_match_on_ints_and_w1_learns_on_words():
         pos = {e.value for e in window if e.truth}
         learn(pos, {e.value for e in window if not e.truth}, workloads.W1_LEARNER)
         assert ints.call_count == len(problems) and words.call_count > 0
+
+
+def test_w1_extensions_look_pairs_up_in_a_table_and_serve_joins_search_sorted_keys():
+    # a W1 round's 44 extensions join products of at most 12,852 pairs
+    # (378 x 34 states), far below engine._DENSE_PAIRS; the serve model's
+    # seven joins are 3.6M-131M pairs, above it
+    workloads = _workloads()
+    dense = []
+
+    def recording(extend):
+        def run(*args):
+            before = table.call_count
+            joined = extend(*args)
+            dense.append(table.call_count > before)
+            return joined
+
+        return run
+
+    with mock.patch.object(engine, "_dense_lookup", wraps=engine._dense_lookup) as table:
+        with mock.patch.object(model_mod, "extend_set", recording(engine.extend_set)):
+            events = islice(gen_synthetic(workloads.W1_STREAM), workloads.W1_EVENTS)
+            tracking.run_tracking(events, "adaptive", workloads.W1_WINDOW, workloads.W1_LEARNER)
+        assert dense == [True] * 44
+        dense.clear()
+        with mock.patch.object(engine, "extend_set", recording(engine.extend_set)):
+            engine.compile_set(load_model(workloads.SERVE_MODEL).patterns)
+        assert dense == [False] * 7

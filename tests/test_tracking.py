@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from driftsig import engine, tracking
 from driftsig import model as model_mod
-from driftsig import tracking
 from driftsig.engine import compile_set
 from driftsig.errors import CapacityError, InsufficientStreamError
 from driftsig.learner import LearnerConfig
@@ -18,6 +18,7 @@ from driftsig.streams import DriftConfig, Event, gen_synthetic
 from driftsig.tracking import MODES, run_tracking, run_window
 
 from oracle import automaton_fields, reference_track
+from test_engine import both_join_paths
 
 FAST = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=0)
 
@@ -139,9 +140,9 @@ def test_adaptive_beats_naive_on_constructed_drift():
     assert adaptive[-1].tpr == 1.0
 
 
+@both_join_paths
 def test_every_generation_automaton_equals_compile_set(monkeypatch):
     models, extended = [], []
-    extend_set = model_mod.extend_set
 
     def recording_window(model, events, *args):
         new_model, outcome = run_window(model, events, *args)
@@ -150,7 +151,7 @@ def test_every_generation_automaton_equals_compile_set(monkeypatch):
 
     def recording_extend(base, *args):
         extended.append(base.n_patterns)
-        return extend_set(base, *args)
+        return engine.extend_set(base, *args)
 
     monkeypatch.setattr(tracking, "run_window", recording_window)
     monkeypatch.setattr(model_mod, "extend_set", recording_extend)
