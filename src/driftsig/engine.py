@@ -37,18 +37,18 @@ gather from the table, and a long event costs only its own characters.
 :func:`extend_set` appends one compiled set to another without a second
 subset construction: it takes the reachable product of the two
 automata, which is the automaton one construction builds for the
-joined list, state for state.  It looks the pairs it meets up one of
-two ways, chosen by the size of the product.  A product of at most
-``_DENSE_PAIRS`` pairs, such as every per-generation extension of an
-adaptive run, keeps a dense table of every pair's id and gathers each
-successor's id from it.  A larger one, such as the serve model's joins,
-searches the sorted keys of the pairs met so far, and sparsely: a
-pair's successor on a symbol is mostly the pair of the two core
-states' successors, so a level fills its rows from the core pair's row
-and sorts only the other successors (on the serve model, 2-29% of a
-join's entries).  Each automaton counts its own patterns, so the
-appended set's ids shift past the first's without the caller's
-bookkeeping.
+joined list, state for state.  Every level of its breadth-first search
+runs one body.  A pair's successor on a symbol is mostly the pair of the
+two core states' successors, so a level fills its rows from the core
+pair's row and keys only the other successors (on the serve model, 2-29%
+of a join's entries); the pairs not met yet are numbered in the order of
+their first place.  Only how a key's id is found, and a new one recorded,
+depends on the size of the product: one of at most ``_DENSE_PAIRS``
+pairs, such as every per-generation extension of an adaptive run, keeps
+a table of every pair's id, and a larger one, such as the serve model's
+joins, searches the sorted keys of the pairs met so far.  Each
+automaton counts its own patterns, so the appended set's ids shift past
+the first's without the caller's bookkeeping.
 :func:`compile_set` uses the same join to build a long list as a
 balanced tree: lists of at most ``_LEAF_PATTERNS`` patterns take one
 construction, longer ones are halved by count and their halves'
@@ -191,8 +191,7 @@ class MultiMatcher:
 # Lists longer than this compile as a balanced tree of extend_set joins.
 _LEAF_PATTERNS = 512
 # extend_set joins of at most this many pairs (a 4 MB table of int32 ids)
-# look their pairs up in a dense table, larger ones in sorted keys; int32
-# keys the table's pairs, so this must stay below 2**31
+# find their pairs' ids in a dense table, larger ones in sorted keys
 _DENSE_PAIRS = 1 << 20
 
 
@@ -342,17 +341,6 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
     return MultiMatcher(trans, *accepts(last_run), *accepts(last_end), len(pats))
 
 
-def _dense_lookup(pair_ids, keys, n_known):
-    """The ids of the successor pairs ``keys`` from ``pair_ids``, each
-    pair's id or -1, after numbering the pairs it does not know yet from
-    ``n_known`` on, in the order of their first place in ``keys``;
-    returns ``(ids, new)``, ``new`` the keys of those pairs in id order."""
-    new, first = np.unique(keys[pair_ids[keys] < 0], return_index=True)
-    new = new[first.argsort()]
-    pair_ids[new] = np.arange(n_known, n_known + len(new), dtype=np.int32)
-    return pair_ids[keys], new
-
-
 def extend_set(
     base: MultiMatcher, addition: MultiMatcher, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> MultiMatcher:
@@ -369,22 +357,21 @@ def extend_set(
     state, symbol), so every field of the result equals compile_set's.
     Raises :class:`CapacityError` exactly when compile_set would.
 
-    The pairs met so far are looked up and recorded one of two ways.  A
-    product of at most ``_DENSE_PAIRS`` pairs keeps a table of every
-    pair's id, -1 until it is met: a level keys every successor, gathers
-    its id from the table and sorts only the keys not met yet
-    (:func:`_dense_lookup`).  A larger product's table would cost more
-    than it saves, so its search is sparse, as the leaf construction
-    is: a pair's successor on a symbol c is mostly its base pair, the
-    pair of the two automata's base states for c (each the successor of
-    its core state, see :class:`MultiMatcher`), which is the successor
-    of the core pair.  The core pair is the start pair or one of its
-    successors, so once the first levels have written its row, a level
-    fills its rows with the base pairs' ids and keys, sorts and
-    deduplicates only the successors off the base pair, and finds the
-    known ones in the sorted keys of the pairs met so far; until then a
-    level keys every successor, so every pair is numbered at its first
-    place.
+    Every level runs one body.  A pair's successor on a symbol c is
+    mostly its base pair, the pair of the two automata's base states for
+    c (each the successor of its core state, see :class:`MultiMatcher`),
+    which is the successor of the core pair.  The core pair is the start
+    pair or one of its successors, so once the first levels have written
+    its row, a level fills its rows with the base pairs' ids and keys only
+    the successors off the base pair; until then a level keys every
+    successor.  Each key's id is found, -1 for a pair not met yet, and
+    those pairs are numbered in the order of their first place.  Only
+    finding a key's id and recording the new ones depends on the size of
+    the product.  A product of at most ``_DENSE_PAIRS`` pairs keeps a
+    table of every pair's id, -1 until it is met, gathers the ids from it
+    and writes the new ones into it.  A larger product's table would cost
+    more than it saves, so its keys are searched in the sorted keys of the
+    pairs met so far.
     """
     trans_a, trans_b = base._trans, addition._trans
     n_add = trans_b.shape[0]
@@ -409,53 +396,47 @@ def extend_set(
             trans = np.concatenate([trans, np.empty((len(by_id), N_SYMBOLS), dtype=np.int32)])
         rows = trans[len(by_id) - len(level) : len(by_id)]
         # successors of the level's pairs, row by row, at their (parent,
-        # symbol) places
+        # symbol) places; once the core pair's row is written, the rows
+        # start as base ids and only the successors off their base pair are
+        # keyed
         succ_a = trans_a[level // n_add]
         succ_b = trans_b[level % n_add]
-        if pair_ids is not None:
-            keys = succ_a * n_add  # below _DENSE_PAIRS, which int32 holds
-            keys += succ_b
-            rows[:], new = _dense_lookup(pair_ids, keys, len(by_id))
+        if base_ids is None:
+            places = np.arange(succ_a.size)
         else:
-            # known pairs are found in the sorted keys of the pairs met so
-            # far; successors at their symbol's base pair, once its id is
-            # known, are not keyed
+            rows[:] = base_ids
+            off = succ_a != base_a
+            off |= succ_b != base_b
+            places = off.ravel().nonzero()[0]
+        keys = succ_a.ravel()[places].astype(np.int64)
+        keys *= n_add
+        keys += succ_b.ravel()[places]
+        # each key's id, -1 for a pair not met yet
+        if pair_ids is not None:
+            ids = pair_ids[keys]
+        else:
             rank = by_id.argsort()
             known = by_id[rank]
-            if base_ids is None:
-                places = np.arange(succ_a.size)
-            else:
-                off = succ_a != base_a
-                off |= succ_b != base_b
-                places = off.ravel().nonzero()[0]
-            keys = succ_a.ravel()[places].astype(np.int64)
-            keys *= n_add
-            keys += succ_b.ravel()[places]
-            order = keys.argsort(kind="stable")
-            keys = keys[order]
-            head = np.ones(len(keys), dtype=bool)
-            np.not_equal(keys[1:], keys[:-1], out=head[1:])
-            uniq = keys[head]
-            starts = head.nonzero()[0]
-            at = np.minimum(known.searchsorted(uniq), len(known) - 1)
-            ids = rank[at].astype(np.int32)
-            fresh = (known[at] != uniq).nonzero()[0]
-            # new pairs are numbered in the order of their first occurrence:
-            # the stable sort keeps a run of equal keys in place order, so
-            # its first entry is at its smallest place
-            fresh = fresh[order[starts[fresh]].argsort()]
-            ids[fresh] = np.arange(len(by_id), len(by_id) + len(fresh))
-            new = uniq[fresh]
-            # the level's rows: base ids, then every keyed successor's id,
-            # which is the id of its run of equal sorted keys
-            if base_ids is not None:
-                rows[:] = base_ids
-            runs = np.empty_like(starts)
-            np.subtract(starts[1:], starts[:-1], out=runs[:-1])
-            runs[-1:] = len(keys) - starts[-1:]
-            rows.reshape(-1)[places[order]] = ids.repeat(runs)
-            if base_ids is None and trans[0, CODE_OTHER] < len(by_id):
-                base_ids = trans[trans[0, CODE_OTHER]].copy()
+            at = np.minimum(known.searchsorted(keys), len(known) - 1)
+            ids = rank[at]
+            ids[known[at] != keys] = -1
+        # new pairs are numbered in the order of their first place
+        unseen = ids < 0
+        unseen_keys = keys[unseen]
+        uniq, first = np.unique(unseen_keys, return_index=True)
+        order = first.argsort()
+        new = uniq[order]
+        # record the new pairs' ids and give them to their keys
+        if pair_ids is not None:
+            pair_ids[new] = np.arange(len(by_id), len(by_id) + len(new), dtype=np.int32)
+            ids = pair_ids[keys]
+        else:
+            new_ids = np.empty(len(new), dtype=np.intp)
+            new_ids[order] = np.arange(len(by_id), len(by_id) + len(new))
+            ids[unseen] = new_ids[uniq.searchsorted(unseen_keys)]
+        rows.reshape(-1)[places] = ids
+        if base_ids is None and trans[0, CODE_OTHER] < len(by_id):
+            base_ids = trans[trans[0, CODE_OTHER]].copy()
         if len(new) and len(by_id) + len(new) > state_limit:
             raise CapacityError(f"combined automaton needs more than {state_limit} states")
         level = new

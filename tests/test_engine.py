@@ -37,8 +37,8 @@ PROPERTY = settings(database=None, derandomize=True, deadline=None)
 # the word layout and to the Python-int bitsets
 KERNEL_PATHS = (0, 1 << 62)
 # values of engine._DENSE_PAIRS that send every extend_set join to the
-# sorted-key search and to the dense pair table; the second is the largest
-# bound whose pair keys int32 holds
+# sorted-key search and to the dense pair table; every product a test
+# joins is far below the second
 JOIN_PATHS = (0, np.iinfo(np.int32).max)
 
 

@@ -711,27 +711,27 @@ def test_golf_learns_match_on_ints_and_w1_learns_on_words():
 
 
 def test_w1_extensions_look_pairs_up_in_a_table_and_serve_joins_search_sorted_keys():
-    # a W1 round's 44 extensions join products of at most 12,852 pairs
-    # (378 x 34 states), far below engine._DENSE_PAIRS; the serve model's
-    # seven joins are 3.6M-131M pairs, above it
+    # extend_set looks its pairs up in the table when the product of the
+    # two automata's state counts is at most engine._DENSE_PAIRS: a W1
+    # round's 44 extensions join at most 12,852 pairs (378 x 34 states),
+    # the serve model's seven joins at least 3,569,312 (1136 x 3142)
     workloads = _workloads()
-    dense = []
+    products = []
 
     def recording(extend):
-        def run(*args):
-            before = table.call_count
-            joined = extend(*args)
-            dense.append(table.call_count > before)
-            return joined
+        def run(base, addition, *rest):
+            products.append(base.n_states * addition.n_states)
+            return extend(base, addition, *rest)
 
         return run
 
-    with mock.patch.object(engine, "_dense_lookup", wraps=engine._dense_lookup) as table:
-        with mock.patch.object(model_mod, "extend_set", recording(engine.extend_set)):
-            events = islice(gen_synthetic(workloads.W1_STREAM), workloads.W1_EVENTS)
-            tracking.run_tracking(events, "adaptive", workloads.W1_WINDOW, workloads.W1_LEARNER)
-        assert dense == [True] * 44
-        dense.clear()
-        with mock.patch.object(engine, "extend_set", recording(engine.extend_set)):
-            engine.compile_set(load_model(workloads.SERVE_MODEL).patterns)
-        assert dense == [False] * 7
+    with mock.patch.object(model_mod, "extend_set", recording(engine.extend_set)):
+        events = islice(gen_synthetic(workloads.W1_STREAM), workloads.W1_EVENTS)
+        tracking.run_tracking(events, "adaptive", workloads.W1_WINDOW, workloads.W1_LEARNER)
+    assert len(products) == 44
+    assert max(products) <= engine._DENSE_PAIRS
+    products.clear()
+    with mock.patch.object(engine, "extend_set", recording(engine.extend_set)):
+        engine.compile_set(load_model(workloads.SERVE_MODEL).patterns)
+    assert len(products) == 7
+    assert min(products) > engine._DENSE_PAIRS
