@@ -36,6 +36,17 @@ patterns.  Three consumers run them, in two layouts:
     skippable atoms with :func:`closed`: the match runs the recurrence
     once per string and character, the construction once per
     automaton state and symbol.
+
+A large call whose patterns are all unanchored and fixed-length (no
+atom repeats or may be skipped), such as every learn's with
+``max_quantified=0``, needs no recurrence: a pattern of n atoms matches
+where its atoms read the n characters from there on.  Such a call runs
+:func:`_match_windows`, with one bit per pattern instead of one per
+atom (extended string matching with classes, Navarro & Raffinot 2002):
+each position's window is the AND of one symbol-table row per atom
+position, and a string's row the OR of its windows.
+:func:`nfa_match_split` picks one of the three for each call from its
+cell count and its patterns' flags.
 """
 
 from __future__ import annotations
@@ -335,6 +346,144 @@ def _match_ints(codes, loop, skip, pat_off, pat_flags, scodes, s_off, n_rows):
     return words.reshape(n_rows, n_bytes // 8), m.last, _bits(others)[m.last]
 
 
+def _or_rows(rows):
+    """The OR of the rows of a 2-D array, folded in place, halves at a
+    time (one ``reduce`` along the rows costs several times more)."""
+    n = len(rows)
+    while n > 1:
+        half = (n + 1) // 2
+        rows[: n - half] |= rows[half:n]
+        n = half
+    return rows[0]
+
+
+def _match_words(codes, loop, skip, pat_off, pat_flags, scodes, s_off, n_rows):
+    """:func:`nfa_match_split` on the word layout (:func:`_word_layout`):
+    every pattern is stepped at once over the length-sorted strings, in
+    batches of at most ``_BATCH_CELLS`` cells, so a long string's lone
+    steps cost one pass over all the patterns."""
+    last, packed = _pack(codes, loop, skip, pat_off, pat_flags)
+    cols, off, order = time_major(scodes, s_off)
+    bounds = off.tolist()
+    n_words = packed[0].shape[1]
+    words = np.empty((n_rows, n_words), dtype=np.uint64)
+    others = np.zeros(n_words, dtype=np.uint64)
+    per_batch = max(1, _BATCH_CELLS // int(pat_off[-1] - pat_off[0]))
+    for s0 in range(0, len(order), per_batch):
+        strings = order[s0 : s0 + per_batch]
+        matched = _simulate(packed, cols, bounds, s0, s0 + len(strings))
+        in_rows = strings < n_rows
+        words[strings[in_rows]] = matched[in_rows]
+        if not in_rows.all():
+            others |= _or_rows(matched[~in_rows])
+    return words, last, _bits(others)[last]
+
+
+# ---------------------------------------------------------------------------
+# Fixed-length patterns, one bit each (extended string matching with
+# classes, Navarro & Raffinot 2002).
+#
+# A pattern none of whose atoms repeats or may be skipped reads exactly
+# as many characters as it has atoms, so it matches at position i when
+# its atom k reads character i + k for every k.  Pattern p is bit p, and
+# there is one symbol table per atom position k below L, the longest
+# pattern's atom count: row c of table k holds the patterns whose atom k
+# reads c, and every pattern of k atoms or fewer, which has matched by
+# then.  The strings are laid out flat, each followed by one
+# past-the-end code, whose row in table k holds only those shorter
+# patterns.  The window at position i, the AND of the rows of table k at
+# the codes i + k, then holds the patterns matching at i inside its own
+# string, and a string's row is the OR of the windows at its positions.
+# ---------------------------------------------------------------------------
+
+_WINDOW_BYTES = 1 << 18  # window rows computed together, so they stay in cache
+
+
+def _window_tables(codes, pat_off, n_words):
+    """The symbol tables of the fixed-length patterns in atom slots
+    ``pat_off[0]:pat_off[-1]``, pattern p at bit p of ``n_words`` words.
+
+    Returns an ``(L, N_SYMBOLS + 1, n_words)`` uint64 array; row
+    ``N_SYMBOLS`` of each table is the past-the-end code's.  A literal
+    reads its own code and the wildcard every alphabet code, never
+    ``CODE_OTHER`` or the past-the-end code.
+    """
+    lo, hi = int(pat_off[0]), int(pat_off[-1])
+    lengths = np.diff(pat_off)
+    n_tables = int(lengths.max())
+    width = n_words * 64
+    # atom k of pattern p reading code c sets bit p of row c of table k;
+    # the wildcard's code, N_SYMBOLS, sets its bit in that row
+    k = np.arange(hi - lo) - np.repeat(pat_off[:-1] - lo, lengths)
+    at = np.multiply(k, N_SYMBOLS + 1, dtype=np.intp)
+    at += codes[lo:hi]
+    at *= width
+    at += np.repeat(np.arange(len(lengths)), lengths)
+    rows = np.zeros((n_tables, N_SYMBOLS + 1, width), dtype=bool)
+    rows.reshape(-1)[at] = True
+    done = np.zeros((n_tables, width), dtype=bool)
+    done[:, : len(lengths)] = lengths <= np.arange(n_tables)[:, None]
+    tables = np.packbits(rows, axis=-1, bitorder="little").view("<u8")
+    done = np.packbits(done, axis=-1, bitorder="little").view("<u8")
+    tables[:, :CODE_OTHER] |= tables[:, N_SYMBOLS, None]
+    tables[:, N_SYMBOLS] = done
+    tables[:, :N_SYMBOLS] |= done[:, None]
+    return tables
+
+
+def _match_windows(codes, loop, skip, pat_off, pat_flags, scodes, s_off, n_rows):
+    """:func:`nfa_match_split` of fixed-length unanchored patterns, pattern
+    p at bit p (``last`` is ``arange``); ``loop``, ``skip`` and
+    ``pat_flags`` are all clear, so they are not read.
+
+    The flat layout of the strings (as :func:`alphabet.encode_many` gives
+    them) ends in ``L - 1`` more past-the-end codes, so every window has
+    its ``L`` codes.  Positions are taken in chunks of at most
+    ``_WINDOW_BYTES`` of window rows, so a chunk's windows stay in cache
+    and a long string costs no more memory than its characters.  A chunk
+    may end inside a string: each string's windows in a chunk are ORed
+    into its row.
+    """
+    n_words = -(-(len(pat_off) - 1) // 64)
+    tables = _window_tables(codes, pat_off, n_words)
+    n_str = len(s_off) - 1
+    starts = s_off[:-1] + np.arange(n_str)
+    n_pos = int(s_off[-1]) + n_str
+    text = np.full(n_pos + len(tables) - 1, N_SYMBOLS, dtype=np.uint8)
+    chars = np.ones(len(text), dtype=bool)
+    chars[s_off[1:] + np.arange(n_str)] = False
+    chars[n_pos:] = False
+    text[chars] = scodes
+    split = int(starts[n_rows]) if n_rows < n_str else n_pos  # the others' first position
+
+    words = np.zeros((n_rows, n_words), dtype=np.uint64)
+    others = np.zeros(n_words, dtype=np.uint64)
+    step = max(1, _WINDOW_BYTES // (8 * n_words))
+    windows = np.empty((min(step, n_pos), n_words), dtype=np.uint64)
+    gathered = np.empty_like(windows)
+    for a in range(0, n_pos, step):
+        b = min(a + step, n_pos)
+        codes_at = text[a : b + len(tables) - 1].astype(np.intp)
+        w, g = windows[: b - a], gathered[: b - a]
+        # every code is in range; "clip" lets take write into out unbuffered
+        np.take(tables[0], codes_at[: b - a], axis=0, out=w, mode="clip")
+        for k in range(1, len(tables)):
+            np.take(tables[k], codes_at[k : k + b - a], axis=0, out=g, mode="clip")
+            w &= g
+        if a < split:
+            # the strings j0:j1 have windows in a:end; j0's may have begun before a
+            end = min(b, split)
+            j0 = int(starts.searchsorted(a, "right")) - 1
+            j1 = int(starts.searchsorted(end))
+            heads = starts[j0:j1] - a
+            heads[0] = 0
+            words[j0:j1] |= np.bitwise_or.reduceat(w[: end - a], heads, axis=0)
+        if b > split:
+            others |= _or_rows(w[max(split - a, 0) :])
+    n_pat = len(pat_off) - 1
+    return words, np.arange(n_pat), _bits(others)[:n_pat]
+
+
 def nfa_match_split(codes, loop, skip, pat_off, pat_flags, scodes, s_off, n_rows):
     """Match every pattern against every string in one pass.
 
@@ -350,33 +499,28 @@ def nfa_match_split(codes, loop, skip, pat_off, pat_flags, scodes, s_off, n_rows
     the dense layout, with no per-call layout and no numpy call per
     character.  Its cost is per character, and a character costs about
     a word's operations however few atoms fill the word, so the atoms
-    are rounded up.  A larger call lays the patterns out in words
-    (:func:`_word_layout`) and steps every pattern at once, over the
-    length-sorted strings in batches of at most ``_BATCH_CELLS`` cells,
-    so a long string's lone steps cost one pass over all the patterns.
-    Both return the same bits: only ``last`` and the words' layout
+    are rounded up.
+
+    A larger call of unanchored patterns none of whose atoms repeats or
+    may be skipped, such as every learn's with ``max_quantified=0``,
+    runs :func:`_match_windows`, with one bit per pattern (``last`` is
+    ``arange``): each position's window costs one table row per atom of
+    the longest pattern, where the word layout steps every atom's bit
+    several times per character.  Any other call runs
+    :func:`_match_words` on the word layout, one bit per atom.  All
+    three return the same bits: only ``last`` and the words' layout
     differ.
     """
     n_pat = len(pat_off) - 1
     if not n_pat:
         return np.zeros((n_rows, 0), dtype=np.uint64), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool)
-    atoms = -(-int(pat_off[-1] - pat_off[0]) // 64) * 64  # in whole words
+    lo, hi = int(pat_off[0]), int(pat_off[-1])
+    atoms = -(-(hi - lo) // 64) * 64  # in whole words
     if int(s_off[-1] - s_off[0]) * atoms < _SMALL_CELLS:
         return _match_ints(codes, loop, skip, pat_off, pat_flags, scodes, s_off, n_rows)
-    last, packed = _pack(codes, loop, skip, pat_off, pat_flags)
-    cols, off, order = time_major(scodes, s_off)
-    bounds = off.tolist()
-    n_words = packed[0].shape[1]
-    words = np.empty((n_rows, n_words), dtype=np.uint64)
-    others = np.zeros(n_words, dtype=np.uint64)
-    per_batch = max(1, _BATCH_CELLS // int(pat_off[-1] - pat_off[0]))
-    for s0 in range(0, len(order), per_batch):
-        strings = order[s0 : s0 + per_batch]
-        matched = _simulate(packed, cols, bounds, s0, s0 + len(strings))
-        in_rows = strings < n_rows
-        words[strings[in_rows]] = matched[in_rows]
-        others |= np.bitwise_or.reduce(matched[~in_rows], axis=0)
-    return words, last, _bits(others)[last]
+    if not (pat_flags.any() or loop[lo:hi].any() or skip[lo:hi].any()):
+        return _match_windows(codes, loop, skip, pat_off, pat_flags, scodes, s_off, n_rows)
+    return _match_words(codes, loop, skip, pat_off, pat_flags, scodes, s_off, n_rows)
 
 
 def bits_at(words, cols):

@@ -33,25 +33,31 @@ from oracle import (
 PROPERTY = settings(database=None, derandomize=True, deadline=None)
 
 
-# values of _kernels._SMALL_CELLS that send every nfa_match_split call to
-# the word layout and to the Python-int bitsets
-KERNEL_PATHS = (0, 1 << 62)
-# values of engine._DENSE_PAIRS that send every extend_set join to the
-# sorted-key search and to the dense pair table; every product a test
-# joins is far below the second
-JOIN_PATHS = (0, np.iinfo(np.int32).max)
+# patches of _kernels that send every nfa_match_split call to the
+# Python-int bitsets, to the word layout (the window route runs it too),
+# and to the windows wherever the call's patterns are fixed-length and
+# unanchored (else the word layout)
+KERNEL_PATHS = (
+    {"_SMALL_CELLS": 1 << 62},
+    {"_SMALL_CELLS": 0, "_match_windows": _kernels._match_words},
+    {"_SMALL_CELLS": 0},
+)
+# patches of engine that send every extend_set join to the sorted-key
+# search and to the dense pair table; every product a test joins is far
+# below the second bound
+JOIN_PATHS = ({"_DENSE_PAIRS": 0}, {"_DENSE_PAIRS": np.iinfo(np.int32).max})
 
 
-def _on_both_paths(module, bound, values):
-    """A decorator that runs a test once with ``module.bound`` patched to
-    each of ``values``.  The test keeps its name: it passes only when
-    every run does."""
+def _on_paths(module, patches):
+    """A decorator that runs a test once with ``module`` patched by each
+    of ``patches``.  The test keeps its name: it passes only when every
+    run does."""
 
     def decorate(test):
         @functools.wraps(test)
         def run(*args, **kwargs):
-            for value in values:
-                with mock.patch.object(module, bound, value):
+            for patch in patches:
+                with mock.patch.multiple(module, **patch):
                     test(*args, **kwargs)
 
         return run
@@ -59,8 +65,8 @@ def _on_both_paths(module, bound, values):
     return decorate
 
 
-both_kernel_paths = _on_both_paths(_kernels, "_SMALL_CELLS", KERNEL_PATHS)
-both_join_paths = _on_both_paths(engine, "_DENSE_PAIRS", JOIN_PATHS)
+all_kernel_paths = _on_paths(_kernels, KERNEL_PATHS)
+both_join_paths = _on_paths(engine, JOIN_PATHS)
 
 
 def pat(text):
@@ -85,17 +91,17 @@ def pat(text):
         ("a", "A", False),
     ],
 )
-@both_kernel_paths
+@all_kernel_paths
 def test_match_one_cases(text, subject, expected):
     assert match_many([pat(text)], [subject]).tolist() == [[expected]]
 
 
-@both_kernel_paths
+@all_kernel_paths
 def test_non_alphabet_chars_never_match_wildcard():
     assert match_many([pat("x.z")], ["xAz", "xaz"]).tolist() == [[False, True]]
 
 
-@both_kernel_paths
+@all_kernel_paths
 def test_automaton_wildcard_never_reads_outside_alphabet():
     patterns = [pat("a.c"), pat("^.b"), pat("x.$"), pat("ud800"), pat("x."), pat("^x.$")]
     # lone surrogates must not encode to alphabet characters (an escaping
@@ -116,7 +122,7 @@ def test_automaton_wildcard_never_reads_outside_alphabet():
         assert single.match_any_batch(subjects).tolist() == expected, p.text
 
 
-@both_kernel_paths
+@all_kernel_paths
 def test_match_one_agrees_with_backtracking_oracle():
     rng = random.Random(99)
     for _ in range(400):
@@ -125,7 +131,7 @@ def test_match_one_agrees_with_backtracking_oracle():
         assert match_many([p], [s]).tolist() == [[backtrack_match(p, s)]], (p.text, s)
 
 
-@both_kernel_paths
+@all_kernel_paths
 def test_unanchored_matches_survive_superstrings():
     rng = random.Random(5)
     found = 0
@@ -230,7 +236,7 @@ def test_anchored_and_empty_matching_patterns_in_sets():
         assert m.match_set(s) == match_set_bruteforce(patterns, s), s
 
 
-@both_kernel_paths
+@all_kernel_paths
 def test_kernel_paths_agree():
     # one batch of subjects with mixed lengths (including empty ones), so
     # short subjects are done while longer ones are still being read
@@ -382,7 +388,7 @@ def test_golden_automaton_above_leaf_size():
     assert _digest(m) == "6681b0f7cc066fb3d9c79ab0b545b9e23927b4f3b56010d9f46bfb2aa287d0e2"
 
 
-@both_kernel_paths
+@all_kernel_paths
 def test_match_many_matrix_shape_and_content():
     patterns = [pat("ab"), pat("^z")]
     values = ["ab", "zebra", "none"]
@@ -403,7 +409,7 @@ def _witness(pattern, rng):
     return "".join(out)
 
 
-@both_kernel_paths
+@all_kernel_paths
 def test_kernels_on_multiword_and_multichunk_batches():
     rng = random.Random(17)
     patterns = [
@@ -441,7 +447,7 @@ def _match_bits(words, last):
     return np.array(cells, dtype=bool).reshape(len(last), len(words))
 
 
-@both_kernel_paths
+@all_kernel_paths
 def test_kernels_on_an_empty_pattern_list():
     # no pattern: no match words, no last bits and no hits, whatever the strings
     codes, loop, skip, offs, flags = pack_patterns([])
@@ -453,7 +459,7 @@ def test_kernels_on_an_empty_pattern_list():
     assert _kernels.nfa_match_any(codes, loop, skip, offs, flags, scodes, s_off).shape == (0,)
 
 
-@both_kernel_paths
+@all_kernel_paths
 def test_kernels_at_word_boundaries():
     # patterns of 64, 65 and 130 atoms, anchored at either end, with
     # short patterns: the word layout keeps every pattern of at
@@ -590,7 +596,7 @@ _WIDE_NO_REPEAT = [
 @example(_WIDE_PATTERNS, _WIDE_SUBJECTS)
 @example(_WIDE_NO_REPEAT, _WIDE_SUBJECTS)
 @example([exact_pattern(_LONG_EXACT)], [_LONG_EXACT, "a" + _LONG_EXACT, _LONG_EXACT[:-1]])
-@both_kernel_paths
+@all_kernel_paths
 def test_match_many_and_match_set_agree_with_oracle(patterns, subjects):
     got = match_many(patterns, subjects)
     assert got.tolist() == [[backtrack_match(p, s) for s in subjects] for p in patterns]
@@ -624,7 +630,7 @@ _MIXED_BATCHES = st.builds(
 # subjects and on ones that hold no alphabet character
 @example([pat("a?")], ["", "é", "😀é", "Xb", "a"])
 @example([pat("0*$")], ["", "é", "😀é", "Xb", "a0"])
-@both_kernel_paths
+@all_kernel_paths
 def test_kernels_agree_with_oracle_on_mixed_length_batches(patterns, subjects):
     expected = [[backtrack_match(p, s) for s in subjects] for p in patterns]
     assert match_many(patterns, subjects).tolist() == expected
@@ -664,11 +670,71 @@ def test_word_and_int_paths_give_the_same_bits(patterns, long, at, subjects):
     strings = encode_many(subjects)
     for n_rows in range(len(subjects) + 1):
         results = []
-        for cells in KERNEL_PATHS:
-            with mock.patch.object(_kernels, "_SMALL_CELLS", cells):
+        for patch in KERNEL_PATHS:
+            with mock.patch.multiple(_kernels, **patch):
                 words, last, hit = _kernels.nfa_match_split(*packed, *strings, n_rows)
             results.append((_kernels.bits_at(words, last).tolist(), hit.tolist()))
-        assert results[0] == results[1], n_rows
+        assert results[1:] == results[:-1], n_rows
+
+
+# fixed-length unanchored patterns of 1-6 atoms, literals and wildcards
+# only, so a wildcard may sit at either end
+_FIXED_PATTERNS = st.builds(
+    atom_pattern,
+    st.lists(
+        st.one_of(st.builds(Atom, st.sampled_from("ab0.")), st.just(Atom(None))), min_size=1, max_size=6
+    ).filter(lambda a: not all(x.is_any for x in a)),
+)
+
+
+@PROPERTY
+@given(
+    st.lists(_FIXED_PATTERNS, min_size=1, max_size=70),
+    st.lists(st.text(alphabet=_MIXED_CHARS, max_size=10), max_size=8),
+    st.integers(1, 80),
+)
+# strings shorter than every pattern, empty ones among them, and a
+# wildcard at either end
+@example([pat("..ab"), pat("ab.."), pat("a.0."), pat("0..b")], ["", "a", "ab0", "", "zab00", "éab.."], 8)
+@example([pat(".a"), pat("a."), pat("b")], ["a", "Xa", "aX", "éa", "a😀", "ba", ""], 1)
+def test_window_kernel_agrees_with_oracle_and_word_layout(patterns, subjects, chunk_bytes):
+    # chunks of at most 10 windows (a 64-bit word is 8 bytes), so chunks
+    # end inside strings; the word path steps _simulate on the same call
+    packed = pack_patterns(patterns)
+    strings = encode_many(subjects)
+    expected = np.array([[backtrack_match(p, s) for s in subjects] for p in patterns])
+    simulate = mock.Mock(wraps=_kernels._simulate)
+    for n_rows in range(len(subjects) + 1):
+        with mock.patch.object(_kernels, "_WINDOW_BYTES", chunk_bytes):
+            words, last, hit = _kernels._match_windows(*packed, *strings, n_rows)
+        assert np.array_equal(last, np.arange(len(patterns)))
+        assert np.array_equal(_match_bits(words, last), expected[:, :n_rows])
+        assert np.array_equal(hit, expected[:, n_rows:].any(axis=1))
+        with mock.patch.object(_kernels, "_simulate", simulate):
+            by_words, by_words_last, by_words_hit = _kernels._match_words(*packed, *strings, n_rows)
+        assert np.array_equal(_kernels.bits_at(by_words, by_words_last), _kernels.bits_at(words, last))
+        assert np.array_equal(by_words_hit, hit)
+    assert simulate.call_count == (len(subjects) + 1 if subjects else 0)
+
+
+def test_window_route_needs_fixed_length_unanchored_patterns():
+    # above _SMALL_CELLS, 40 literals of 2-4 atoms read windows, and so
+    # does a lone 69-atom literal; an anchor or a quantifier sends them
+    # to the word layout
+    rng = random.Random(3)
+    short = [pat("".join(rng.choice("ab01") for _ in range(rng.randint(2, 4)))) for _ in range(40)]
+    subjects = ["".join(rng.choice("ab01c") for _ in range(40)) for _ in range(400)]
+    cases = [(short, 1), ([pat("ab01" * 17 + "a")], 1), (short + [pat("^ab")], 0), (short + [pat("a?b")], 0)]
+    for patterns, windows in cases:
+        packed = pack_patterns(patterns)
+        strings = encode_many(subjects)
+        assert int(strings[1][-1]) * 64 >= _kernels._SMALL_CELLS
+        with mock.patch.object(_kernels, "_match_windows", wraps=_kernels._match_windows) as route:
+            words, last, hit = _kernels.nfa_match_split(*packed, *strings, 200)
+        assert route.call_count == windows, [p.text for p in patterns[-1:]]
+        expected = np.array([[backtrack_match(p, s) for s in subjects] for p in patterns])
+        assert np.array_equal(_kernels.bits_at(words, last).T, expected[:, :200])
+        assert np.array_equal(hit, expected[:, 200:].any(axis=1))
 
 
 # every atom the grammar allows: all of the alphabet (the literal '.'

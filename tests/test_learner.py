@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import random
@@ -691,23 +692,29 @@ def _workloads():
     return module
 
 
-def test_golf_learns_match_on_ints_and_w1_learns_on_words():
+def test_golf_learns_match_on_ints_and_w1_learns_on_windows():
     # the benchmark's golf learns stay below _kernels._SMALL_CELLS, so
     # their match runs on Python ints; a W1 window's learn (about 15k
-    # characters x 2k atoms) is far above it and steps the word layout
+    # characters x 2k atoms) is far above it, and at max_quantified=0 its
+    # components are fixed-length and unanchored, so it reads windows.
+    # With quantifiers on, the same window's learn steps the word layout.
     workloads = _workloads()
     with (
         mock.patch.object(_kernels, "_match_ints", wraps=_kernels._match_ints) as ints,
+        mock.patch.object(_kernels, "_match_windows", wraps=_kernels._match_windows) as windows,
         mock.patch.object(_kernels, "_simulate", wraps=_kernels._simulate) as words,
     ):
         problems = workloads.golf_problems(1)
         for pos, neg in problems:
             learn(set(pos), set(neg), workloads.GOLF_LEARNER)
-        assert (ints.call_count, words.call_count) == (len(problems), 0)
+        assert (ints.call_count, windows.call_count, words.call_count) == (len(problems), 0, 0)
         window = list(islice(gen_synthetic(workloads.W1_STREAM), workloads.W1_WINDOW))
         pos = {e.value for e in window if e.truth}
-        learn(pos, {e.value for e in window if not e.truth}, workloads.W1_LEARNER)
-        assert ints.call_count == len(problems) and words.call_count > 0
+        neg = {e.value for e in window if not e.truth}
+        learn(pos, neg, workloads.W1_LEARNER)
+        assert (ints.call_count, windows.call_count, words.call_count) == (len(problems), 1, 0)
+        learn(pos, neg, dataclasses.replace(workloads.W1_LEARNER, max_quantified=1))
+        assert (ints.call_count, windows.call_count) == (len(problems), 1) and words.call_count > 0
 
 
 def test_w1_extensions_look_pairs_up_in_a_table_and_serve_joins_search_sorted_keys():
