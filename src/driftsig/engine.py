@@ -56,6 +56,12 @@ automata joined.  A half's automaton is a projection of the whole
 one's (a string reaches the same subset of the half's chains in
 both), so no intermediate automaton has more states than the result
 and the state limit trips exactly when one construction's would.
+A leaf whose patterns are all anchored at the start and hold only
+literal atoms, such as the exact values of a blocklist, reaches one
+state per prefix of their strings: it is their trie, which
+:func:`_trie_construction` builds a level of depth at a time in numpy,
+field for field as the subset construction would.  Every other leaf,
+the empty list included, takes the subset construction.
 """
 
 from __future__ import annotations
@@ -198,12 +204,15 @@ _DENSE_PAIRS = 1 << 20
 def compile_set(patterns, state_limit: int = DEFAULT_STATE_LIMIT) -> MultiMatcher:
     """Compile patterns into one shared automaton.
 
-    A list of at most ``_LEAF_PATTERNS`` patterns takes one subset
-    construction.  A longer one is split in half by count, each half is
-    compiled the same way, and the halves' automata are joined with
-    :func:`extend_set`, so the work is a balanced tree of small
-    constructions and numpy product searches; the result is the single
-    construction's automaton, field for field.
+    A list of at most ``_LEAF_PATTERNS`` patterns takes one construction:
+    the trie of :func:`_trie_construction` when every pattern is anchored
+    at the start and holds only literal atoms (no wildcard, no
+    quantifier; either end anchor), else the subset construction.  A
+    longer one is split in half by count, each half is compiled the same
+    way, and the halves' automata are joined with :func:`extend_set`, so
+    the work is a balanced tree of small constructions and numpy product
+    searches; the result is the single subset construction's automaton,
+    field for field.
 
     Raises :class:`CapacityError` if the automaton needs more than
     ``state_limit`` states.  The tree raises exactly when the single
@@ -217,6 +226,10 @@ def compile_set(patterns, state_limit: int = DEFAULT_STATE_LIMIT) -> MultiMatche
     # of the ``compile_set`` attribute (perfbench's tracer) sees one call
     def tree(pats: list) -> MultiMatcher:
         if len(pats) <= _LEAF_PATTERNS:
+            # a literal atom's token is its own ASCII character, every
+            # other token is from U+0080 up (see driftsig.patterns)
+            if pats and all(p.anchored_start and p.tokens.isascii() for p in pats):
+                return _trie_construction(pats, state_limit)
             return _subset_construction(pats, state_limit)
         half = len(pats) // 2
         return extend_set(tree(pats[:half]), tree(pats[half:]), state_limit)
@@ -339,6 +352,106 @@ def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
         return ints(off), ints(pid)
 
     return MultiMatcher(trans, *accepts(last_run), *accepts(last_end), len(pats))
+
+
+def _trie_construction(pats: list, state_limit: int) -> MultiMatcher:
+    """The automaton :func:`_subset_construction` builds for a non-empty
+    list of start-anchored patterns of literal atoms, field for field,
+    built as the trie of their token strings.
+
+    Such a pattern's chain is live only in state 0, so a string reaches
+    the state holding the chains its whole text is a prefix of: there is
+    one state per distinct prefix of the token strings (state 0 for the
+    empty one) and the core state, holding no chain, that every other
+    string reaches.  A state moves to its child prefix on the child's
+    symbol and to the core state on every other.  The subset construction
+    numbers the states breadth first, by (parent, symbol), and meets the
+    core state among state 0's successors, at the first symbol no pattern
+    starts with.  Each pattern accepts on its string's last state, as a
+    run accept or, anchored at the end, as an end accept.
+
+    The distinct strings are walked one depth at a time.  A level's nodes
+    are keyed ``parent * N_SYMBOLS + code``, which is also the node's
+    entry in the flat table, and ``np.unique`` returns them in
+    breadth-first order.  Once no node is on the way of two strings, each
+    string left goes on as a chain of its own, so the chains' nodes are
+    numbered in one step, by depth and then by the id of the node where
+    the chain starts.  Raises :class:`CapacityError` exactly when the
+    subset construction would.
+    """
+    # the distinct token strings, and each pattern's
+    string_of: dict[str, int] = {}
+    which = [string_of.setdefault(p.tokens, len(string_of)) for p in pats]
+    raw, offsets = pack_tokens(string_of)
+    codes = _TOKEN_CODE[raw]
+    lengths = np.diff(offsets)
+
+    def check(n_states: int):
+        if n_states > state_limit:
+            raise CapacityError(f"combined automaton needs more than {state_limit} states")
+
+    # each string's node at the depth reached, state 0 being the root, and
+    # the strings longer than that depth
+    node = np.zeros(len(lengths), dtype=np.int64)
+    live = np.arange(len(lengths))
+    # the flat table entries of the trie's edges, and the children's ids
+    entries, children = [], []
+    n_states, depth, shared = 1, 0, True
+    while shared:
+        keys = node[live] * N_SYMBOLS + codes[offsets[live] + depth]
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        ids = np.arange(n_states, n_states + len(uniq))
+        if not depth:
+            # the root's children are its symbols, ascending: the core
+            # state takes the id of the first symbol no string starts with
+            first_free = np.count_nonzero(uniq == np.arange(len(uniq)))
+            core = n_states + first_free
+            ids[first_free:] += 1
+            n_states += 1
+        n_states += len(uniq)
+        check(n_states)
+        entries.append(uniq)
+        children.append(ids)
+        node[live] = ids[inverse]
+        depth += 1
+        longer = lengths[live] > depth
+        live = live[longer]
+        # another level while two live strings still share a node
+        shared = np.bincount(inverse[longer]).max(initial=0) > 1
+
+    # each live string's chain, its nodes by depth, in the order of the
+    # nodes the chains start from
+    live = live[np.argsort(node[live])]
+    tail = lengths[live] - depth
+    total = int(tail.sum())
+    check(n_states + total)
+    # the chains laid end to end; a stable sort by step keeps their order
+    ends = np.cumsum(tail)
+    step = np.arange(total) - np.repeat(ends - tail, tail)
+    ids = np.empty(total, dtype=np.int64)
+    ids[np.argsort(step, kind="stable")] = np.arange(n_states, n_states + total)
+    parent = np.roll(ids, 1)
+    parent[ends - tail] = node[live]
+    entries.append(parent * N_SYMBOLS + codes[np.repeat(offsets[live], tail) + depth + step])
+    children.append(ids)
+    node[live] = ids[ends - 1]
+    n_states += total
+
+    trans = np.full((n_states, N_SYMBOLS), core, dtype=np.int32)
+    trans.reshape(-1)[np.concatenate(entries)] = np.concatenate(children)
+
+    # each pattern accepts on its string's last node; ids ascend in a state
+    state = node[which]
+    at_end = np.array([p.anchored_end for p in pats])
+
+    def accepts(mask: np.ndarray):
+        pid = mask.nonzero()[0]
+        pid = pid[np.argsort(state[pid], kind="stable")]
+        off = np.zeros(n_states + 1, dtype=np.int32)
+        off[1:] = np.cumsum(np.bincount(state[pid], minlength=n_states))
+        return off, pid.astype(np.int32)
+
+    return MultiMatcher(trans, *accepts(~at_end), *accepts(at_end), len(pats))
 
 
 def extend_set(

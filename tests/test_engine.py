@@ -12,7 +12,7 @@ from driftsig import _kernels, engine
 from driftsig.engine import DEFAULT_STATE_LIMIT, compile_set, extend_set, match_many, pack_patterns
 from driftsig.alphabet import ALPHABET, BYTE_TABLE, CODE_OTHER, N_SYMBOLS, encode_many
 from driftsig.errors import CapacityError
-from driftsig.patterns import Atom, Quant, exact_pattern, parse_pattern
+from driftsig.patterns import Atom, Pattern, Quant, exact_pattern, parse_pattern
 
 from oracle import (
     SYMBOLS,
@@ -873,6 +873,81 @@ def test_compile_tree_equals_single_construction(patterns, leaf):
         else:
             assert want.n_states == 1
             assert automaton_fields(compile_set(patterns, limit)) == automaton_fields(want)
+
+
+@st.composite
+def _start_literals(draw):
+    """A non-empty list of start-anchored literal patterns, either end
+    anchor: words over four symbols share prefixes, and prefixes of the
+    drawn words (the whole word, a duplicate, among them) are added."""
+    words = draw(st.lists(st.text(alphabet="ab0.", min_size=1, max_size=6), min_size=1, max_size=10))
+    cuts = draw(st.lists(st.tuples(st.sampled_from(words), st.integers(1, 6)), max_size=4))
+    words = draw(st.permutations(words + [word[:n] for word, n in cuts]))
+    return [Pattern(word, True, draw(st.booleans())) for word in words]
+
+
+# a 2,000-character chain whose tail starts where two siblings branch off
+# the same parent as it does: listed last, on the lowest symbol, its nodes
+# take the first id of each depth below
+_CHAIN_SIBLINGS = [pat("^a\\.ef$"), pat("^a0c"), pat("^ab" + "0a" * 1000)]
+
+
+@PROPERTY
+@given(_start_literals())
+@example(_CHAIN_SIBLINGS)
+@example([pat("^ab$"), pat("^a"), pat("^a0b"), pat("^a\\.")])  # all start with a: the core state's id moves
+@example([pat("^b0"), pat("^b0$"), pat("^b0"), pat("^0")])  # duplicates, by string and with either end anchor
+def test_trie_leaf_equals_subset_construction(patterns):
+    want = engine._subset_construction(patterns, DEFAULT_STATE_LIMIT)
+    got = engine._trie_construction(patterns, DEFAULT_STATE_LIMIT)
+    assert automaton_fields(got) == automaton_fields(want)
+    assert got.n_patterns == want.n_patterns == len(patterns)
+    # one state short, both fail with the same message
+    messages = set()
+    for build in (engine._subset_construction, engine._trie_construction):
+        with pytest.raises(CapacityError) as err:
+            build(patterns, want.n_states - 1)
+        messages.add(str(err.value))
+    assert messages == {f"combined automaton needs more than {want.n_states - 1} states"}
+
+
+_LITERAL_LEAF = [pat("^ab0"), pat("^b\\.c$"), pat("^ab")]
+
+
+@pytest.mark.parametrize(
+    "patterns, trie",
+    [
+        (_LITERAL_LEAF, True),
+        (_LITERAL_LEAF + [pat("^ab$")], True),
+        (_LITERAL_LEAF + [pat("ab")], False),  # unanchored
+        (_LITERAL_LEAF + [pat("ab$")], False),  # anchored at the end only
+        (_LITERAL_LEAF + [pat("^a.b")], False),  # a wildcard
+        (_LITERAL_LEAF + [pat("^ab?")], False),  # a quantifier
+        ([], False),  # driftsig bench --pattern-counts 0
+    ],
+)
+def test_compile_set_builds_a_leaf_as_a_trie_only_when_every_pattern_qualifies(patterns, trie):
+    with (
+        mock.patch.object(engine, "_trie_construction", wraps=engine._trie_construction) as tries,
+        mock.patch.object(engine, "_subset_construction", wraps=engine._subset_construction) as subsets,
+    ):
+        got = compile_set(patterns)
+    assert (tries.call_count, subsets.call_count) == ((1, 0) if trie else (0, 1))
+    assert automaton_fields(got) == automaton_fields(engine._subset_construction(patterns, DEFAULT_STATE_LIMIT))
+
+
+def test_compile_set_routes_each_leaf_of_its_tree_by_its_own_patterns():
+    # leaves of two: literals anchored at the start, then one unanchored
+    patterns = [pat("^ab"), pat("^ac$"), pat("x"), pat("^b")]
+    with (
+        mock.patch.object(engine, "_LEAF_PATTERNS", 2),
+        mock.patch.object(engine, "_trie_construction", wraps=engine._trie_construction) as tries,
+        mock.patch.object(engine, "_subset_construction", wraps=engine._subset_construction) as subsets,
+    ):
+        got = compile_set(patterns)
+    assert [c.args[0] for c in tries.call_args_list] == [patterns[:2]]
+    assert [c.args[0] for c in subsets.call_args_list] == [patterns[2:]]
+    assert automaton_fields(got) == automaton_fields(engine._subset_construction(patterns, DEFAULT_STATE_LIMIT))
 
 
 @PROPERTY
