@@ -50,18 +50,17 @@ joins, searches the sorted keys of the pairs met so far.  Each
 automaton counts its own patterns, so the appended set's ids shift past
 the first's without the caller's bookkeeping.
 :func:`compile_set` uses the same join to build a long list as a
-balanced tree: lists of at most ``_LEAF_PATTERNS`` patterns take one
-construction, longer ones are halved by count and their halves'
-automata joined.  A half's automaton is a projection of the whole
-one's (a string reaches the same subset of the half's chains in
-both), so no intermediate automaton has more states than the result
-and the state limit trips exactly when one construction's would.
-A leaf whose patterns are all anchored at the start and hold only
-literal atoms, such as the exact values of a blocklist, reaches one
-state per prefix of their strings: it is their trie, which
+balanced tree.  A non-empty list of patterns all anchored at the start
+and of literal atoms only, such as a blocklist's exact values, reaches
+one state per prefix of their strings: it is their trie, which
 :func:`_trie_construction` builds a level of depth at a time in numpy,
-field for field as the subset construction would.  Every other leaf,
-the empty list included, takes the subset construction.
+field for field as the subset construction would, whatever its length.
+Any other list of at most ``_LEAF_PATTERNS`` patterns, the empty one
+included, takes the subset construction; a longer one is halved by
+count and its halves' automata joined.  A half's automaton is a
+projection of the whole one's (a string reaches the same subset of the
+half's chains in both), so no intermediate automaton has more states
+than the result and the state limit trips as one construction's would.
 """
 
 from __future__ import annotations
@@ -194,7 +193,8 @@ class MultiMatcher:
         return _kernels.dfa_match_any(self._trans, self._hit_run, self._hit_end, scodes, s_off)
 
 
-# Lists longer than this compile as a balanced tree of extend_set joins.
+# Lists longer than this that are not all start-anchored literals (one
+# trie at any length) compile as a balanced tree of extend_set joins.
 _LEAF_PATTERNS = 512
 # extend_set joins of at most this many pairs (a 4 MB table of int32 ids)
 # find their pairs' ids in a dense table, larger ones in sorted keys
@@ -204,15 +204,15 @@ _DENSE_PAIRS = 1 << 20
 def compile_set(patterns, state_limit: int = DEFAULT_STATE_LIMIT) -> MultiMatcher:
     """Compile patterns into one shared automaton.
 
-    A list of at most ``_LEAF_PATTERNS`` patterns takes one construction:
-    the trie of :func:`_trie_construction` when every pattern is anchored
-    at the start and holds only literal atoms (no wildcard, no
-    quantifier; either end anchor), else the subset construction.  A
-    longer one is split in half by count, each half is compiled the same
-    way, and the halves' automata are joined with :func:`extend_set`, so
-    the work is a balanced tree of small constructions and numpy product
-    searches; the result is the single subset construction's automaton,
-    field for field.
+    A non-empty list whose every pattern is anchored at the start and
+    holds only literal atoms (no wildcard, no quantifier; either end
+    anchor) is one trie of :func:`_trie_construction`, at any length.
+    Any other list of at most ``_LEAF_PATTERNS`` patterns takes the
+    subset construction; a longer one is split in half by count, each
+    half compiled the same way, and the halves' automata joined with
+    :func:`extend_set`, so the work is a balanced tree of small
+    constructions and numpy product searches; the result is the single
+    subset construction's automaton, field for field.
 
     Raises :class:`CapacityError` if the automaton needs more than
     ``state_limit`` states.  The tree raises exactly when the single
@@ -225,11 +225,11 @@ def compile_set(patterns, state_limit: int = DEFAULT_STATE_LIMIT) -> MultiMatche
     # the halves recurse through ``tree``, not ``compile_set``, so a wrapper
     # of the ``compile_set`` attribute (perfbench's tracer) sees one call
     def tree(pats: list) -> MultiMatcher:
+        # a literal atom's token is its own ASCII character, every other
+        # token is from U+0080 up (see driftsig.patterns)
+        if pats and all(p.anchored_start and p.tokens.isascii() for p in pats):
+            return _trie_construction(pats, state_limit)
         if len(pats) <= _LEAF_PATTERNS:
-            # a literal atom's token is its own ASCII character, every
-            # other token is from U+0080 up (see driftsig.patterns)
-            if pats and all(p.anchored_start and p.tokens.isascii() for p in pats):
-                return _trie_construction(pats, state_limit)
             return _subset_construction(pats, state_limit)
         half = len(pats) // 2
         return extend_set(tree(pats[:half]), tree(pats[half:]), state_limit)

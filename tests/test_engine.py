@@ -937,17 +937,38 @@ def test_compile_set_builds_a_leaf_as_a_trie_only_when_every_pattern_qualifies(p
 
 
 def test_compile_set_routes_each_leaf_of_its_tree_by_its_own_patterns():
-    # leaves of two: literals anchored at the start, then one unanchored
-    patterns = [pat("^ab"), pat("^ac$"), pat("x"), pat("^b")]
-    with (
-        mock.patch.object(engine, "_LEAF_PATTERNS", 2),
-        mock.patch.object(engine, "_trie_construction", wraps=engine._trie_construction) as tries,
-        mock.patch.object(engine, "_subset_construction", wraps=engine._subset_construction) as subsets,
-    ):
-        got = compile_set(patterns)
-    assert [c.args[0] for c in tries.call_args_list] == [patterns[:2]]
-    assert [c.args[0] for c in subsets.call_args_list] == [patterns[2:]]
-    assert automaton_fields(got) == automaton_fields(engine._subset_construction(patterns, DEFAULT_STATE_LIMIT))
+    # with leaves of two, a list of start-anchored literals is one trie at
+    # any length, and only the other lists are halved
+    mixed = [pat("^ab"), pat("^ac$"), pat("x"), pat("^b")]
+    # the literal half [^a, ^b, ^c], longer than the cap, is one trie
+    spread = [pat("^a"), pat("^b"), pat("^c"), pat("^d"), pat("x"), pat("y")]
+    literals = [pat("^ab"), pat("^a0$"), pat("^b"), pat("^ab0"), pat("^0-")]
+    # per list: the tries' lists, the bitset leaves' lists, the joins
+    cases = [
+        (mixed, [mixed[:2]], [mixed[2:]], 1),
+        (spread, [spread[:3], spread[3:4]], [spread[4:]], 2),
+        (literals, [literals], [], 0),
+    ]
+    for patterns, trie_lists, subset_lists, joins in cases:
+        want = engine._subset_construction(patterns, DEFAULT_STATE_LIMIT)
+        with mock.patch.object(engine, "_LEAF_PATTERNS", 2):
+            with (
+                mock.patch.object(engine, "_trie_construction", wraps=engine._trie_construction) as tries,
+                mock.patch.object(engine, "_subset_construction", wraps=engine._subset_construction) as subsets,
+                mock.patch.object(engine, "extend_set", wraps=engine.extend_set) as extends,
+            ):
+                got = compile_set(patterns)
+            assert [c.args[0] for c in tries.call_args_list] == trie_lists
+            assert [c.args[0] for c in subsets.call_args_list] == subset_lists
+            assert extends.call_count == joins
+            assert automaton_fields(got) == automaton_fields(want)
+            # one state short, the tree and the single construction fail alike
+            messages = set()
+            for build in (compile_set, engine._subset_construction):
+                with pytest.raises(CapacityError) as err:
+                    build(patterns, want.n_states - 1)
+                messages.add(str(err.value))
+        assert messages == {f"combined automaton needs more than {want.n_states - 1} states"}
 
 
 @PROPERTY
