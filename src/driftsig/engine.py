@@ -46,20 +46,23 @@ their first place.  Only how a key's id is found, and a new one recorded,
 depends on the size of the product: one of at most ``_DENSE_PAIRS``
 pairs, such as every per-generation extension of an adaptive run, keeps
 a table of every pair's id, and a larger one, such as the serve model's
-joins, searches the sorted keys of the pairs met so far.  Each
-automaton counts its own patterns, so the appended set's ids shift past
-the first's without the caller's bookkeeping.
-:func:`compile_set` uses the same join to build a long list as a
-balanced tree.  A non-empty list of patterns all anchored at the start
-and of literal atoms only, such as a blocklist's exact values, reaches
-one state per prefix of their strings: it is their trie, which
-:func:`_trie_construction` builds a level of depth at a time in numpy,
-field for field as the subset construction would, whatever its length.
-Any other list of at most ``_LEAF_PATTERNS`` patterns, the empty one
-included, takes the subset construction; a longer one is halved by
-count and its halves' automata joined.  A half's automaton is a
+join, searches the sorted keys of the pairs met so far, into which each
+level merges its new keys.  Each automaton counts its own patterns, so
+the appended set's ids shift past the first's without the caller's
+bookkeeping.
+:func:`compile_set` builds a long list with the same join.  A non-empty
+list of patterns all anchored at the start and of literal atoms only,
+such as a blocklist's exact values, reaches one state per prefix of
+their strings: it is their trie, which :func:`_trie_construction` builds
+a level of depth at a time in numpy, field for field as the subset
+construction would, whatever its length.  Any other list of at most
+``_LEAF_PATTERNS`` patterns, the empty one included, takes the subset
+construction.  A longer one is split: its start-anchored literals are
+one trie, joined to the automaton of its other patterns, which are
+halved by count and their halves' automata joined, and the joined
+accept ids are mapped back to list order.  A part's automaton is a
 projection of the whole one's (a string reaches the same subset of the
-half's chains in both), so no intermediate automaton has more states
+part's chains in both), so no intermediate automaton has more states
 than the result and the state limit trips as one construction's would.
 """
 
@@ -193,8 +196,8 @@ class MultiMatcher:
         return _kernels.dfa_match_any(self._trans, self._hit_run, self._hit_end, scodes, s_off)
 
 
-# Lists longer than this that are not all start-anchored literals (one
-# trie at any length) compile as a balanced tree of extend_set joins.
+# Lists longer than this compile as a balanced tree of extend_set joins,
+# their start-anchored literals (one trie at any length) split off first
 _LEAF_PATTERNS = 512
 # extend_set joins of at most this many pairs (a 4 MB table of int32 ids)
 # find their pairs' ids in a dense table, larger ones in sorted keys
@@ -208,16 +211,19 @@ def compile_set(patterns, state_limit: int = DEFAULT_STATE_LIMIT) -> MultiMatche
     holds only literal atoms (no wildcard, no quantifier; either end
     anchor) is one trie of :func:`_trie_construction`, at any length.
     Any other list of at most ``_LEAF_PATTERNS`` patterns takes the
-    subset construction; a longer one is split in half by count, each
-    half compiled the same way, and the halves' automata joined with
-    :func:`extend_set`, so the work is a balanced tree of small
-    constructions and numpy product searches; the result is the single
-    subset construction's automaton, field for field.
+    subset construction.  A longer one that holds such literals is split:
+    the literals are one trie, the other patterns are compiled as below,
+    the two automata are joined with :func:`extend_set` and the accept
+    ids are mapped back to list order.  A longer list with no literal is
+    split in half by count, each half compiled the same way, and the
+    halves' automata joined, so the work is a balanced tree of small
+    constructions and numpy product searches.  Either way the result is
+    the single subset construction's automaton, field for field.
 
     Raises :class:`CapacityError` if the automaton needs more than
-    ``state_limit`` states.  The tree raises exactly when the single
-    construction would: a string reaches the same subset of a half's
-    chains in the half's automaton as in the whole one, so every
+    ``state_limit`` states.  The split and the tree raise exactly when
+    the single construction would: a string reaches the same subset of a
+    part's chains in the part's automaton as in the whole one, so every
     intermediate automaton is a projection of the final one and never
     has more states.
     """
@@ -225,16 +231,39 @@ def compile_set(patterns, state_limit: int = DEFAULT_STATE_LIMIT) -> MultiMatche
     # the halves recurse through ``tree``, not ``compile_set``, so a wrapper
     # of the ``compile_set`` attribute (perfbench's tracer) sees one call
     def tree(pats: list) -> MultiMatcher:
-        # a literal atom's token is its own ASCII character, every other
-        # token is from U+0080 up (see driftsig.patterns)
-        if pats and all(p.anchored_start and p.tokens.isascii() for p in pats):
-            return _trie_construction(pats, state_limit)
         if len(pats) <= _LEAF_PATTERNS:
             return _subset_construction(pats, state_limit)
         half = len(pats) // 2
         return extend_set(tree(pats[:half]), tree(pats[half:]), state_limit)
 
-    return tree(list(patterns))
+    pats = list(patterns)
+    # a literal atom's token is its own ASCII character, every other token
+    # is from U+0080 up (see driftsig.patterns)
+    literal = np.array([p.anchored_start and p.tokens.isascii() for p in pats], dtype=bool)
+    if pats and literal.all():
+        return _trie_construction(pats, state_limit)
+    if len(pats) <= _LEAF_PATTERNS or not literal.any():
+        return tree(pats)
+    # the joined ids list the literals first: ``order`` maps them back
+    order = np.argsort(~literal, kind="stable")
+    n_lit = np.count_nonzero(literal)
+    lits = _trie_construction([pats[i] for i in order[:n_lit]], state_limit)
+    joined = extend_set(lits, tree([pats[i] for i in order[n_lit:]]), state_limit)
+    n = len(pats)
+
+    def in_list_order(off: np.ndarray, pid: np.ndarray) -> np.ndarray:
+        # one sort of (state, id) keys puts each state's ids in ascending order
+        state = np.repeat(np.arange(len(off) - 1, dtype=np.int64), np.diff(off))
+        return (np.sort(state * n + order[pid]) % n).astype(np.int32)
+
+    return MultiMatcher(
+        joined._trans,
+        joined._run_off,
+        in_list_order(joined._run_off, joined._run_pid),
+        joined._end_off,
+        in_list_order(joined._end_off, joined._end_pid),
+        n,
+    )
 
 
 def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:
@@ -484,30 +513,36 @@ def extend_set(
     table of every pair's id, -1 until it is met, gathers the ids from it
     and writes the new ones into it.  A larger product's table would cost
     more than it saves, so its keys are searched in the sorted keys of the
-    pairs met so far.
+    pairs met so far, kept sorted with their ids from level to level: a
+    level merges its new keys in, a linear merge instead of a sort of
+    every pair met.  The merge still copies every key met so far, so a
+    long chain of levels costs the square of its length.
     """
     trans_a, trans_b = base._trans, addition._trans
     n_add = trans_b.shape[0]
     n_pairs = trans_a.shape[0] * n_add
     base_a = trans_a[trans_a[0, CODE_OTHER]]
     base_b = trans_b[trans_b[0, CODE_OTHER]]
-    # pair (a, b) is keyed a * n_add + b; by_id holds the keys of the
+    # pair (a, b) is keyed a * n_add + b; the levels hold the keys of the
     # pairs met so far in state order, the start pair (0, 0) being state 0
-    by_id = level = np.zeros(1, dtype=np.int64)
+    level = np.zeros(1, dtype=np.int64)
+    levels, n_met = [level], 1
     base_ids = None  # the core pair's row, once it is written
-    pair_ids = None
     if n_pairs <= _DENSE_PAIRS:
         # every pair's id, -1 until the search meets it
         pair_ids = np.full(n_pairs, -1, dtype=np.int32)
         pair_ids[0] = 0
+    else:
+        # the keys of the pairs met so far, ascending, and their ids
+        pair_ids, known, rank = None, level, np.zeros(1, dtype=np.intp)
     # the table, filled a level of rows at a time, is sized once for as
     # many states as the two automata hold together, about what disjoint
     # chains reach; a search that outgrows it adds at least its size again
     trans = np.empty((trans_a.shape[0] + n_add, N_SYMBOLS), dtype=np.int32)
     while len(level):
-        if len(by_id) > len(trans):
-            trans = np.concatenate([trans, np.empty((len(by_id), N_SYMBOLS), dtype=np.int32)])
-        rows = trans[len(by_id) - len(level) : len(by_id)]
+        if n_met > len(trans):
+            trans = np.concatenate([trans, np.empty((n_met, N_SYMBOLS), dtype=np.int32)])
+        rows = trans[n_met - len(level) : n_met]
         # successors of the level's pairs, row by row, at their (parent,
         # symbol) places; once the core pair's row is written, the rows
         # start as base ids and only the successors off their base pair are
@@ -528,8 +563,6 @@ def extend_set(
         if pair_ids is not None:
             ids = pair_ids[keys]
         else:
-            rank = by_id.argsort()
-            known = by_id[rank]
             at = np.minimum(known.searchsorted(keys), len(known) - 1)
             ids = rank[at]
             ids[known[at] != keys] = -1
@@ -541,21 +574,27 @@ def extend_set(
         new = uniq[order]
         # record the new pairs' ids and give them to their keys
         if pair_ids is not None:
-            pair_ids[new] = np.arange(len(by_id), len(by_id) + len(new), dtype=np.int32)
+            pair_ids[new] = np.arange(n_met, n_met + len(new), dtype=np.int32)
             ids = pair_ids[keys]
         else:
             new_ids = np.empty(len(new), dtype=np.intp)
-            new_ids[order] = np.arange(len(by_id), len(by_id) + len(new))
+            new_ids[order] = np.arange(n_met, n_met + len(new))
             ids[unseen] = new_ids[uniq.searchsorted(unseen_keys)]
+            # merge the new keys into the sorted ones, no pair met twice
+            at = known.searchsorted(uniq)
+            known = np.insert(known, at, uniq)
+            rank = np.insert(rank, at, new_ids)
         rows.reshape(-1)[places] = ids
-        if base_ids is None and trans[0, CODE_OTHER] < len(by_id):
+        if base_ids is None and trans[0, CODE_OTHER] < n_met:
             base_ids = trans[trans[0, CODE_OTHER]].copy()
-        if len(new) and len(by_id) + len(new) > state_limit:
+        if len(new) and n_met + len(new) > state_limit:
             raise CapacityError(f"combined automaton needs more than {state_limit} states")
         level = new
-        by_id = np.concatenate([by_id, level])
+        levels.append(level)
+        n_met += len(level)
 
-    trans = trans[: len(by_id)]
+    by_id = np.concatenate(levels)
+    trans = trans[:n_met]
     # pair (a, b) holds a's accepts, then b's shifted past the base's: two
     # segments of a CSR over a's states followed by b's
     seg = np.empty(2 * len(by_id), dtype=np.intp)

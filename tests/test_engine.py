@@ -809,6 +809,12 @@ _LIVE_EVERYWHERE = st.builds(
 )
 
 
+# two 1,000-character exact values that share 999 characters: each level
+# of their join meets one new pair, so the sorted keys take a thousand
+# merges; 1,002 x 1,002 pairs are within the dense table's bound
+_STEM = "".join(random.Random(3).choices(ALPHABET, k=999))
+_TWIN_CHAINS = [exact_pattern(_STEM + "a"), exact_pattern(_STEM + "b")]
+
 # a pattern list and a point to split it at, empty halves included
 _SPLIT_LISTS = st.lists(st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING, _LIVE_EVERYWHERE), max_size=12).flatmap(
     lambda ps: st.tuples(st.just(ps), st.integers(0, len(ps)))
@@ -829,6 +835,7 @@ _SPLIT_LISTS = st.lists(st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING, _LIVE_EVERYWHE
 @example(([pat("a?b"), pat("b"), pat("^c")], 2))
 @example(([pat("^c"), pat("a?b"), pat("b")], 1))
 @example(([pat("a?b"), pat("^c"), pat("b")], 1))
+@example((_TWIN_CHAINS, 1))
 @both_join_paths
 def test_extend_set_equals_compile_set(case):
     patterns, split = case
@@ -938,15 +945,15 @@ def test_compile_set_builds_a_leaf_as_a_trie_only_when_every_pattern_qualifies(p
 
 def test_compile_set_routes_each_leaf_of_its_tree_by_its_own_patterns():
     # with leaves of two, a list of start-anchored literals is one trie at
-    # any length, and only the other lists are halved
+    # any length; a longer mixed list joins the trie of its literals to
+    # the tree of its other patterns, whose leaves hold no literal
     mixed = [pat("^ab"), pat("^ac$"), pat("x"), pat("^b")]
-    # the literal half [^a, ^b, ^c], longer than the cap, is one trie
     spread = [pat("^a"), pat("^b"), pat("^c"), pat("^d"), pat("x"), pat("y")]
     literals = [pat("^ab"), pat("^a0$"), pat("^b"), pat("^ab0"), pat("^0-")]
     # per list: the tries' lists, the bitset leaves' lists, the joins
     cases = [
-        (mixed, [mixed[:2]], [mixed[2:]], 1),
-        (spread, [spread[:3], spread[3:4]], [spread[4:]], 2),
+        (mixed, [mixed[:2] + mixed[3:]], [mixed[2:3]], 1),
+        (spread, [spread[:4]], [spread[4:]], 1),
         (literals, [literals], [], 0),
     ]
     for patterns, trie_lists, subset_lists, joins in cases:
@@ -969,6 +976,54 @@ def test_compile_set_routes_each_leaf_of_its_tree_by_its_own_patterns():
                     build(patterns, want.n_states - 1)
                 messages.add(str(err.value))
         assert messages == {f"combined automaton needs more than {want.n_states - 1} states"}
+
+
+def _is_start_literal(p):
+    return p.anchored_start and p.tokens.isascii()
+
+
+@st.composite
+def _mixed_lists(draw):
+    """Start-anchored literals and other patterns, the literals either
+    interleaved with the others or all after them, and a leaf cap below
+    the list's length."""
+    literals = draw(_start_literals())
+    others = draw(
+        st.lists(
+            st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING, _LIVE_EVERYWHERE).filter(lambda p: not _is_start_literal(p)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    patterns = others + literals if draw(st.booleans()) else draw(st.permutations(others + literals))
+    return patterns, draw(st.integers(1, len(patterns) - 1))
+
+
+@PROPERTY
+@given(_mixed_lists())
+# one string under both end anchors, and twice, between and after others
+# that accept in the same states: the ids must come back in list order
+@example(([pat("b"), pat("^ab$"), pat("a?b"), pat("^ab"), pat("ab"), pat("^ab$")], 2))
+@example(([pat("x"), pat("a*"), pat("^x"), pat("^x$")], 1))  # an always-matching pattern in every state
+@both_join_paths
+def test_compile_set_joins_the_trie_of_a_long_mixed_lists_literals_to_the_rest(case):
+    patterns, leaf = case
+    want = engine._subset_construction(patterns, DEFAULT_STATE_LIMIT)
+    with (
+        mock.patch.object(engine, "_LEAF_PATTERNS", leaf),
+        mock.patch.object(engine, "_trie_construction", wraps=engine._trie_construction) as tries,
+    ):
+        got = compile_set(patterns)
+        assert [c.args[0] for c in tries.call_args_list] == [[p for p in patterns if _is_start_literal(p)]]
+        assert automaton_fields(got) == automaton_fields(want)
+        assert got.n_patterns == len(patterns)
+        # one state short, the split and the single construction fail alike
+        messages = set()
+        for build in (compile_set, engine._subset_construction):
+            with pytest.raises(CapacityError) as err:
+                build(patterns, want.n_states - 1)
+            messages.add(str(err.value))
+    assert messages == {f"combined automaton needs more than {want.n_states - 1} states"}
 
 
 @PROPERTY
