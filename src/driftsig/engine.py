@@ -43,11 +43,14 @@ two core states' successors, so a level fills its rows from the core
 pair's row and keys only the other successors (on the serve model, 2-29%
 of a join's entries); the pairs not met yet are numbered in the order of
 their first place.  Only how a key's id is found, and a new one recorded,
-depends on the size of the product: one of at most ``_DENSE_PAIRS``
-pairs, such as every per-generation extension of an adaptive run, keeps
-a table of every pair's id, and a larger one, such as the serve model's
-join, searches the sorted keys of the pairs met so far, into which each
-level merges its new keys.  Each automaton counts its own patterns, so
+depends on the product: one of at most ``_DENSE_PAIRS`` pairs, such as
+every per-generation extension of an adaptive run, keeps a table of
+every pair's id; a larger one whose base is a tree, such as the serve
+model's join of its trie, keeps a table of one id per state of each
+automaton, since a base state other than the core is reached by one
+string and so pairs with one addition state; and any other searches the
+sorted keys of the pairs met so far, into which each level merges its
+new keys.  Each automaton counts its own patterns, so
 the appended set's ids shift past the first's without the caller's
 bookkeeping.
 :func:`compile_set` builds a long list with the same join.  A non-empty
@@ -200,7 +203,8 @@ class MultiMatcher:
 # their start-anchored literals (one trie at any length) split off first
 _LEAF_PATTERNS = 512
 # extend_set joins of at most this many pairs (a 4 MB table of int32 ids)
-# find their pairs' ids in a dense table, larger ones in sorted keys
+# find their pairs' ids in a dense table, larger ones in the slots of a
+# tree base's states or else in sorted keys
 _DENSE_PAIRS = 1 << 20
 
 
@@ -483,6 +487,22 @@ def _trie_construction(pats: list, state_limit: int) -> MultiMatcher:
     return MultiMatcher(trans, *accepts(~at_end), *accepts(at_end), len(pats))
 
 
+def _trie_core(trans: np.ndarray) -> int | None:
+    """The core state of the automaton ``trans`` when it is a tree, such
+    as every :func:`_trie_construction` output, else None.
+
+    A tree's states other than its core are each reached by exactly one
+    string.  That holds exactly when the core's row is all core and just
+    ``n_states - 2`` entries are not the core: every state is reached, so
+    each state other than state 0 and the core has an entry of its own,
+    its one parent, and no entry is left to lead back to state 0.
+    """
+    core = trans[0, CODE_OTHER]
+    if (trans[core] == core).all() and np.count_nonzero(trans != core) == len(trans) - 2:
+        return int(core)
+    return None
+
+
 def extend_set(
     base: MultiMatcher, addition: MultiMatcher, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> MultiMatcher:
@@ -508,19 +528,25 @@ def extend_set(
     the successors off the base pair; until then a level keys every
     successor.  Each key's id is found, -1 for a pair not met yet, and
     those pairs are numbered in the order of their first place.  Only
-    finding a key's id and recording the new ones depends on the size of
-    the product.  A product of at most ``_DENSE_PAIRS`` pairs keeps a
-    table of every pair's id, -1 until it is met, gathers the ids from it
-    and writes the new ones into it.  A larger product's table would cost
-    more than it saves, so its keys are searched in the sorted keys of the
+    finding a key's id and recording the new ones depends on the product.
+    A product of at most ``_DENSE_PAIRS`` pairs keeps a table of every
+    pair's id, -1 until it is met, gathers the ids from it and writes the
+    new ones into it.  A larger product's table would cost more than it
+    saves.  When the base is a tree (see :func:`_trie_core`), as a trie
+    is, a base state ``a`` other than the core is reached by one string,
+    so it pairs with the one addition state that string reaches, and the
+    same gather and write run on a table of ``n_a + n_b`` ids: pair
+    ``(a, b)`` at slot ``a``, or ``n_a + b`` when ``a`` is the core.  Any
+    other larger product searches its keys in the sorted keys of the
     pairs met so far, kept sorted with their ids from level to level: a
     level merges its new keys in, a linear merge instead of a sort of
-    every pair met.  The merge still copies every key met so far, so a
-    long chain of levels costs the square of its length.
+    every pair met.  The merge still copies every key met so far, so on a
+    base that is not a tree a long chain of levels costs the square of
+    its length; on a tree base each level costs only its own pairs.
     """
     trans_a, trans_b = base._trans, addition._trans
-    n_add = trans_b.shape[0]
-    n_pairs = trans_a.shape[0] * n_add
+    n_base, n_add = trans_a.shape[0], trans_b.shape[0]
+    n_pairs = n_base * n_add
     base_a = trans_a[trans_a[0, CODE_OTHER]]
     base_b = trans_b[trans_b[0, CODE_OTHER]]
     # pair (a, b) is keyed a * n_add + b; the levels hold the keys of the
@@ -528,9 +554,14 @@ def extend_set(
     level = np.zeros(1, dtype=np.int64)
     levels, n_met = [level], 1
     base_ids = None  # the core pair's row, once it is written
-    if n_pairs <= _DENSE_PAIRS:
-        # every pair's id, -1 until the search meets it
-        pair_ids = np.full(n_pairs, -1, dtype=np.int32)
+    # above the bound, a tree base's core state, else None
+    core_a = None if n_pairs <= _DENSE_PAIRS else _trie_core(trans_a)
+    if n_pairs <= _DENSE_PAIRS or core_a is not None:
+        # every pair's id, -1 until the search meets it, at its key, or at
+        # its slot past a tree base: a base state other than the core is
+        # reached by one string, so it pairs with one addition state and
+        # (a, b) takes slot a, or n_base + b when a is the core
+        pair_ids = np.full(n_pairs if core_a is None else n_base + n_add, -1, dtype=np.int32)
         pair_ids[0] = 0
     else:
         # the keys of the pairs met so far, ascending, and their ids
@@ -538,7 +569,7 @@ def extend_set(
     # the table, filled a level of rows at a time, is sized once for as
     # many states as the two automata hold together, about what disjoint
     # chains reach; a search that outgrows it adds at least its size again
-    trans = np.empty((trans_a.shape[0] + n_add, N_SYMBOLS), dtype=np.int32)
+    trans = np.empty((n_base + n_add, N_SYMBOLS), dtype=np.int32)
     while len(level):
         if n_met > len(trans):
             trans = np.concatenate([trans, np.empty((n_met, N_SYMBOLS), dtype=np.int32)])
@@ -556,12 +587,16 @@ def extend_set(
             off = succ_a != base_a
             off |= succ_b != base_b
             places = off.ravel().nonzero()[0]
-        keys = succ_a.ravel()[places].astype(np.int64)
+        a = succ_a.ravel()[places]
+        keys = a.astype(np.int64)
         keys *= n_add
         keys += succ_b.ravel()[places]
+        # where a table holds each key's id: at the key, or past a tree base
+        # at its slot (the key less core_a * n_add is b when a is the core)
+        look = keys if core_a is None else np.where(a == core_a, keys + (n_base - core_a * n_add), a)
         # each key's id, -1 for a pair not met yet
         if pair_ids is not None:
-            ids = pair_ids[keys]
+            ids = pair_ids[look]
         else:
             at = np.minimum(known.searchsorted(keys), len(known) - 1)
             ids = rank[at]
@@ -574,8 +609,9 @@ def extend_set(
         new = uniq[order]
         # record the new pairs' ids and give them to their keys
         if pair_ids is not None:
-            pair_ids[new] = np.arange(n_met, n_met + len(new), dtype=np.int32)
-            ids = pair_ids[keys]
+            new_look = new if core_a is None else look[unseen][first[order]]
+            pair_ids[new_look] = np.arange(n_met, n_met + len(new), dtype=np.int32)
+            ids = pair_ids[look]
         else:
             new_ids = np.empty(len(new), dtype=np.intp)
             new_ids[order] = np.arange(n_met, n_met + len(new))
@@ -599,7 +635,7 @@ def extend_set(
     # segments of a CSR over a's states followed by b's
     seg = np.empty(2 * len(by_id), dtype=np.intp)
     seg[0::2] = by_id // n_add
-    seg[1::2] = by_id % n_add + trans_a.shape[0]
+    seg[1::2] = by_id % n_add + n_base
 
     def accepts(off_a, pid_a, off_b, pid_b):
         off = np.concatenate([off_a, off_b[1:] + len(pid_a)])

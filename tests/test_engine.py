@@ -42,10 +42,15 @@ KERNEL_PATHS = (
     {"_SMALL_CELLS": 0, "_match_windows": _kernels._match_words},
     {"_SMALL_CELLS": 0},
 )
-# patches of engine that send every extend_set join to the sorted-key
-# search and to the dense pair table; every product a test joins is far
-# below the second bound
-JOIN_PATHS = ({"_DENSE_PAIRS": 0}, {"_DENSE_PAIRS": np.iinfo(np.int32).max})
+# patches of engine that send every extend_set join to the slot table of
+# its base when that base is a tree (else to the sorted-key search), to
+# the sorted-key search and to the dense pair table; every product a test
+# joins is far below the third bound
+JOIN_PATHS = (
+    {"_DENSE_PAIRS": 0},
+    {"_DENSE_PAIRS": 0, "_trie_core": lambda trans: None},
+    {"_DENSE_PAIRS": np.iinfo(np.int32).max},
+)
 
 
 def _on_paths(module, patches):
@@ -66,7 +71,7 @@ def _on_paths(module, patches):
 
 
 all_kernel_paths = _on_paths(_kernels, KERNEL_PATHS)
-both_join_paths = _on_paths(engine, JOIN_PATHS)
+all_join_paths = _on_paths(engine, JOIN_PATHS)
 
 
 def pat(text):
@@ -204,7 +209,7 @@ def test_single_shared_pass_over_input():
     assert m.match_set(event) == match_set_bruteforce(patterns, event)
 
 
-@both_join_paths
+@all_join_paths
 def test_capacity_error():
     patterns = [pat("abc"), pat("xyz"), pat("q.r")]
     with pytest.raises(CapacityError):
@@ -374,7 +379,7 @@ def _large_golden_patterns():
     return patterns
 
 
-@both_join_paths
+@all_join_paths
 def test_golden_automaton_above_leaf_size():
     # recorded from one subset construction over the whole list; the
     # list is long enough that compile_set builds it as a join tree
@@ -811,7 +816,8 @@ _LIVE_EVERYWHERE = st.builds(
 
 # two 1,000-character exact values that share 999 characters: each level
 # of their join meets one new pair, so the sorted keys take a thousand
-# merges; 1,002 x 1,002 pairs are within the dense table's bound
+# merges and the base's trie a thousand slots; 1,002 x 1,002 pairs are
+# within the dense table's bound
 _STEM = "".join(random.Random(3).choices(ALPHABET, k=999))
 _TWIN_CHAINS = [exact_pattern(_STEM + "a"), exact_pattern(_STEM + "b")]
 
@@ -836,7 +842,7 @@ _SPLIT_LISTS = st.lists(st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING, _LIVE_EVERYWHE
 @example(([pat("^c"), pat("a?b"), pat("b")], 1))
 @example(([pat("a?b"), pat("^c"), pat("b")], 1))
 @example((_TWIN_CHAINS, 1))
-@both_join_paths
+@all_join_paths
 def test_extend_set_equals_compile_set(case):
     patterns, split = case
     head, tail = patterns[:split], patterns[split:]
@@ -862,7 +868,7 @@ def test_extend_set_equals_compile_set(case):
 @PROPERTY
 @given(st.lists(st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING), max_size=12), st.integers(1, 3))
 @example([pat("^a.c"), pat("b?d*e+"), pat("x?"), pat("x.y$"), pat("^q+z?$"), pat("..0"), pat("y*")], 1)
-@both_join_paths
+@all_join_paths
 def test_compile_tree_equals_single_construction(patterns, leaf):
     # patched here, not in a fixture: Hypothesis reruns the body per example
     with mock.patch.object(engine, "_LEAF_PATTERNS", leaf):
@@ -916,6 +922,53 @@ def test_trie_leaf_equals_subset_construction(patterns):
             build(patterns, want.n_states - 1)
         messages.add(str(err.value))
     assert messages == {f"combined automaton needs more than {want.n_states - 1} states"}
+
+
+def _is_tree(trans, core):
+    """Whether no entry leads to state 0, each state other than state 0
+    and ``core`` has one entry leading to it, and ``core``'s row is all
+    ``core``: the table's states other than the core are each reached by
+    one string."""
+    into = np.bincount(trans[trans != core], minlength=len(trans))
+    return into[0] == 0 and (np.delete(into, [0, core]) == 1).all() and (trans[core] == core).all()
+
+
+@PROPERTY
+@given(_start_literals())
+@example([pat("^a")])  # a single pattern
+@example([pat("^ab$"), pat("^ab"), pat("^ab$")])  # one string, twice with the end anchor
+@example(_CHAIN_SIBLINGS)
+def test_trie_core_finds_the_core_of_every_trie(patterns):
+    trans = engine._trie_construction(patterns, DEFAULT_STATE_LIMIT)._trans
+    core = int(trans[0, CODE_OTHER])
+    assert engine._trie_core(trans) == core
+    assert _is_tree(trans, core)
+
+
+@pytest.mark.parametrize(
+    "patterns",
+    [
+        [pat("^a*")],  # a loop
+        [pat("^a?b")],  # a state reached from two parents
+        [pat("ab$")],  # unanchored at the start: state 0 is the core, which every string reaches
+        [pat("^ab"), pat("b")],  # b's state is reached from every state
+        [],  # one state
+    ],
+)
+def test_trie_core_rejects_automata_that_are_not_trees(patterns):
+    trans = compile_set(patterns)._trans
+    assert engine._trie_core(trans) is None
+    assert len(trans) == 1 or not _is_tree(trans, int(trans[0, CODE_OTHER]))
+
+
+@PROPERTY
+@given(st.lists(st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING, _start_literals().map(lambda ps: ps[0])), max_size=6))
+@example([pat("^b"), pat("a*")])  # an always-matching pattern beside a literal: still a tree
+def test_trie_core_returns_a_core_exactly_for_trees(patterns):
+    trans = compile_set(patterns)._trans
+    core = int(trans[0, CODE_OTHER])
+    tree = core != 0 and _is_tree(trans, core)
+    assert engine._trie_core(trans) == (core if tree else None)
 
 
 _LITERAL_LEAF = [pat("^ab0"), pat("^b\\.c$"), pat("^ab")]
@@ -1005,7 +1058,7 @@ def _mixed_lists(draw):
 # that accept in the same states: the ids must come back in list order
 @example(([pat("b"), pat("^ab$"), pat("a?b"), pat("^ab"), pat("ab"), pat("^ab$")], 2))
 @example(([pat("x"), pat("a*"), pat("^x"), pat("^x$")], 1))  # an always-matching pattern in every state
-@both_join_paths
+@all_join_paths
 def test_compile_set_joins_the_trie_of_a_long_mixed_lists_literals_to_the_rest(case):
     patterns, leaf = case
     want = engine._subset_construction(patterns, DEFAULT_STATE_LIMIT)
@@ -1052,7 +1105,7 @@ def test_subset_construction_equals_reference(patterns):
 # a wildcard live in every state, one live in some states, and one that
 # only an anchored state 0 reads
 @example(([pat("a*.b"), pat("ab.0"), pat("^.c")], 1))
-@both_join_paths
+@all_join_paths
 def test_states_move_as_the_core_state_on_symbols_their_own_positions_skip(case):
     # the invariant sparse rows and sparse joins rest on: the core state,
     # where state 0 moves on CODE_OTHER, is in every state, and a state

@@ -717,18 +717,20 @@ def test_golf_learns_match_on_ints_and_w1_learns_on_windows():
         assert (ints.call_count, windows.call_count) == (len(problems), 1) and words.call_count > 0
 
 
-def test_w1_extensions_look_pairs_up_in_a_table_and_serve_joins_search_sorted_keys():
+def test_w1_extensions_look_pairs_up_in_a_table_and_serve_joins_a_tree_base():
     # extend_set looks its pairs up in the table when the product of the
     # two automata's state counts is at most engine._DENSE_PAIRS: a W1
     # round's 44 extensions join at most 12,852 pairs (378 x 34 states),
     # the serve model's one join, of the trie of its literals and the
-    # leaf of its other patterns, 9,420,030 (22,590 x 417)
+    # leaf of its other patterns, 9,420,030 (22,590 x 417), and that
+    # join finds its pairs at the trie's states, its base being a tree
     workloads = _workloads()
-    products = []
+    products, trees = [], []
 
     def recording(extend):
         def run(base, addition, *rest):
             products.append(base.n_states * addition.n_states)
+            trees.append(engine._trie_core(base._trans) is not None)
             return extend(base, addition, *rest)
 
         return run
@@ -739,7 +741,9 @@ def test_w1_extensions_look_pairs_up_in_a_table_and_serve_joins_search_sorted_ke
     assert len(products) == 44
     assert max(products) <= engine._DENSE_PAIRS
     products.clear()
+    trees.clear()
     with mock.patch.object(engine, "extend_set", recording(engine.extend_set)):
         engine.compile_set(load_model(workloads.SERVE_MODEL).patterns)
     assert len(products) == 1
     assert min(products) > engine._DENSE_PAIRS
+    assert trees == [True]

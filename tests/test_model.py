@@ -11,7 +11,7 @@ from driftsig.model import Model, load_model, save_model
 from driftsig.patterns import parse_pattern
 
 from oracle import automaton_fields
-from test_engine import both_join_paths
+from test_engine import all_join_paths
 
 
 def pats(*texts):
@@ -54,7 +54,7 @@ def test_matcher_cached_per_model():
     assert model.matcher is model.matcher
 
 
-@both_join_paths
+@all_join_paths
 def test_union_of_compiled_model_compiles_only_appended_patterns(monkeypatch):
     compiled = []
 
@@ -117,7 +117,7 @@ _STEPS = st.lists(st.one_of(st.none(), st.lists(st.sampled_from(_POOL), max_size
 @given(st.lists(st.sampled_from(_POOL), max_size=3, unique=True), _STEPS)
 @example([], [None, [_POOL[0]], None, [_POOL[0]], None, [_POOL[1]]])
 @example([_POOL[2]], [None, [], [_POOL[3], _POOL[4]], None, [_POOL[5]]])
-@both_join_paths
+@all_join_paths
 def test_any_union_and_read_order_gives_compile_set(first, steps):
     # covers all three of Model.matcher's paths: a fresh compile (no
     # compiled base), the base served as is (nothing appended) and an

@@ -18,7 +18,7 @@ from driftsig.streams import DriftConfig, Event, gen_synthetic
 from driftsig.tracking import MODES, run_tracking, run_window
 
 from oracle import automaton_fields, reference_track
-from test_engine import both_join_paths
+from test_engine import all_join_paths
 
 FAST = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=0)
 
@@ -140,7 +140,7 @@ def test_adaptive_beats_naive_on_constructed_drift():
     assert adaptive[-1].tpr == 1.0
 
 
-@both_join_paths
+@all_join_paths
 def test_every_generation_automaton_equals_compile_set(monkeypatch):
     models, extended = [], []
 
