@@ -10,8 +10,8 @@ fallback, so the learned model always separates the two sets perfectly.
 Components are token strings, one character per atom (see
 :mod:`driftsig.patterns`): a gram is its own literal token string, and
 its variants substitute wildcard and quantifier tokens into it, so
-the pool is one dict from token string to source positive, deduplicated
-on strings.  It stays in generation order until the filter has run;
+the pool is a list of distinct token strings and nothing else.  It
+stays in generation order until the filter has run;
 only an oversized pool is ordered before it, for the ``max_pool`` cut,
 and then the survivors are ordered by their canonical text.  ``learn``
 packs the cut pool once into one byte buffer (``engine.pack_tokens``)
@@ -68,7 +68,7 @@ class LearnerConfig:
             raise ValueError("caps must be >= 0")
 
 
-def _cut_pool(positives, cfg: LearnerConfig, negatives) -> dict[str, int]:
+def _cut_pool(positives, cfg: LearnerConfig, negatives) -> list[str]:
     """The candidate components of the positives, cut to ``max_pool``
     before the negative filter, which :func:`learn` runs in its kernel
     pass.
@@ -77,22 +77,21 @@ def _cut_pool(positives, cfg: LearnerConfig, negatives) -> dict[str, int]:
     occurs in no string of ``negatives``: all variants with at most
     ``max_wildcards`` characters replaced by the wildcard (never all of
     them), each with at most ``max_quantified`` quantifiers inserted
-    after non-wildcard atoms.  The pool maps each component's token
-    string to its source, the lowest index (into the sorted positives)
-    of a string it was generated from, in generation order.  A gram
-    found in a negative is dropped before expansion, and so before the
-    cut: every variant of it matches a superset of its language, so the
-    filter would drop them all.  A pool of more than ``max_pool``
-    components is cut to the ``max_pool`` with the shortest canonical
-    text (ties by text), in that order; the filter then drops every
-    component matching a negative.
+    after non-wildcard atoms.  The pool is a list of the components'
+    distinct token strings, in generation order, and holds nothing
+    else.  A gram found in a negative is dropped before expansion, and
+    so before the cut: every variant of it matches a superset of its
+    language, so the filter would drop them all.  A pool of more than
+    ``max_pool`` components is cut to the ``max_pool`` with the shortest
+    canonical text (ties by text), in that order; the filter then drops
+    every component matching a negative.
 
     The shapes :func:`_shapes` defers are left out when no cut follows.
     Each of their variants matches exactly the strings some component of
     shorter text matches, so the filter keeps both or neither, their
     cover rows are equal, and greedy, which breaks ties by the lower
     index in text order, never picks the variant.  A cut must count
-    them, though: they are counted (``len(srcs)`` a shape, an upper
+    them, though: they are counted (one per gram a shape, an upper
     bound on the distinct ones), and when the pool plus that count
     exceeds ``max_pool``, the deferred shapes are expanded as well and
     the whole pool is cut.
@@ -104,23 +103,22 @@ def _cut_pool(positives, cfg: LearnerConfig, negatives) -> dict[str, int]:
         if not s or not in_alphabet(s):
             raise ValueError(f"positive string outside the event alphabet: {s!r}")
 
-    pool: dict[str, int] = {}
-    deferred = []  # (grams, length, srcs, deferred shapes) per gram length
+    pool: dict[str, None] = {}
+    deferred = []  # (grams, length, deferred shapes) per gram length
     n_deferred = 0
-    for length, grams, srcs in _grams(ordered, negatives, cfg.max_ngram):
+    for length, grams in _grams(ordered, negatives, cfg.max_ngram):
         now, later = _shapes(length, cfg.max_wildcards, cfg.max_quantified)
-        _expand_grams(grams, length, srcs, now, pool)
+        _expand_grams(grams, length, now, pool)
         if later:
-            deferred.append((grams, length, srcs, later))
-            n_deferred += len(srcs) * len(later)
+            deferred.append((grams, length, later))
+            n_deferred += len(grams) // length * len(later)
     if len(pool) + n_deferred > cfg.max_pool:
-        for grams, length, srcs, later in deferred:
-            _expand_grams(grams, length, srcs, later, pool)
-    if len(pool) > cfg.max_pool:
-        tokens = list(pool)
-        cut = _text_order(*pack_tokens(tokens))[: cfg.max_pool].tolist()
-        pool = {tokens[i]: pool[tokens[i]] for i in cut}
-    return pool
+        for grams, length, later in deferred:
+            _expand_grams(grams, length, later, pool)
+    tokens = list(pool)
+    if len(tokens) > cfg.max_pool:
+        tokens = [tokens[i] for i in _text_order(*pack_tokens(tokens))[: cfg.max_pool].tolist()]
+    return tokens
 
 
 _EXACT_KEY_LEN = 10  # grams an int64 key holds exactly at 6 bits a character
@@ -130,9 +128,8 @@ def _grams(ordered, negatives, max_ngram):
     """For each gram length up to ``max_ngram``, the distinct grams of the
     sorted positives ``ordered`` that occur in no negative.
 
-    Yields ``(length, grams, srcs)``: the grams joined into one string,
-    highest source first, and the source of each, the lowest index of a
-    positive holding it.  The positives and negatives are encoded once
+    Yields ``(length, grams)``: the grams joined into one string, in the
+    order of their keys.  The positives and negatives are encoded once
     through the alphabet's byte table, joined by a separator, and
     ``CODE_OTHER`` (the separator, characters outside the alphabet and
     each byte of a non-ASCII character's UTF-8) ends a gram.  Every
@@ -149,7 +146,6 @@ def _grams(ordered, negatives, max_ngram):
     # the positives are ASCII, so their windows start before len(pos_text)
     # and the negatives' after it
     n_pos = len(pos_text)
-    src_at = np.repeat(np.arange(len(ordered)), [len(s) + 1 for s in ordered])
     key = np.zeros(len(codes), dtype=np.int64)
     valid = np.ones(len(codes), dtype=bool)
     for n in range(1, min(max_ngram, max(map(len, ordered))) + 1):
@@ -158,20 +154,18 @@ def _grams(ordered, negatives, max_ngram):
         key = key[: len(codes) - n + 1] * 64 + codes[n - 1 :]
         valid = valid[: len(key)] & (codes[n - 1 :] != CODE_OTHER)
         at = np.flatnonzero(valid[:n_pos])
-        # the distinct keys and each one's lowest position in ``at``: the
-        # default sort, then the least position in each run of equal keys
+        # the distinct keys, each at one of its positions: equal keys are
+        # equal grams, so any of them gives the gram's text
         order = key[at].argsort()
         ranked = key[at[order]]
         head = np.ones(len(order), dtype=bool)
         np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
         uniq = ranked[head]
-        first = np.minimum.reduceat(order, head.nonzero()[0])
         # a gram is kept when no negative window has its key
         neg = np.sort(key[n_pos:][valid[n_pos:]])
         keep = np.searchsorted(neg, uniq, "right") == np.searchsorted(neg, uniq)
-        starts = np.sort(at[first[keep]])[::-1]
-        grams = chars[starts[:, None] + np.arange(n)].tobytes().decode("ascii")
-        yield n, grams, src_at[starts].tolist()
+        starts = at[order[head][keep]]
+        yield n, chars[starts[:, None] + np.arange(n)].tobytes().decode("ascii")
 
 
 # per token byte: the bytes of its canonical text, zero-filled to four so
@@ -257,7 +251,7 @@ def _shapes(length: int, max_wildcards: int, max_quantified: int):
     return tuple(now), tuple(later)
 
 
-def _expand_grams(grams: str, length: int, srcs: list[int], shapes, seen: dict) -> None:
+def _expand_grams(grams: str, length: int, shapes, seen: dict) -> None:
     """Add the variants of the joined ``length``-character ``grams`` in
     the ``shapes`` of :func:`_shapes` to ``seen``.
 
@@ -265,36 +259,36 @@ def _expand_grams(grams: str, length: int, srcs: list[int], shapes, seen: dict) 
     taken column by column: a shape swaps some columns for a column of
     wildcard tokens or a ``str.translate``d column of quantified tokens,
     and zipping the columns back gives that shape's variant of every gram.
-    A component's tokens fix its shape, so shapes never share a component;
-    within a shape, ``srcs`` runs from the highest source down, so a
-    variant several grams share keeps the lowest.  :func:`_cut_pool`
-    passes the shapes it defers only when its ``max_pool`` cut must count
-    them: their variants match exactly what shorter components match,
-    and greedy picks those first.
+    ``seen`` holds token strings only, as its keys, so a variant several
+    grams share is added once.  :func:`_cut_pool` passes the shapes it
+    defers only when its ``max_pool`` cut must count them: their variants
+    match exactly what shorter components match, and greedy picks those
+    first.
     """
     columns = [grams[i::length] for i in range(length)]
     # each column's ?, * and + forms, translated once for every shape
     quantified = [[col.translate(t) for t in QUANTIFY] for col in columns] if any(q for _, q in shapes) else []
-    wild_column = ANY_TOKEN * len(srcs)
+    wild_column = ANY_TOKEN * (len(grams) // length)
     for wild, quants in shapes:
         cols = list(columns)
         for i in wild:
             cols[i] = wild_column
         for i, kind in quants:
             cols[i] = quantified[i][kind]
-        seen.update(zip(map("".join, zip(*cols)), srcs))
+        seen.update(dict.fromkeys(map("".join, zip(*cols))))
 
 
-def filter_components(pool: dict[str, int], negatives) -> dict[str, int]:
-    """The sub-dict of ``pool`` whose components match no negative string.
+def filter_components(pool: list[str], negatives) -> list[str]:
+    """The token strings of ``pool`` that match no negative string, in
+    pool order.
 
     :func:`learn` filters inside its one kernel pass and never calls this;
     it is kept because perfbench's tracer wraps it by attribute.
     """
     if not negatives or not pool:
-        return dict(pool)
+        return list(pool)
     hits = match_any_of(map(Pattern, pool), set(negatives))
-    return dict(compress(pool.items(), (~hits).tolist()))
+    return list(compress(pool, (~hits).tolist()))
 
 
 def greedy_set_cover(cover: np.ndarray) -> list[int]:
@@ -355,7 +349,7 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
         raise DisjointnessViolation(overlap)
 
     pos = sorted(positives)
-    tokens = list(_cut_pool(pos, cfg, negatives))
+    tokens = _cut_pool(pos, cfg, negatives)
     raw, offsets = pack_tokens(tokens)
     words, last, hit = match_split(raw, offsets, pos, negatives)
     order = _text_order(raw, offsets)

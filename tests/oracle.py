@@ -157,21 +157,18 @@ def greedy_cover_reference(cover: np.ndarray) -> list[int]:
     return chosen
 
 
-def kept_grams_reference(positives, negatives, max_ngram: int) -> dict[str, int]:
-    """Every distinct substring of 1..max_ngram characters of the sorted
-    positives that is a substring of no negative, with the lowest index of
-    a sorted positive holding it: one dict entry and one substring search
+def kept_grams_reference(positives, negatives, max_ngram: int) -> set[str]:
+    """Every distinct substring of 1..max_ngram characters of the
+    positives that is a substring of no negative: one substring search
     of the joined negatives per gram."""
-    ordered = sorted(set(positives))
     blob = "\n".join(sorted(set(negatives)))
-    kept: dict[str, int] = {}
-    for src, s in enumerate(ordered):
-        for n in range(1, max_ngram + 1):
-            for i in range(len(s) - n + 1):
-                gram = s[i : i + n]
-                if gram not in kept and gram not in blob:
-                    kept[gram] = src
-    return kept
+    return {
+        s[i : i + n]
+        for s in set(positives)
+        for n in range(1, max_ngram + 1)
+        for i in range(len(s) - n + 1)
+        if s[i : i + n] not in blob
+    }
 
 
 def gram_variants(gram: str, max_wild: int, max_quant: int):
@@ -194,26 +191,21 @@ def gram_variants(gram: str, max_wild: int, max_quant: int):
                         yield "".join(parts)
 
 
-def variant_pool_reference(positives, negatives, cfg) -> dict[str, int]:
-    """Every variant of every gram no negative holds, on pattern text,
-    with the lowest source positive of the grams giving it: the pool
-    before its cut and filter."""
-    pool: dict[str, int] = {}
-    for gram, src in kept_grams_reference(positives, negatives, cfg.max_ngram).items():
-        for text in gram_variants(gram, cfg.max_wildcards, cfg.max_quantified):
-            pool[text] = min(pool.get(text, src), src)
-    return pool
+def variant_pool_reference(positives, negatives, cfg) -> set[str]:
+    """Every variant of every gram no negative holds, on pattern text:
+    the pool before its cut and filter."""
+    grams = kept_grams_reference(positives, negatives, cfg.max_ngram)
+    return {t for gram in grams for t in gram_variants(gram, cfg.max_wildcards, cfg.max_quantified)}
 
 
-def pool_reference(positives, negatives, cfg) -> dict[str, int]:
+def pool_reference(positives, negatives, cfg) -> list[str]:
     """The learner's component pool by its contract, on pattern text:
     :func:`variant_pool_reference` ordered by (length, text) and cut at
     ``cfg.max_pool``; then every component that :func:`backtrack_match`
     finds in some negative dropped."""
-    pool = variant_pool_reference(positives, negatives, cfg)
-    cut = sorted(pool, key=lambda t: (len(t), t))[: cfg.max_pool]
+    cut = sorted(variant_pool_reference(positives, negatives, cfg), key=lambda t: (len(t), t))[: cfg.max_pool]
     negs = sorted(set(negatives))
-    return {t: pool[t] for t in cut if not any(backtrack_match(parse_pattern(t), s) for s in negs)}
+    return [t for t in cut if not any(backtrack_match(parse_pattern(t), s) for s in negs)]
 
 
 def reference_learn(positives, negatives, cfg) -> list[str]:
@@ -223,7 +215,7 @@ def reference_learn(positives, negatives, cfg) -> list[str]:
     the positives some component reaches, then an anchored exact-match
     pattern for each of the others, in sorted order."""
     pos = sorted(set(positives))
-    pool = list(pool_reference(pos, negatives, cfg))
+    pool = pool_reference(pos, negatives, cfg)
     cover = np.array([[backtrack_match(parse_pattern(t), s) for s in pos] for t in pool], dtype=bool)
     cover = cover.reshape(len(pool), len(pos))
     reached = cover.any(axis=0)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftsig import _kernels, engine, tracking
+from driftsig import _kernels, engine, learner, tracking
 from driftsig import model as model_mod
 from driftsig.engine import match_many, match_split, pack_tokens
 from driftsig.errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
@@ -67,15 +67,13 @@ def _reducible(text):
 
 
 def survivors(pos, neg, cfg):
-    """learn's surviving components and their sources, as learn finds
-    them: the cut pool, matched against the sorted positives and the
-    negatives in one kernel pass, less those a negative matches, in text
-    order."""
-    pool = _cut_pool(pos, cfg, neg)
-    tokens = list(pool)
+    """learn's surviving components, as learn finds them: the cut pool,
+    matched against the sorted positives and the negatives in one kernel
+    pass, less those a negative matches, in text order."""
+    tokens = _cut_pool(pos, cfg, neg)
     raw, offsets = pack_tokens(tokens)
     hit = match_split(raw, offsets, sorted(pos), neg)[2]
-    return {tokens[i]: pool[tokens[i]] for i in _text_order(raw, offsets).tolist() if not hit[i]}
+    return [tokens[i] for i in _text_order(raw, offsets).tolist() if not hit[i]]
 
 
 def test_generate_basic_pool():
@@ -113,46 +111,17 @@ def test_generate_quantifier_insertions_superset():
 
 
 def test_generate_enumeration_matches_brute_force():
-    # brute-force oracle: expand the production rules literally, with
-    # literal dots written escaped and wildcards written bare; each text's
-    # provenance is the first (sorted) positive that produces it
-    from itertools import combinations, product
-
-    def brute(strings, max_ngram, max_wild, max_quant):
-        out = {}
-        for src, s in enumerate(sorted(strings)):
-            for n in range(1, min(max_ngram, len(s)) + 1):
-                for i in range(len(s) - n + 1):
-                    gram = s[i : i + n]
-                    for k in range(min(max_wild, n) + 1):
-                        for wild in combinations(range(n), k):
-                            if k == n:
-                                continue
-                            base = [
-                                "." if j in wild else ("\\." if gram[j] == "." else gram[j])
-                                for j in range(n)
-                            ]
-                            plain = [j for j in range(n) if j not in wild]
-                            for q in range(min(max_quant, len(plain)) + 1):
-                                for qpos in combinations(plain, q):
-                                    for quants in product("?*+", repeat=q):
-                                        parts = list(base)
-                                        for j, sym in zip(qpos, quants):
-                                            parts[j] = parts[j] + sym
-                                        out.setdefault("".join(parts), src)
-        return out
-
+    # the oracle expands the production rules literally, with literal dots
+    # written escaped and wildcards written bare
     for strings, caps in [({"abc", "b.c", "dd"}, (3, 2, 1)), ({"xbcd", "abc", "bcd.", "c"}, (4, 1, 2))]:
-        cfg = LearnerConfig(max_ngram=caps[0], max_wildcards=caps[1], max_quantified=caps[2])
-        want = brute(strings, *caps)
-        pool = _cut_pool(strings, cfg, set())
-        assert dict(zip(texts(pool), pool.values())) == {t: s for t, s in want.items() if not _reducible(t)}
+        want = variant_pool_reference(strings, set(), LearnerConfig(*caps))
+        pool = texts(_cut_pool(strings, LearnerConfig(*caps), set()))
+        assert len(pool) == len(set(pool)), "each component once"
+        assert set(pool) == {t for t in want if not _reducible(t)}
         # a cut of one component expands the deferred variants, then keeps
         # the rest in text order
-        cut = LearnerConfig(*caps, max_pool=len(want) - 1)
-        pool = _cut_pool(strings, cut, set())
-        ranked = sorted(want, key=lambda t: (len(t), t))[:-1]
-        assert list(zip(texts(pool), pool.values())) == [(t, want[t]) for t in ranked]
+        pool = _cut_pool(strings, LearnerConfig(*caps, max_pool=len(want) - 1), set())
+        assert texts(pool) == sorted(want, key=lambda t: (len(t), t))[:-1]
 
 
 def test_generate_rejects_bad_input():
@@ -178,8 +147,8 @@ def test_max_pool_truncation_keeps_shortest():
     full = survivors({"abcd"}, set(), LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=0))
     pool = _cut_pool({"abcd"}, cfg, set())
     assert len(pool) == 5
-    assert list(pool.items()) == list(full.items())[:5]
-    assert list(survivors({"abcd"}, set(), cfg).items()) == list(pool.items())
+    assert pool == full[:5]
+    assert survivors({"abcd"}, set(), cfg) == pool
 
 
 def test_max_pool_cut_comes_before_the_filter():
@@ -188,11 +157,11 @@ def test_max_pool_cut_comes_before_the_filter():
     pos, neg = {"ab"}, {"c"}
     caps = {"max_ngram": 1, "max_wildcards": 0, "max_quantified": 1}
     everything = pool_reference(pos, set(), LearnerConfig(**caps))
-    assert list(everything)[:4] == ["a", "b", "a*", "a+"]
+    assert everything[:4] == ["a", "b", "a*", "a+"]
     cut = _cut_pool(pos, LearnerConfig(**caps, max_pool=3), neg)
-    assert list(zip(texts(cut), cut.values())) == list(everything.items())[:3]
+    assert texts(cut) == everything[:3]
     pool = survivors(pos, neg, LearnerConfig(**caps, max_pool=3))
-    assert list(pool.items()) == list(filter_components(cut, neg).items())
+    assert pool == filter_components(cut, neg)
     assert texts(pool) == ["a", "b"]
 
 
@@ -246,8 +215,8 @@ def test_learn_survivors_equal_the_reference_pool(inp):
     variants = (t for g in grams for t in gram_variants(g, cfg.max_wildcards, cfg.max_quantified))
     n_deferred = sum(map(_reducible, variants))
     if len(whole) - sum(map(_reducible, whole)) + n_deferred <= cfg.max_pool:
-        want = {t: src for t, src in want.items() if not _reducible(t)}
-    assert list(zip(texts(pool), pool.values())) == list(want.items())
+        want = [t for t in want if not _reducible(t)]
+    assert texts(pool) == want
 
 
 @PROPERTY
@@ -279,8 +248,9 @@ def test_learn_defers_exactly_the_reducible_variants(inp):
     pos, neg, cfg = inp
     cfg = LearnerConfig(cfg.max_ngram, cfg.max_wildcards, cfg.max_quantified, max_pool=10**6)
     whole = variant_pool_reference(pos, neg, cfg)
-    pool = _cut_pool(pos, cfg, neg)
-    assert dict(zip(texts(pool), pool.values())) == {t: src for t, src in whole.items() if not _reducible(t)}
+    pool = texts(_cut_pool(pos, cfg, neg))
+    assert len(pool) == len(set(pool)), "each component once"
+    assert set(pool) == {t for t in whole if not _reducible(t)}
 
 
 @st.composite
@@ -403,10 +373,10 @@ def test_golden_learned_models_drift_caps(monkeypatch):
 
 
 def test_filter_components_examples():
-    pool = {parse_pattern(t).tokens: src for t, src in [("a", 0), ("b", 1), ("ab", 0)]}
-    assert filter_components(pool, {"ba"}) == {parse_pattern("ab").tokens: 0}
-    assert list(filter_components(pool, set()).items()) == list(pool.items())
-    assert filter_components({parse_pattern("x").tokens: 0}, {"axb"}) == {}
+    pool = [parse_pattern(t).tokens for t in ("a", "b", "ab")]
+    assert filter_components(pool, {"ba"}) == [parse_pattern("ab").tokens]
+    assert filter_components(pool, set()) == pool
+    assert filter_components([parse_pattern("x").tokens], {"axb"}) == []
 
 
 def test_greedy_cover_on_known_instance():
@@ -472,7 +442,7 @@ def test_learn_places_fallbacks_after_the_cover():
     model = learn(pos, neg)
     assert model.texts() == ["x", "^ab$", "^ba$"]
     ordered = sorted(pos)
-    pool = list(pool_reference(ordered, neg, LearnerConfig()))
+    pool = pool_reference(ordered, neg, LearnerConfig())
     cover = match_many([parse_pattern(t) for t in pool], ordered)
     reached = cover.any(axis=0)
     picks = greedy_set_cover(cover[:, reached])
@@ -565,7 +535,7 @@ def test_learn_ignores_the_order_of_the_negatives():
         rng.shuffle(shuffled)
         for pair in [(neg, shuffled), (neg, neg[::-1])]:
             a, b = (survivors(pos, n, cfg) for n in pair)
-            assert list(a.items()) == list(b.items())
+            assert a == b
             packed = pack_tokens(_cut_pool(pos, cfg, ()))
             hits = [match_split(*packed, sorted(pos), n)[2] for n in pair]
             assert hits[0].tolist() == hits[1].tolist()
@@ -582,13 +552,13 @@ def test_learn_pool_matches_literal_composition():
         pos = {"".join(rng.choice("abc0.") for _ in range(rng.randint(1, 9))) for _ in range(5)}
         neg = {"".join(rng.choice("abc0.") for _ in range(rng.randint(1, 9))) for _ in range(5)} - pos
         cfg = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=1)
-        full = {
-            t: src for t, src in pool_reference(pos, set(), cfg).items()
+        full = [
+            t for t in pool_reference(pos, set(), cfg)
             if not _reducible(t) and not any(backtrack_match(parse_pattern(t), s) for s in neg)
-        }
-        fused = survivors(pos, neg, cfg)
-        assert list(zip(texts(fused), fused.values())) == list(full.items())
-        assert filter_components(_cut_pool(pos, cfg, ()), neg) == filter_components(_cut_pool(pos, cfg, neg), neg)
+        ]
+        assert texts(survivors(pos, neg, cfg)) == full
+        unfiltered, prefiltered = (filter_components(_cut_pool(pos, cfg, n), neg) for n in ((), neg))
+        assert sorted(unfiltered) == sorted(prefiltered)
 
 
 @st.composite
@@ -651,15 +621,12 @@ def gram_inputs(draw):
 @example((["qbbbbbbbbbbb"], ["abbbbbbbbbbb", "\ud800bbbbbbbbbb\xe9"], 12))
 def test_gram_stage_equals_reference(inp):
     ordered, negatives, max_ngram = inp
-    got: dict[str, int] = {}
-    count = 0
-    for length, grams, srcs in _grams(ordered, negatives, max_ngram):
-        assert len(grams) == length * len(srcs)
-        assert srcs == sorted(srcs, reverse=True)
-        got.update(zip((grams[i : i + length] for i in range(0, len(grams), length)), srcs))
-        count += len(srcs)
-    assert count == len(got), "each gram once"
-    assert got == kept_grams_reference(ordered, negatives, max_ngram)
+    got = []
+    for length, grams in _grams(ordered, negatives, max_ngram):
+        assert len(grams) % length == 0
+        got += (grams[i : i + length] for i in range(0, len(grams), length))
+    assert len(got) == len(set(got)), "each gram once"
+    assert set(got) == kept_grams_reference(ordered, negatives, max_ngram)
 
 
 _WORDS = st.text(alphabet="abc0.", min_size=1, max_size=8)
@@ -715,6 +682,47 @@ def test_golf_learns_match_on_ints_and_w1_learns_on_windows():
         assert (ints.call_count, windows.call_count, words.call_count) == (len(problems), 1, 0)
         learn(pos, neg, dataclasses.replace(workloads.W1_LEARNER, max_quantified=1))
         assert (ints.call_count, windows.call_count) == (len(problems), 1) and words.call_count > 0
+
+
+@pytest.mark.parametrize("permute", ["reversed", "shuffled"])
+def test_learn_does_not_depend_on_the_order_of_the_pool(monkeypatch, permute):
+    # learn reads its pool only through the text order, a total order on
+    # token strings, and greedy breaks ties in that order, so it learns
+    # the same model from the cut pool in any order, and from the grams
+    # expanded in any order, which is the order the max_pool cut sees
+    workloads = _workloads()
+    window = list(islice(gen_synthetic(workloads.W1_STREAM), workloads.W1_WINDOW))
+    pos = {e.value for e in window if e.truth}
+    neg = {e.value for e in window if not e.truth}
+    # 881 components and their deferred variants, cut to 100: a cut made
+    # in generation order learns another model here
+    cut = dataclasses.replace(workloads.W1_LEARNER, max_quantified=1, max_pool=100)
+    cases = [(set(p), set(n), workloads.GOLF_LEARNER) for p, n in workloads.golf_problems(1)]
+    cases += [(pos, neg, workloads.W1_LEARNER), (pos, neg, cut)]
+    want = [learn(*case).texts() for case in cases]
+    uncut = dataclasses.replace(cut, max_pool=10**6)
+    assert len(_cut_pool(pos, cut, neg)) == 100 < len(_cut_pool(pos, uncut, neg))
+
+    rng = random.Random(11)
+
+    def permuted(items):
+        items = list(items)
+        if permute == "reversed":
+            return items[::-1]
+        rng.shuffle(items)
+        return items
+
+    cut_pool, grams = learner._cut_pool, learner._grams
+    monkeypatch.setattr(learner, "_cut_pool", lambda *args: permuted(cut_pool(*args)))
+    assert [learn(*case).texts() for case in cases] == want
+
+    def permuted_grams(*args):
+        for length, joined in grams(*args):
+            yield length, "".join(permuted(joined[i : i + length] for i in range(0, len(joined), length)))
+
+    monkeypatch.setattr(learner, "_cut_pool", cut_pool)
+    monkeypatch.setattr(learner, "_grams", permuted_grams)
+    assert [learn(*case).texts() for case in cases] == want
 
 
 def test_w1_extensions_look_pairs_up_in_a_table_and_serve_joins_a_tree_base():

@@ -36,7 +36,7 @@ def test_the_tracer_wraps_every_name_it_lists_and_restores_them():
         assert learner.learn is not learn
         model = learner.learn({"ab", "ac"}, {"b"}, learner.LearnerConfig(max_ngram=2))
         model.predict_batch(["ab", "b"])
-        learner.filter_components({"a": 0, "b": 0}, {"b"})
+        learner.filter_components(["a", "b"], {"b"})
         engine.match_many(model.patterns, ["ab"])
     finally:
         tracer.remove()
