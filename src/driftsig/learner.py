@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, product
+from itertools import combinations, compress, product, repeat
 
 import numpy as np
 
@@ -275,7 +275,7 @@ def _expand_grams(grams: str, length: int, shapes, seen: dict) -> None:
             cols[i] = wild_column
         for i, kind in quants:
             cols[i] = quantified[i][kind]
-        seen.update(dict.fromkeys(map("".join, zip(*cols))))
+        seen.update(zip(map("".join, zip(*cols)), repeat(None)))
 
 
 def filter_components(pool: list[str], negatives) -> list[str]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import DEFAULT_STATE_LIMIT, MultiMatcher, compile_set, extend_set
-from .patterns import Pattern, parse_pattern
+from .patterns import Pattern, parse_patterns
 
 
 @dataclass
@@ -81,15 +81,15 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    """Read a model file; '#' lines are comments, blank lines are skipped."""
-    patterns = []
-    seen = set()
+    """Read a model file: one pattern text a line.
+
+    Each line is stripped of surrounding whitespace (a CRLF end
+    included); blank lines and lines starting with '#' are skipped, and
+    a line repeated later is kept once, at its first place.  The lines
+    are parsed together by :func:`driftsig.patterns.parse_patterns`, so
+    a bad line raises the :class:`PatternSyntaxError` that
+    :func:`driftsig.patterns.parse_pattern` raises for it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line not in seen:
-                seen.add(line)
-                patterns.append(parse_pattern(line))
-    return Model(tuple(patterns))
+        lines = dict.fromkeys(line for line in map(str.strip, fh) if line and not line.startswith("#"))
+    return Model(tuple(parse_patterns(list(lines))))

@@ -19,10 +19,17 @@ take the characters from U+0080 up.  The parser writes token strings,
 the learner holds its candidate components as bare token strings and
 the engine packs them, so this module owns the one atom <-> character
 table and the per-atom text it renders to.
+
+A list of texts, such as a model file's lines, is parsed in bulk by
+:func:`parse_patterns`: one regex checks the grammar of all of them,
+and whole-text replaces write their token strings.  A list that fails
+any bulk check goes through :func:`parse_pattern`, the per-text loop,
+which defines every error.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -85,6 +92,8 @@ QUANTIFY = tuple({ord(ch): _TOKEN_OF[q, ch] for ch in ALPHABET} for q in _REPEAT
 # str.translate table from tokens to canonical text, one to three ASCII
 # characters a token
 TOKEN_TEXT = {ord(t): _render_atom(a) for t, a in TOKEN_ATOMS.items()}
+# every token character, for Pattern's check
+_TOKENS = frozenset(TOKEN_ATOMS)
 
 
 @dataclass(frozen=True)
@@ -104,7 +113,7 @@ class Pattern:
             raise ValueError("pattern needs at least one atom")
         if not self.tokens.strip(ANY_TOKEN):
             raise ValueError("pattern of only wildcards is forbidden")
-        if not TOKEN_ATOMS.keys() >= set(self.tokens):
+        if not _TOKENS.issuperset(self.tokens):
             raise ValueError(f"pattern tokens {self.tokens!r} outside the token table")
 
     @property
@@ -172,6 +181,42 @@ def parse_pattern(text: str) -> Pattern:
     if all(t == ANY_TOKEN for t in tokens):
         raise PatternSyntaxError("pattern of only wildcards is forbidden", 0)
     return Pattern("".join(tokens), anchored_start, anchored_end)
+
+
+# The grammar of one text as a regex, and of texts joined one a line
+_TEXT = r"\^?(?:(?:[%s]|\\\.)[?*+]?|\.)+\$?" % re.escape("".join(sorted(LITERAL_CHARS)))
+_TEXTS = re.compile(f"{_TEXT}(?:\n{_TEXT})*")
+_WILDCARDS_ONLY = re.compile(r"^\^?\.+\$?$", re.M)
+_QUANTIFIED = re.compile(r".[?*+]")
+# a literal's token followed by its quantifier's text -> the quantified token
+_QUANTIFIED_TOKEN = {ch + q.value: t for (q, ch), t in _TOKEN_OF.items() if q is not Quant.ONE}
+
+
+def parse_patterns(texts: list[str]) -> list[Pattern]:
+    """Parse many canonical pattern texts; equals
+    ``[parse_pattern(t) for t in texts]``, errors included.
+
+    The texts are checked together: joined one a line, they must match
+    the grammar as one regex, with no line of only wildcards and no
+    newline inside a text.  Their token strings are then written by
+    whole-text replaces and split at the newlines.  A list that fails a
+    check goes text by text through :func:`parse_pattern`, the per-text
+    loop that defines every error, so the first bad text raises its
+    :class:`PatternSyntaxError`.
+    """
+    joined = "\n".join(texts)
+    if (
+        joined.count("\n") != len(texts) - 1
+        or _TEXTS.fullmatch(joined) is None
+        or _WILDCARDS_ONLY.search(joined) is not None
+    ):
+        return [parse_pattern(t) for t in texts]
+    body = joined.replace("^", "").replace("$", "").replace(".", ANY_TOKEN).replace("\\" + ANY_TOKEN, ".")
+    if "?" in body or "*" in body or "+" in body:
+        body = _QUANTIFIED.sub(lambda m: _QUANTIFIED_TOKEN[m[0]], body)
+    starts = [t[0] == "^" for t in texts]
+    ends = [t[-1] == "$" for t in texts]
+    return list(map(Pattern, body.split("\n"), starts, ends))
 
 
 def render_pattern(pattern: Pattern) -> str:

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from driftsig import model as model_mod
 from driftsig.engine import compile_set
+from driftsig.errors import PatternSyntaxError
 from driftsig.model import Model, load_model, save_model
 from driftsig.patterns import parse_pattern
 
@@ -153,6 +155,34 @@ def test_load_dedups_repeated_lines(tmp_path):
     path = tmp_path / "model.txt"
     path.write_text("ab\nab\ncd\n")
     assert load_model(path).texts() == ["ab", "cd"]
+
+
+SERVE_MODEL = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "serve_model.txt"
+
+
+def test_load_of_the_serve_model_equals_the_per_line_parse():
+    lines = SERVE_MODEL.read_text().splitlines()
+    assert load_model(SERVE_MODEL).patterns == pats(*lines)
+    assert len(lines) == 2214
+
+
+def test_load_strips_lines_and_keeps_a_repeated_line_once(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_bytes(b"# learned\r\n  ab?c \r\n\r\n\t^x\\.y$\r\n# x.y\r\n ab?c\r\nd*.e\r\n^x\\.y$\r\n   \r\n")
+    assert load_model(path).texts() == ["ab?c", "^x\\.y$", "d*.e"]
+
+
+def test_load_raises_the_error_of_a_bad_line_near_the_end(tmp_path):
+    lines = SERVE_MODEL.read_text().splitlines()
+    lines[-3] = "^ab+c\\x$"
+    path = tmp_path / "model.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PatternSyntaxError) as err:
+        load_model(path)
+    with pytest.raises(PatternSyntaxError) as want:
+        parse_pattern(lines[-3])
+    assert str(err.value) == str(want.value)
+    assert err.value.position == want.value.position == 5
 
 
 def test_long_event_memory_is_bounded_by_its_characters():

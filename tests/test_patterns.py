@@ -5,7 +5,7 @@ import sys
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import driftsig
@@ -17,6 +17,7 @@ from driftsig.patterns import (
     Quant,
     exact_pattern,
     parse_pattern,
+    parse_patterns,
     render_pattern,
     render_tokens,
 )
@@ -51,24 +52,28 @@ def test_render_examples():
     assert render_pattern(atom_pattern([Atom("a", Quant.ZERO_OR_MORE), Atom(None)])) == "a*."
 
 
-@pytest.mark.parametrize(
-    "text,position",
-    [
-        ("", 0),
-        ("^", 1),
-        ("^$", 1),
-        ("+ab", 0),
-        ("a++", 2),
-        (".+", 1),
-        ("a\\x", 1),
-        ("a\\", 1),
-        ("aBc", 1),
-        ("a$b", 1),
-        ("a^b", 1),
-        ("..", 0),
-        (".", 0),
-    ],
-)
+_BAD_TEXTS = [
+    ("", 0),
+    ("^", 1),
+    ("^$", 1),
+    ("+ab", 0),
+    ("a++", 2),
+    (".+", 1),
+    ("a\\x", 1),
+    ("a\\", 1),
+    ("aBc", 1),
+    ("a$b", 1),
+    ("a^b", 1),
+    ("..", 0),
+    (".", 0),
+    # a newline inside a text, only wildcards between anchors, a trailing backslash
+    ("a\nb", 1),
+    ("^..$", 0),
+    ("ab\\", 2),
+]
+
+
+@pytest.mark.parametrize("text,position", _BAD_TEXTS)
 def test_parse_errors_carry_position(text, position):
     with pytest.raises(PatternSyntaxError) as err:
         parse_pattern(text)
@@ -147,6 +152,33 @@ def test_token_encoding_round_trips_and_keeps_text_order(patterns):
     assert [Pattern(k) for k in got] == want
     # the token strings of equal atom sequences are equal, and of distinct ones distinct
     assert len({p.tokens for p in patterns}) == len({p.atoms for p in patterns})
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(st.lists(_PATTERNS, max_size=12))
+@example([])
+def test_bulk_parse_equals_the_per_text_parse(patterns):
+    texts = [p.text for p in patterns]
+    assert parse_patterns(texts) == [parse_pattern(t) for t in texts] == patterns
+
+
+def _syntax_error(parse, arg):
+    with pytest.raises(PatternSyntaxError) as err:
+        parse(arg)
+    return str(err.value), err.value.position
+
+
+@pytest.mark.parametrize("bad", [text for text, _ in _BAD_TEXTS])
+@settings(database=None, derandomize=True, deadline=None, max_examples=25)
+@given(patterns=st.lists(_PATTERNS, min_size=1, max_size=12), data=st.data())
+def test_bulk_parse_raises_the_first_bad_texts_error(bad, patterns, data):
+    texts = [p.text for p in patterns]
+    at = data.draw(st.integers(0, len(texts) - 1))
+    texts[at] = bad
+    # a second bad text after the first must not be the one reported
+    if data.draw(st.booleans()):
+        texts.insert(data.draw(st.integers(at + 1, len(texts))), data.draw(st.sampled_from([t for t, _ in _BAD_TEXTS])))
+    assert _syntax_error(parse_patterns, texts) == _syntax_error(parse_pattern, bad)
 
 
 @settings(database=None, derandomize=True, deadline=None)
