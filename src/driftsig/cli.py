@@ -148,16 +148,15 @@ def _read_strings(path) -> list[str]:
 
 
 def cmd_learn(args) -> int:
-    positives = _read_strings(args.positives)
-    negatives = _read_strings(args.negatives)
-    model = learn(set(positives), set(negatives), _learner_config(args))
+    positives = set(_read_strings(args.positives))
+    negatives = set(_read_strings(args.negatives))
+    model = learn(positives, negatives, _learner_config(args))
     save_model(model, args.out)
 
-    pos_set, neg_set = set(positives), set(negatives)
-    values = sorted(pos_set) + sorted(neg_set)
+    values = sorted(positives) + sorted(negatives)
     matched = match_many(model.patterns, values).any(axis=0)
-    tpr = matched[: len(pos_set)].mean()
-    fpr = matched[len(pos_set) :].mean() if neg_set else 0.0
+    tpr = matched[: len(positives)].mean()
+    fpr = matched[len(positives) :].mean() if negatives else 0.0
     print(f"patterns: {model.size}")
     print(f"training tpr: {tpr:.6f}")
     print(f"training fpr: {fpr:.6f}")

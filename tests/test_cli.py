@@ -2,11 +2,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import driftsig
-from driftsig import cli, streams
+from driftsig import _kernels, cli, streams
 from driftsig.cli import main
 from driftsig.errors import (
     CapacityError,
@@ -19,7 +20,7 @@ from driftsig.errors import (
     PatternSyntaxError,
     UncoverableElements,
 )
-from driftsig.learner import LearnerConfig
+from driftsig.learner import LearnerConfig, learn
 from driftsig.metrics import read_report
 from driftsig.model import load_model
 from driftsig.streams import DriftConfig
@@ -88,6 +89,75 @@ def test_learn_empty_negatives_is_training_perfect(tmp_path, capsys):
     assert "training tpr: 1.000000" in capsys.readouterr().out
 
 
+# "_", "-" and "." are not in _P, so the 1000-character negatives drop
+# no gram and match no component
+_P = "hs32iugjn0ypze6ury2gfc5wsibq2h5eiw8ofd7zctjwhmj8eszgj51r86jgrwflhf3ddnqhqd1ie3se"
+_U = "_" * 1000
+_PERFECT = ["training tpr: 1.000000", "training fpr: 0.000000"]
+
+# each learn's positives, negatives, flags, model file lines, printed
+# lines and, where pinned, how often its learn steps _kernels._simulate
+PINNED_LEARNS = [
+    # cutting after the filter would learn the one pattern c. instead
+    pytest.param(["bcb", "cac"], ["ac"], ["--max-pool", 9], ["b", ".a"], _PERFECT, None,
+                 id="max-pool cut before the filter"),
+    # 239 components without the end-quantified variants, 903 with them:
+    # a cut at 571 must count them; cutting the pool without them learns
+    # .d a.e f0*h instead
+    pytest.param(["-fcdaa", "1bhcfh", "cace.-", "fdcfbb", "fgace.", "g1.f0h"],
+                 ["1_a.-_", "1_cefe", "ag0cgc", "bacbge", "df1.hh", "ff.he0"],
+                 ["--max-ngram", 3, "--max-wildcards", 1, "--max-quantified", 1, "--max-pool", 571],
+                 [".d", "a.e", "0h", "1b"], _PERFECT, None, id="max-pool cut that needs the quantified variants"),
+    # .b covers two positives; the tail of three then picks in component
+    # order, so emitting it in the positives' order learns .b .a 9 1 instead
+    pytest.param(["ab", "ba", "k9", "q1x", "zb2"], ["a", "b", "x", "z"],
+                 ["--max-ngram", 3, "--max-wildcards", 1, "--max-quantified", 0],
+                 [".b", "1", "9", ".a"], _PERFECT, None, id="greedy tail of gain 1"),
+    # 114 characters x 18 words of atoms: 131,328 cells, just above
+    # _kernels._SMALL_CELLS, so learn's one match takes the word path
+    pytest.param(["--bd0f", "_.dh-a", "cb11ca", "cedfg-", "cf10b.", "e_0eee", "fd-bae", "g10ecd", "gc.abg", "gcea0e",
+                  "gge1.1"],
+                 ["00dged", "1h0dch", "_bb1g.", "_f-d-b", "ad-fcd", "e.__-h", "h..e0-", "h.hehc"],
+                 ["--max-ngram", 3, "--max-wildcards", 1, "--max-quantified", 1],
+                 [".a", "0e", "d0*f", "0b", "e1"], _PERFECT, 1, id="word path just above the small-input bound"),
+    # the cut keeps 5275 of 5293 components, among them 6 of the 24 whose
+    # text is 17 bytes; right-padded keys, little-endian words or the last
+    # word first each learn another model
+    pytest.param(["-.a.ab", "a.........-"], [".-.b.ba.-", "....a", ".a.a...-", ".aa", "aa.b..-.-"],
+                 ["--max-ngram", 8, "--max-pool", 5275], ["ab", "\\.\\...\\."], _PERFECT, None,
+                 id="max-pool cut over texts wider than 16 bytes"),
+    # only grams holding characters 2 and 70 survive; the shortest is
+    # P[2:71], 69 atoms.  A pool of fixed-length grams takes the window
+    # route, so test_engine, not this learn, steps a pattern across words
+    pytest.param([_P], [_P[:2] + "_" + _P[3:], _P[:70] + "_" + _P[71:], _U, _U + "-", _U + ".", _U + "--"],
+                 ["--max-ngram", 70, "--max-wildcards", 0, "--max-quantified", 0],
+                 [_P[2:71]], ["patterns: 1", *_PERFECT], None, id="one 69-atom pattern"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pos, neg, flags, model, printed, steps", PINNED_LEARNS)
+def test_learn_writes_its_pinned_model(tmp_path, capsys, monkeypatch, pos, neg, flags, model, printed, steps):
+    pos_path, neg_path, out = tmp_path / "pos.txt", tmp_path / "neg.txt", tmp_path / "model.txt"
+    pos_path.write_text("".join(v + "\n" for v in pos))
+    neg_path.write_text("".join(v + "\n" for v in neg))
+    calls = []
+
+    def counted(*args):
+        with mock.patch.object(_kernels, "_simulate", wraps=_kernels._simulate) as simulate:
+            learned = learn(*args)
+        calls.append(simulate.call_count)
+        return learned
+
+    monkeypatch.setattr(cli, "learn", counted)
+    assert run_cli("learn", "--positives", pos_path, "--negatives", neg_path, *flags, "--out", out) == 0
+    assert out.read_bytes() == "".join(line + "\n" for line in model).encode()
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line in lines for line in printed), lines
+    if steps is not None:
+        assert calls == [steps]
+
+
 def test_track_naive_fpr_column_zero(tmp_path):
     events = tmp_path / "e.tsv"
     run_cli("gen", "--seed", 5, "--events", 4000, "--out", events)
@@ -97,6 +167,22 @@ def test_track_naive_fpr_column_zero(tmp_path):
     assert len(records) == 3
     assert all(r.fpr == 0.0 for r in records)
     assert len({r.model_size for r in records}) == 1
+
+
+def test_track_naive_pins_its_csv_and_snapshots_only_the_bootstrap(tmp_path):
+    out, snapshots = tmp_path / "naive.csv", tmp_path / "snapshots"
+    assert run_cli("track", "--mode", "naive", "--events", 5000, "--seed", 3, "--window-size", 1000,
+                   "--out", out, "--snapshots", snapshots) == 0
+    # the CSV's rows end in CRLF
+    rows = [
+        "window,mode,tp,fp,tn,fn,tpr,fpr,auc,model_size",
+        "1,naive,269,0,662,69,0.795858,0.000000,0.897929,138",
+        "2,naive,526,0,1343,131,0.800609,0.000000,0.900304,138",
+        "3,naive,776,0,1997,227,0.773679,0.000000,0.886839,138",
+        "4,naive,1033,0,2641,326,0.760118,0.000000,0.880059,138",
+    ]
+    assert out.read_bytes() == "".join(row + "\r\n" for row in rows).encode()
+    assert [p.name for p in snapshots.iterdir()] == ["model_gen0.txt"]
 
 
 def test_track_window_arithmetic_drops_remainder(tmp_path):

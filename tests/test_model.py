@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from driftsig import cli
 from driftsig import model as model_mod
 from driftsig.engine import compile_set
 from driftsig.errors import PatternSyntaxError
@@ -160,10 +161,23 @@ def test_load_dedups_repeated_lines(tmp_path):
 SERVE_MODEL = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "serve_model.txt"
 
 
-def test_load_of_the_serve_model_equals_the_per_line_parse():
+def test_load_of_the_serve_model_equals_the_per_line_parse(tmp_path):
     lines = SERVE_MODEL.read_text().splitlines()
     assert load_model(SERVE_MODEL).patterns == pats(*lines)
     assert len(lines) == 2214
+    # and so does every snapshot of an adaptive track with quantifiers
+    snapshots = tmp_path / "snapshots"
+    args = ["track", "--mode", "adaptive", "--max-quantified", "1", "--events", "20000", "--seed", "1",
+            "--out", str(tmp_path / "track.csv"), "--snapshots", str(snapshots)]
+    assert cli.main(args) == 0
+    texts = []
+    for path in sorted(snapshots.iterdir()):
+        lines = path.read_text().splitlines()
+        assert load_model(path).patterns == pats(*lines), path.name
+        texts += lines
+    # the snapshots hold quantifiers, wildcards and escaped dots
+    texts = "\n".join(texts)
+    assert "*" in texts and "+" in texts and "\\." in texts and "." in texts.replace("\\.", "")
 
 
 def test_load_strips_lines_and_keeps_a_repeated_line_once(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftsig import streams
+from driftsig import cli, streams
 from driftsig.alphabet import in_alphabet
 from driftsig.errors import LabelError, ParseError
 from driftsig.streams import (
@@ -83,6 +83,22 @@ def _drift_configs(draw):
                      n_neg_seeds=streams.TAIL_START, window_hint=1, seed=4), 400)
 def test_gen_synthetic_matches_reference(cfg, n):
     assert take(cfg, n) == list(islice(gen_synthetic_reference(cfg), n))
+
+
+@pytest.mark.parametrize(
+    "flags, cfg",
+    [
+        (["--seed", "29"], DriftConfig(seed=29)),
+        (["--seed", "5", "--drift-rate", "0.5", "--n-pos-seeds", "3", "--n-neg-seeds", "11", "--window-hint", "37"],
+         DriftConfig(seed=5, drift_rate=0.5, n_pos_seeds=3, n_neg_seeds=11, window_hint=37)),
+    ],
+    ids=["criterion-4 seed", "high drift"],
+)
+def test_gen_writes_the_reference_generators_bytes_over_a_long_stream(tmp_path, flags, cfg):
+    got, want = tmp_path / "gen.tsv", tmp_path / "reference.tsv"
+    assert cli.main(["gen", "--events", "400000", *flags, "--out", str(got)]) == 0
+    write_tsv(islice(gen_synthetic_reference(cfg), 400_000), want)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_different_seed_different_stream():
