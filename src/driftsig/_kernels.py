@@ -2,7 +2,11 @@
 
 Two kernels dominate runtime: the pattern-set x string-set match used by
 the learner, and the combined-automaton scan that labels events,
-:func:`dfa_states`, the one loop that steps the automaton.  The match
+:func:`dfa_match_any`.  :func:`dfa_states` is the one loop that steps
+an automaton: the scan runs it on the stored table, in which every
+state with a run accept loops to itself, and reads each string's label
+once, off the state it ends in; ``MultiMatcher.match_set`` runs it on
+the real table.  The match
 has one entry, :func:`nfa_match_split`: one pass over a string list
 gives the match words of its first n strings, one row per string with
 one bit per pattern's last atom, and, per pattern, whether it matches
@@ -547,10 +551,12 @@ def nfa_match_any(codes, loop, skip, pat_off, pat_flags, scodes, s_off):
 
 # ---------------------------------------------------------------------------
 # Combined-automaton scan: one transition-table lookup per input char.
-# dfa_states is the one stepping loop; every reading of the automaton
-# derives from the states it yields.  hit_run[s] marks states holding an
-# accept that may fire anywhere, hit_end[s] one valid only at the end of
-# the subject; MultiMatcher derives both from its CSR accept offsets.
+# hit_run[s] marks states holding an accept that may fire anywhere,
+# hit_end[s] one valid only at the end of the subject; MultiMatcher
+# derives both from its CSR accept offsets.  dfa_states is the one
+# stepping loop: dfa_match_any labels a batch with it on the stored
+# table, whose run-accepting rows loop to their own state, and match_set
+# reads every state a string passes with it on the real table.
 # ---------------------------------------------------------------------------
 
 
@@ -572,14 +578,23 @@ def dfa_states(trans, cols, off):
         yield states
 
 
-def dfa_match_any(trans, hit_run, hit_end, scodes, s_off):
-    """For each string, True when the automaton reports any match."""
+def dfa_match_any(table, hit_run, hit_end, scodes, s_off):
+    """For each string, True when the automaton reports any match.
+
+    ``table`` is an automaton's stored table (``MultiMatcher._table``),
+    in which every state with a run accept loops to itself: a string that
+    reaches one stays there, so each string's label is read once, off
+    the state it ends in, as its run accept or its end accept.  The
+    strings that end at a step have their last states copied out.
+    """
     cols, off, order = time_major(scodes, s_off)
-    hit = np.full(len(order), hit_run[0])
     last = np.zeros(len(order), dtype=np.intp)
-    for states in dfa_states(trans, cols, off):
-        hit[: len(states)] |= hit_run.take(states)
-        last[: len(states)] = states
+    prev = last
+    for states in dfa_states(table, cols, off):
+        if len(states) < len(prev):  # strings len(states):len(prev) ended
+            last[len(states) : len(prev)] = prev[len(states) :]
+        prev = states
+    last[: len(prev)] = prev
     out = np.empty(len(order), dtype=bool)
-    out[order] = hit | hit_end.take(last)
+    out[order] = (hit_run | hit_end).take(last)
     return out

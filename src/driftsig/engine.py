@@ -28,9 +28,16 @@ moves.  So a compile fills the table with the core state's row, and a
 state past it overwrites only the entries of the symbols its own atoms
 read (a state with a live wildcard of its own writes its whole row).
 Each state's accepts, the ids of the patterns it matches, are stored once
-as CSR arrays, and one numpy scan (:func:`driftsig._kernels.dfa_states`)
-reads every automaton.  The scan steps a batch's strings together, one
-character position at a time, over the unpadded time-major layout of
+as CSR arrays.  An automaton stores one transition table, in which
+every state holding a run accept loops to itself on every symbol: a
+string that reaches one matches whatever follows.  The label scan
+(:func:`driftsig._kernels.dfa_match_any`) steps that table and reads
+each string's label once, off the state it ends in.  The rows those
+states had are kept aside, and every reader of real transitions
+(:meth:`MultiMatcher.match_set`, :func:`extend_set`) reads the real
+table that :meth:`MultiMatcher.real_table` derives from the two.  Both
+scans step a batch's strings together, one character position at a
+time, over the unpadded time-major layout of
 :func:`driftsig._kernels.time_major`: the strings sorted longest first,
 so each step advances only the prefix still being read, with one flat
 gather from the table, and a long event costs only its own characters.
@@ -162,32 +169,61 @@ class MultiMatcher:
     and ``end_pid[end_off[s]:end_off[s + 1]]`` at the end of the subject
     (CSR arrays, ids ascending), so a pattern that matches everywhere is
     listed in every state.  The scan's hit flags derive from the offsets.
-    ``trans[0, CODE_OTHER]`` is the core state, which every string reaches
-    after a character outside the alphabet, and its row holds each
-    symbol's base state, where a state moves on every symbol that none
-    of its own atoms reads (see :func:`_subset_construction`).
+    In the real transition table, ``trans[0, CODE_OTHER]`` is the core
+    state, which every string reaches after a character outside the
+    alphabet, and its row holds each symbol's base state, where a state
+    moves on every symbol that none of its own atoms reads (see
+    :func:`_subset_construction`).
+
+    The automaton stores one table, ``_table``: the construction's, in
+    which the row of each state with a run accept points to that state
+    on every symbol.  A string that reaches such a state matches whatever
+    follows, so the label scan stays there and reads each label off the
+    last state.  ``_run_rows`` keeps those rows' real entries, one int32
+    row per such state, ascending, and :meth:`real_table` derives the
+    real table from the two for every reader of real transitions.  The
+    constructor takes a construction's real table and rewrites it in
+    place; ``run_rows`` passes an automaton's stored pair on unchanged.
     Every array is read-only and matching never mutates state, so
     instances can be shared freely across threads.
     """
 
-    def __init__(self, trans, run_off, run_pid, end_off, end_pid, n_patterns):
-        self._trans = trans
+    def __init__(self, trans, run_off, run_pid, end_off, end_pid, n_patterns, run_rows=None):
         self._run_off, self._run_pid = run_off, run_pid
         self._end_off, self._end_pid = end_off, end_pid
         self._hit_run = run_off[1:] != run_off[:-1]
         self._hit_end = end_off[1:] != end_off[:-1]
         self.n_patterns = n_patterns
-        for arr in (trans, run_off, run_pid, end_off, end_pid, self._hit_run, self._hit_end):
+        if run_rows is None:
+            run = np.flatnonzero(self._hit_run)
+            run_rows = trans[run]
+            trans[run] = run[:, None]
+        self._table, self._run_rows = trans, run_rows
+        for arr in (trans, run_rows, run_off, run_pid, end_off, end_pid, self._hit_run, self._hit_end):
             arr.setflags(write=False)
+
+    def real_table(self) -> np.ndarray:
+        """The real transition table: ``_table`` itself when no state has a
+        run accept, else a fresh read-only copy of the whole table with the
+        run rows written back, so a caller binds it once."""
+        if not len(self._run_rows):
+            return self._table
+        trans = self._table.copy()
+        trans[self._hit_run] = self._run_rows
+        trans.setflags(write=False)
+        return trans
+
+    # perfbench's tracer reads the real table under this name
+    _trans = property(real_table)
 
     @property
     def n_states(self) -> int:
-        return self._trans.shape[0]
+        return self._table.shape[0]
 
     def match_set(self, value: str) -> set[int]:
         """Indices of all patterns matching ``value``."""
         cols, off, _ = _kernels.time_major(*encode_many([value]))
-        visited = [0, *(int(s[0]) for s in _kernels.dfa_states(self._trans, cols, off))]
+        visited = [0, *(int(s[0]) for s in _kernels.dfa_states(self.real_table(), cols, off))]
         last = visited[-1]
         ids = [self._run_pid[self._run_off[s] : self._run_off[s + 1]] for s in visited]
         ids.append(self._end_pid[self._end_off[last] : self._end_off[last + 1]])
@@ -196,7 +232,7 @@ class MultiMatcher:
     def match_any_batch(self, values) -> np.ndarray:
         """Per string: True when at least one pattern matches it."""
         scodes, s_off = encode_many(values)
-        return _kernels.dfa_match_any(self._trans, self._hit_run, self._hit_end, scodes, s_off)
+        return _kernels.dfa_match_any(self._table, self._hit_run, self._hit_end, scodes, s_off)
 
 
 # Lists longer than this compile as a balanced tree of extend_set joins,
@@ -260,13 +296,16 @@ def compile_set(patterns, state_limit: int = DEFAULT_STATE_LIMIT) -> MultiMatche
         state = np.repeat(np.arange(len(off) - 1, dtype=np.int64), np.diff(off))
         return (np.sort(state * n + order[pid]) % n).astype(np.int32)
 
+    # the reordered ids leave the run-accepting states, so the stored pair
+    # passes on as it is
     return MultiMatcher(
-        joined._trans,
+        joined._table,
         joined._run_off,
         in_list_order(joined._run_off, joined._run_pid),
         joined._end_off,
         in_list_order(joined._end_off, joined._end_pid),
         n,
+        joined._run_rows,
     )
 
 
@@ -544,7 +583,7 @@ def extend_set(
     base that is not a tree a long chain of levels costs the square of
     its length; on a tree base each level costs only its own pairs.
     """
-    trans_a, trans_b = base._trans, addition._trans
+    trans_a, trans_b = base.real_table(), addition.real_table()
     n_base, n_add = trans_a.shape[0], trans_b.shape[0]
     n_pairs = n_base * n_add
     base_a = trans_a[trans_a[0, CODE_OTHER]]

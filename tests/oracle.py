@@ -319,7 +319,7 @@ def automaton_fields(matcher):
     """The five fields of a compiled automaton, as one comparable value:
     the transition table (dtype and shape included), both hit flags and
     the per-state run and end-anchored pattern ids."""
-    trans = matcher._trans
+    trans = matcher.real_table()
     return (
         (trans.dtype.str, trans.shape, trans.tobytes()),
         (matcher._hit_run.dtype.str, matcher._hit_run.tobytes()),

@@ -204,7 +204,7 @@ def test_single_shared_pass_over_input():
     event = "".join(rng.choice("abcdefgh") for _ in range(64))
     cols, off, order = _kernels.time_major(*encode_many([event]))
     assert np.array_equal(cols, encode_many([event])[0]) and np.array_equal(off, np.arange(65))
-    steps = list(_kernels.dfa_states(m._trans, cols, off))
+    steps = list(_kernels.dfa_states(m.real_table(), cols, off))
     assert [len(s) for s in steps] == [1] * 64
     assert m.match_set(event) == match_set_bruteforce(patterns, event)
 
@@ -259,7 +259,7 @@ def test_kernel_paths_agree():
     assert np.array_equal(any_hit, matrix.any(axis=1))
 
     m = compile_set(patterns)
-    dfa = _kernels.dfa_match_any(m._trans, m._hit_run, m._hit_end, scodes, s_off)
+    dfa = _kernels.dfa_match_any(m._table, m._hit_run, m._hit_end, scodes, s_off)
     assert np.array_equal(dfa, matrix.any(axis=0))
 
     # the shared layout: strings longest first, time-major, one entry per
@@ -279,7 +279,8 @@ def test_kernel_paths_agree():
     # string's walk is state 0 and then one state per character it reads,
     # equal to stepping the table by hand; an empty string stays in state 0
     walks = [[0] for _ in subjects]
-    steps = list(_kernels.dfa_states(m._trans, cols, off))
+    trans = m.real_table()
+    steps = list(_kernels.dfa_states(trans, cols, off))
     assert [len(states) for states in steps] == live
     for states in steps:
         for j, state in enumerate(states.tolist()):
@@ -287,7 +288,7 @@ def test_kernel_paths_agree():
     for walk, s in zip(walks, subjects):
         state, expected = 0, [0]
         for c in encode_many([s])[0]:
-            state = int(m._trans[state, c])
+            state = int(trans[state, c])
             expected.append(state)
         assert walk == expected, s
     for s in subjects:
@@ -333,13 +334,14 @@ def test_golden_automaton():
     assert m.n_states == 2110
     assert _digest(m) == "39f4be09ca218394bf7dbc7cfd4f27110ef2cf5981cc65d097009c817c84162f"
     # shared across threads: no array the matcher holds can be written
-    for arr in (m._trans, m._run_off, m._run_pid, m._end_off, m._end_pid, m._hit_run, m._hit_end):
+    arrays = (m._table, m._run_rows, m.real_table(), m._run_off, m._run_pid, m._end_off, m._end_pid, m._hit_run, m._hit_end)
+    for arr in arrays:
         assert not arr.flags.writeable
 
 
 def _digest(m):
     h = hashlib.sha256()
-    for arr in (m._trans.astype("<i4"), m._hit_run, m._hit_end):
+    for arr in (m.real_table().astype("<i4"), m._hit_run, m._hit_end):
         h.update(arr.tobytes())
     run_ids, end_ids = state_ids(m._run_off, m._run_pid), state_ids(m._end_off, m._end_pid)
     # () stands where the always-matching ids were hashed when the
@@ -391,6 +393,33 @@ def test_golden_automaton_above_leaf_size():
     m = compile_set(patterns)
     assert m.n_states == 13167
     assert _digest(m) == "6681b0f7cc066fb3d9c79ab0b545b9e23927b4f3b56010d9f46bfb2aa287d0e2"
+
+
+def _assert_stored_form(m):
+    """The stored table is the real one with every run-accepting row
+    pointing to its own state, and ``_run_rows`` holds those rows."""
+    trans, run = m.real_table(), np.flatnonzero(m._hit_run)
+    assert m._table.dtype == m._run_rows.dtype == np.int32
+    assert m._run_rows.shape == (len(run), N_SYMBOLS)
+    assert np.array_equal(m._run_rows, trans[run])
+    assert (m._table[run] == run[:, None]).all()
+    assert np.array_equal(m._table[~m._hit_run], trans[~m._hit_run])
+    assert np.array_equal(m._trans, trans)  # the name perfbench's tracer reads
+    if not len(run):
+        assert trans is m._table
+
+
+def test_stored_table_loops_run_accepting_rows():
+    # one leaf, a join tree with a literal trie split off, a trie with
+    # no run accept, and a set whose every state accepts anywhere
+    golden, large = compile_set(_golden_patterns()), compile_set(_large_golden_patterns())
+    exact = compile_set([exact_pattern(v) for v in ["abc", "abd", "x0"]])
+    always = compile_set([pat("a*"), pat("b0$")])
+    for m in (golden, large, exact, always):
+        _assert_stored_form(m)
+    assert golden._hit_run.sum() > 0 and large._hit_run.sum() > 0
+    assert not exact._hit_run.any()
+    assert always._hit_run.all() and (always._table == np.arange(always.n_states)[:, None]).all()
 
 
 @all_kernel_paths
@@ -888,6 +917,27 @@ def test_compile_tree_equals_single_construction(patterns, leaf):
             assert automaton_fields(compile_set(patterns, limit)) == automaton_fields(want)
 
 
+# always-matching patterns make state 0, and so every state, run-accepting
+_ALWAYS_OR_AT_END = st.sampled_from([pat("a*"), pat("^0?"), pat("b*$"), pat("a0$"), pat("^ab$")])
+
+
+@PROPERTY
+@given(
+    st.lists(st.one_of(_PATTERNS, _EMPTY_MATCHING, _ALWAYS_OR_AT_END), max_size=8),
+    st.lists(st.text(alphabet="ab0.Xé", max_size=12), max_size=10),
+    st.integers(1, 3),
+)
+@example([pat("a*")], ["", "X", "ba0"], 1)
+@example([pat("a0$"), pat("^ab"), pat("b.0")], ["a0", "a0b", "ab0X", "Xa0", "bX0", ""], 1)
+def test_label_scan_agrees_with_oracle(patterns, subjects, leaf):
+    subjects = subjects + [""]
+    with mock.patch.object(engine, "_LEAF_PATTERNS", leaf):
+        m = compile_set(patterns)
+    _assert_stored_form(m)
+    want = [bool(match_set_bruteforce(patterns, s)) for s in subjects]
+    assert m.match_any_batch(subjects).tolist() == want
+
+
 @st.composite
 def _start_literals(draw):
     """A non-empty list of start-anchored literal patterns, either end
@@ -939,7 +989,7 @@ def _is_tree(trans, core):
 @example([pat("^ab$"), pat("^ab"), pat("^ab$")])  # one string, twice with the end anchor
 @example(_CHAIN_SIBLINGS)
 def test_trie_core_finds_the_core_of_every_trie(patterns):
-    trans = engine._trie_construction(patterns, DEFAULT_STATE_LIMIT)._trans
+    trans = engine._trie_construction(patterns, DEFAULT_STATE_LIMIT).real_table()
     core = int(trans[0, CODE_OTHER])
     assert engine._trie_core(trans) == core
     assert _is_tree(trans, core)
@@ -956,7 +1006,7 @@ def test_trie_core_finds_the_core_of_every_trie(patterns):
     ],
 )
 def test_trie_core_rejects_automata_that_are_not_trees(patterns):
-    trans = compile_set(patterns)._trans
+    trans = compile_set(patterns).real_table()
     assert engine._trie_core(trans) is None
     assert len(trans) == 1 or not _is_tree(trans, int(trans[0, CODE_OTHER]))
 
@@ -965,7 +1015,7 @@ def test_trie_core_rejects_automata_that_are_not_trees(patterns):
 @given(st.lists(st.one_of(_ANY_PATTERNS, _EMPTY_MATCHING, _start_literals().map(lambda ps: ps[0])), max_size=6))
 @example([pat("^b"), pat("a*")])  # an always-matching pattern beside a literal: still a tree
 def test_trie_core_returns_a_core_exactly_for_trees(patterns):
-    trans = compile_set(patterns)._trans
+    trans = compile_set(patterns).real_table()
     core = int(trans[0, CODE_OTHER])
     tree = core != 0 and _is_tree(trans, core)
     assert engine._trie_core(trans) == (core if tree else None)
@@ -1119,7 +1169,7 @@ def test_states_move_as_the_core_state_on_symbols_their_own_positions_skip(case)
     assert all(states[core] <= state for state in states)
     leaf = engine._subset_construction(patterns, DEFAULT_STATE_LIMIT)
     join = extend_set(compile_set(patterns[:split]), compile_set(patterns[split:]))
-    for trans in (want, leaf._trans, join._trans):
+    for trans in (want, leaf.real_table(), join.real_table()):
         assert trans.shape[0] == len(states) and trans[0, CODE_OTHER] == core
         for s, state in enumerate(states):
             own = state - states[core]

@@ -738,7 +738,7 @@ def test_w1_extensions_look_pairs_up_in_a_table_and_serve_joins_a_tree_base():
     def recording(extend):
         def run(base, addition, *rest):
             products.append(base.n_states * addition.n_states)
-            trees.append(engine._trie_core(base._trans) is not None)
+            trees.append(engine._trie_core(base.real_table()) is not None)
             return extend(base, addition, *rest)
 
         return run

@@ -10,7 +10,10 @@ and the benchmark's command (``BENCHMARK.json``'s ``command``, for its
 side: on that copy and on the working tree.  Pair i runs
 both sides on seed ``--seed`` + i, the base first in even pairs and the
 working tree first in odd ones, with every ``__pycache__`` of both sides
-removed before each run.  A failed check aborts the recording.
+removed before each run.  A failed check aborts the recording.  Each
+run prints one progress line to stderr with its ``compile_s``,
+``events_per_s``, ``rounds`` and ``peak_rss_mb``: a side that runs more
+rounds holds more of their outputs, which its peak memory reads.
 
 One entry is appended to ``BENCH_<workload>.json`` at the repository
 root:
@@ -102,8 +105,9 @@ def main(argv=None) -> int:
                 machine = machine or line["machine"]
                 runs[side].append({"rounds": line["details"]["rounds"],
                                    **{m: v["value"] for m, v in result["metrics"].items()}})
+                shown = ("compile_s", "events_per_s", "rounds", "peak_rss_mb")
                 print(f"pair {i + 1}/{args.pairs} {side}: "
-                      + " ".join(f"{m}={runs[side][-1][m]:.6g}" for m in ("compile_s", "events_per_s")),
+                      + " ".join(f"{m}={runs[side][-1][m]:.6g}" for m in shown),
                       file=sys.stderr)
 
     wins = {}
