@@ -7,21 +7,25 @@ then greedily pick a small subset whose union covers all positives.
 Positives no surviving component can reach get an anchored exact-match
 fallback, so the learned model always separates the two sets perfectly.
 
-Components are token strings, one character per atom (see
-:mod:`driftsig.patterns`): a gram is its own literal token string, and
-its variants substitute wildcard and quantifier tokens into it, so
-the pool is a list of distinct token strings and nothing else.  It
-stays in generation order until the filter has run;
-only an oversized pool is ordered before it, for the ``max_pool`` cut,
-and then the survivors are ordered by their canonical text.  ``learn``
-packs the cut pool once into one byte buffer (``engine.pack_tokens``)
-and matches it against the positives and the negatives in one pass of
-the Shift-And kernel, which returns the positives' match words.  The
-order by text is one numpy sort over keys rendered from that buffer;
-the components that match no negative, in that order, are read from the
-words in one gather, so the cover stays elements-major (positives by
-components) from the kernel to greedy, and the token strings greedy
-picks become patterns as they are, with no anchors.
+Components are token strings, one byte per atom (see
+:mod:`driftsig.patterns`): a gram's bytes are its own literal token
+string, and its variants substitute wildcard and quantifier tokens into
+it.  Generation writes the pool packed, in ``engine.pack_tokens``'
+layout: one byte buffer and its offsets, holding the distinct token
+strings and nothing else.  The gram stage gives each length's grams as
+one byte matrix (by substring search on a small input, by one numpy
+pass over integer window keys on a larger one), each shape's variants
+of every gram are one table lookup, and each length is deduplicated on
+integer keys.  Only an oversized pool is ordered before the filter, for
+the ``max_pool`` cut, and then the survivors are ordered by their
+canonical text.  ``learn`` matches the cut pool against the positives
+and the negatives in one pass of the Shift-And kernel, which returns the
+positives' match words.  The order by text is one numpy sort over keys
+rendered from the buffer; the components that match no negative, in
+that order, are read from the words in one gather, so the cover stays
+elements-major (positives by components) from the kernel to greedy.
+Only greedy's picks are decoded to token strings, and they become
+patterns as they are, with no anchors.
 
 The pool leaves out the variants whose first or last non-wildcard atom
 carries a ``+``, or a ``?`` or ``*`` when there is another non-wildcard
@@ -35,13 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, product, repeat
+from itertools import combinations, compress, product
 
 import numpy as np
 
 from ._kernels import bits_at
 from .alphabet import BYTE_TABLE, CODE_OTHER, in_alphabet
-from .engine import match_any_of, match_split, pack_tokens
+from .engine import match_any_of, match_split
 from .errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from .model import Model
 from .patterns import ANY_TOKEN, QUANTIFY, TOKEN_TEXT, Pattern, exact_pattern
@@ -68,7 +72,7 @@ class LearnerConfig:
             raise ValueError("caps must be >= 0")
 
 
-def _cut_pool(positives, cfg: LearnerConfig, negatives) -> list[str]:
+def _cut_pool(positives, cfg: LearnerConfig, negatives) -> tuple[np.ndarray, np.ndarray]:
     """The candidate components of the positives, cut to ``max_pool``
     before the negative filter, which :func:`learn` runs in its kernel
     pass.
@@ -77,14 +81,18 @@ def _cut_pool(positives, cfg: LearnerConfig, negatives) -> list[str]:
     occurs in no string of ``negatives``: all variants with at most
     ``max_wildcards`` characters replaced by the wildcard (never all of
     them), each with at most ``max_quantified`` quantifiers inserted
-    after non-wildcard atoms.  The pool is a list of the components'
-    distinct token strings, in generation order, and holds nothing
-    else.  A gram found in a negative is dropped before expansion, and
-    so before the cut: every variant of it matches a superset of its
-    language, so the filter would drop them all.  A pool of more than
-    ``max_pool`` components is cut to the ``max_pool`` with the shortest
-    canonical text (ties by text), in that order; the filter then drops
-    every component matching a negative.
+    after non-wildcard atoms.  The pool is the components' distinct
+    token strings, packed as ``(raw, offsets)`` exactly as
+    ``engine.pack_tokens`` packs a list of them, and holds nothing else.
+    Each length's variants are written as one byte matrix, one token
+    string a row, and deduplicated on integer keys (:func:`_variants`),
+    so no component is a Python string before greedy picks it.  A gram
+    found in a negative is dropped before expansion, and so before the
+    cut: every variant of it matches a superset of its language, so the
+    filter would drop them all.  A pool of more than ``max_pool``
+    components is cut to the ``max_pool`` with the shortest canonical
+    text (ties by text), in that order; the filter then drops every
+    component matching a negative.
 
     The shapes :func:`_shapes` defers are left out when no cut follows.
     Each of their variants matches exactly the strings some component of
@@ -103,41 +111,83 @@ def _cut_pool(positives, cfg: LearnerConfig, negatives) -> list[str]:
         if not s or not in_alphabet(s):
             raise ValueError(f"positive string outside the event alphabet: {s!r}")
 
-    pool: dict[str, None] = {}
-    deferred = []  # (grams, length, deferred shapes) per gram length
+    parts = []  # each length's distinct variants, one token string a row
+    deferred = []  # (grams, deferred shapes) per gram length
     n_deferred = 0
-    for length, grams in _grams(ordered, negatives, cfg.max_ngram):
-        now, later = _shapes(length, cfg.max_wildcards, cfg.max_quantified)
-        _expand_grams(grams, length, now, pool)
-        if later:
-            deferred.append((grams, length, later))
-            n_deferred += len(grams) // length * len(later)
-    if len(pool) + n_deferred > cfg.max_pool:
-        for grams, length, later in deferred:
-            _expand_grams(grams, length, later, pool)
-    tokens = list(pool)
-    if len(tokens) > cfg.max_pool:
-        tokens = [tokens[i] for i in _text_order(*pack_tokens(tokens))[: cfg.max_pool].tolist()]
-    return tokens
+    for grams in _grams(ordered, negatives, cfg.max_ngram):
+        now, later = _shapes(grams.shape[1], cfg.max_wildcards, cfg.max_quantified)
+        parts.append(_variants(grams, now))
+        if len(later):
+            deferred.append((grams, later))
+            n_deferred += len(grams) * len(later)
+    if sum(map(len, parts)) + n_deferred > cfg.max_pool:
+        parts += [_variants(grams, later) for grams, later in deferred]
+    raw = np.concatenate([part.ravel() for part in parts])
+    offsets = np.zeros(sum(map(len, parts)) + 1, dtype=np.int64)
+    np.cumsum(np.repeat([part.shape[1] for part in parts], list(map(len, parts))), out=offsets[1:])
+    if len(offsets) - 1 > cfg.max_pool:
+        return _take(raw, offsets, _text_order(raw, offsets)[: cfg.max_pool])
+    return raw, offsets
+
+
+def _take(raw, offsets, idx):
+    """The token strings ``idx`` of the packed ``(raw, offsets)``, packed
+    in that order."""
+    lengths = np.diff(offsets)[idx]
+    out = np.zeros(len(idx) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    at = np.repeat(offsets[idx] - out[:-1], lengths)
+    at += np.arange(len(at))
+    return raw[at], out
 
 
 _EXACT_KEY_LEN = 10  # grams an int64 key holds exactly at 6 bits a character
+# inputs of fewer characters (positives and negatives) scan substrings;
+# the two gram routes break even at about 190 characters on golf-shaped
+# inputs and about 290 on W1-shaped ones
+_SCAN_CHARS = 256
 
 
 def _grams(ordered, negatives, max_ngram):
     """For each gram length up to ``max_ngram``, the distinct grams of the
     sorted positives ``ordered`` that occur in no negative.
 
-    Yields ``(length, grams)``: the grams joined into one string, in the
-    order of their keys.  The positives and negatives are encoded once
-    through the alphabet's byte table, joined by a separator, and
-    ``CODE_OTHER`` (the separator, characters outside the alphabet and
-    each byte of a non-ASCII character's UTF-8) ends a gram.  Every
-    window of one length is keyed at once: a window's key is its
-    prefix's key times 64 plus its last code, and every code is below
-    64, so equal keys are equal grams.  Past ``_EXACT_KEY_LEN``
-    characters that product would overflow int64, so the prefix keys are
-    first replaced by their dense ranks, which keeps them distinct.
+    Yields one ``(k, length)`` uint8 matrix per length, one gram's ASCII
+    bytes a row.  Inputs of fewer than ``_SCAN_CHARS`` characters, such
+    as a regex-golf learn's, take :func:`_scanned_grams`, whose cost is
+    a few Python operations per gram; larger ones take
+    :func:`_keyed_grams`, whose cost is a dozen numpy calls per length
+    and little per character.
+    """
+    if sum(map(len, ordered)) + sum(map(len, negatives)) < _SCAN_CHARS:
+        return _scanned_grams(ordered, negatives, max_ngram)
+    return _keyed_grams(ordered, negatives, max_ngram)
+
+
+def _scanned_grams(ordered, negatives, max_ngram):
+    """:func:`_grams` by substring search: each distinct gram of one length,
+    in order of first occurrence, kept when it is in none of the
+    negatives joined by a separator (a gram holds no separator, so it
+    cannot span two negatives)."""
+    blob = "\n".join(negatives)
+    for n in range(1, min(max_ngram, max(map(len, ordered))) + 1):
+        grams = dict.fromkeys(s[i : i + n] for s in ordered for i in range(len(s) - n + 1))
+        kept = "".join([g for g in grams if g not in blob]).encode("ascii")
+        yield np.frombuffer(kept, dtype=np.uint8).reshape(-1, n)
+
+
+def _keyed_grams(ordered, negatives, max_ngram):
+    """:func:`_grams` on integer window keys, in the order of the keys.
+
+    The positives and negatives are encoded once through the alphabet's
+    byte table, joined by a separator, and ``CODE_OTHER`` (the
+    separator, characters outside the alphabet and each byte of a
+    non-ASCII character's UTF-8) ends a gram.  Every window of one
+    length is keyed at once: a window's key is its prefix's key times 64
+    plus its last code, and every code is below 64, so equal keys are
+    equal grams.  Past ``_EXACT_KEY_LEN`` characters that product would
+    overflow int64, so the prefix keys are first replaced by their dense
+    ranks, which keeps them distinct.
     """
     pos_text = "\n".join(ordered)
     raw = (pos_text + "\n" + "\n".join(negatives)).encode("utf-8", "surrogatepass")
@@ -155,7 +205,7 @@ def _grams(ordered, negatives, max_ngram):
         valid = valid[: len(key)] & (codes[n - 1 :] != CODE_OTHER)
         at = np.flatnonzero(valid[:n_pos])
         # the distinct keys, each at one of its positions: equal keys are
-        # equal grams, so any of them gives the gram's text
+        # equal grams, so any of them gives the gram's bytes
         order = key[at].argsort()
         ranked = key[at[order]]
         head = np.ones(len(order), dtype=bool)
@@ -165,7 +215,7 @@ def _grams(ordered, negatives, max_ngram):
         neg = np.sort(key[n_pos:][valid[n_pos:]])
         keep = np.searchsorted(neg, uniq, "right") == np.searchsorted(neg, uniq)
         starts = at[order[head][keep]]
-        yield n, chars[starts[:, None] + np.arange(n)].tobytes().decode("ascii")
+        yield chars[starts[:, None] + np.arange(n)]
 
 
 # per token byte: the bytes of its canonical text, zero-filled to four so
@@ -211,29 +261,39 @@ def _text_order(raw, offsets) -> np.ndarray:
 
 _PLUS = 2  # the index of the ``+`` table in QUANTIFY
 
+# per shape op and token byte, the token byte the op writes: op 0 keeps a
+# gram's literal, op 1 writes the wildcard and op 2 + k quantifies the
+# literal with the k-th table of QUANTIFY
+_OP_TOKEN = np.zeros((2 + len(QUANTIFY), 256), dtype=np.uint8)
+_OP_TOKEN[0] = np.arange(256)
+_OP_TOKEN[1] = ord(ANY_TOKEN)
+for _kind, _table in enumerate(QUANTIFY):
+    _OP_TOKEN[2 + _kind, list(_table)] = [ord(t) for t in _table.values()]
+
 
 # one entry holds the shapes of one gram length, no more than the variants
 # of one gram, under one set of caps
 @lru_cache(maxsize=256)
 def _shapes(length: int, max_wildcards: int, max_quantified: int):
-    """The variant shapes of a ``length``-character gram, as ``(wild,
-    quants)``: its wildcard positions (never all of them), then its
-    quantifier positions and kinds (indices into ``QUANTIFY``).
+    """The variant shapes of a ``length``-character gram, as rows of
+    ``_OP_TOKEN`` ops, one per atom: its wildcard positions (never all
+    of them), then its quantifier positions and kinds.
 
-    Returns the shapes to expand now and, apart from them, the shapes
-    :func:`_cut_pool` defers: a ``+`` on the first or last
-    non-wildcard atom, or any quantifier there when the shape has two
-    non-wildcard atoms or more.  An unanchored component of such a shape
-    matches exactly what a shorter one matches.  ``x+`` matches as ``x``:
-    the last ``x`` of a run and the wildcards before it, or the first
-    and the wildcards after it, match alone (``a+bc`` as ``abc``).
-    ``x?`` and ``x*`` match as the component without that atom, whose
-    wildcards take the characters next to the rest (``.a?c`` as ``.c``,
-    ``ab*`` as ``a``).  That component is a variant of the same gram, or
-    of the gram one character shorter at that end, with the same
-    wildcards and one quantifier less, and a negative that holds that
-    gram is matched by both.  A quantifier between literals changes what
-    matches (``ab?c``), and ``.a?`` has no shorter form, ``.`` being no
+    Returns two read-only uint8 arrays of rows: the shapes to expand now
+    and, apart from them, the shapes :func:`_cut_pool` defers: a ``+``
+    on the first or last non-wildcard atom, or any quantifier there when
+    the shape has two non-wildcard atoms or more.  An unanchored
+    component of such a shape matches exactly what a shorter one
+    matches.  ``x+`` matches as ``x``: the last ``x`` of a run and the
+    wildcards before it, or the first and the wildcards after it, match
+    alone (``a+bc`` as ``abc``).  ``x?`` and ``x*`` match as the
+    component without that atom, whose wildcards take the characters
+    next to the rest (``.a?c`` as ``.c``, ``ab*`` as ``a``).  That
+    component is a variant of the same gram, or of the gram one
+    character shorter at that end, with the same wildcards and one
+    quantifier less, and a negative that holds that gram is matched by
+    both.  A quantifier between literals changes what matches
+    (``ab?c``), and ``.a?`` has no shorter form, ``.`` being no
     component.
     """
     now, later = [], []
@@ -245,37 +305,46 @@ def _shapes(length: int, max_wildcards: int, max_quantified: int):
             for n_q in range(min(max_quantified, len(plain)) + 1):
                 for q_pos in combinations(plain, n_q):
                     for kinds in product(range(len(QUANTIFY)), repeat=n_q):
-                        quants = tuple(zip(q_pos, kinds))
-                        reducible = any(i in ends and (k == _PLUS or len(plain) > 1) for i, k in quants)
-                        (later if reducible else now).append((wild, quants))
-    return tuple(now), tuple(later)
+                        ops = [1 if i in wild else 0 for i in positions]
+                        for i, k in zip(q_pos, kinds):
+                            ops[i] = 2 + k
+                        reducible = any(i in ends and (k == _PLUS or len(plain) > 1) for i, k in zip(q_pos, kinds))
+                        (later if reducible else now).append(ops)
+    shapes = tuple(np.array(rows, dtype=np.uint8).reshape(-1, length) for rows in (now, later))
+    for rows in shapes:
+        rows.flags.writeable = False
+    return shapes
 
 
-def _expand_grams(grams: str, length: int, shapes, seen: dict) -> None:
-    """Add the variants of the joined ``length``-character ``grams`` in
-    the ``shapes`` of :func:`_shapes` to ``seen``.
+def _variants(grams, shapes):
+    """The distinct variants of the gram rows ``grams`` in the shapes
+    ``shapes`` of :func:`_shapes`, one token string a row.
 
-    A gram's plain literals are its own token string.  The grams are
-    taken column by column: a shape swaps some columns for a column of
-    wildcard tokens or a ``str.translate``d column of quantified tokens,
-    and zipping the columns back gives that shape's variant of every gram.
-    ``seen`` holds token strings only, as its keys, so a variant several
-    grams share is added once.  :func:`_cut_pool` passes the shapes it
-    defers only when its ``max_pool`` cut must count them: their variants
-    match exactly what shorter components match, and greedy picks those
-    first.
+    A gram's plain literals are its own token bytes, so every variant
+    of every gram is one lookup into ``_OP_TOKEN``.  Variants several
+    grams share (they differ only under a wildcard) are kept once: each
+    row is keyed by its bytes, zero-filled to whole big-endian 64-bit
+    words, and the rows are deduplicated on those keys, in the order of
+    their token bytes, close to the text order :func:`learn` reads them
+    in.  A variant fixes its shape, so variants of two shapes never
+    coincide.
     """
-    columns = [grams[i::length] for i in range(length)]
-    # each column's ?, * and + forms, translated once for every shape
-    quantified = [[col.translate(t) for t in QUANTIFY] for col in columns] if any(q for _, q in shapes) else []
-    wild_column = ANY_TOKEN * (len(grams) // length)
-    for wild, quants in shapes:
-        cols = list(columns)
-        for i in wild:
-            cols[i] = wild_column
-        for i, kind in quants:
-            cols[i] = quantified[i][kind]
-        seen.update(zip(map("".join, zip(*cols)), repeat(None)))
+    length = grams.shape[1]
+    rows = _OP_TOKEN[shapes[:, None, :], grams].reshape(-1, length)
+    width = -(-length // 8)
+    keyed = np.zeros((len(rows), 8 * width), dtype=np.uint8)
+    keyed[:, :length] = rows
+    words = keyed.view(">u8")
+    if width == 1:
+        keys = np.sort(words[:, 0])
+        head = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        return keys[head].view(np.uint8).reshape(-1, 8)[:, :length]
+    order = np.lexsort(words.T[::-1])
+    words = words[order]
+    head = np.ones(len(rows), dtype=bool)
+    np.any(words[1:] != words[:-1], axis=1, out=head[1:])
+    return rows[order[head]]
 
 
 def filter_components(pool: list[str], negatives) -> list[str]:
@@ -349,8 +418,7 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
         raise DisjointnessViolation(overlap)
 
     pos = sorted(positives)
-    tokens = _cut_pool(pos, cfg, negatives)
-    raw, offsets = pack_tokens(tokens)
+    raw, offsets = _cut_pool(pos, cfg, negatives)
     words, last, hit = match_split(raw, offsets, pos, negatives)
     order = _text_order(raw, offsets)
     order = order[~hit[order]]
@@ -358,6 +426,6 @@ def learn(positives, negatives, cfg: LearnerConfig | None = None) -> Model:
     cover = bits_at(words, last[order])
     reached = cover.any(axis=1)
     picks = order[greedy_set_cover(cover[reached].T)]
-    picked = [Pattern(tokens[i]) for i in picks]
+    picked = [Pattern(raw[offsets[i] : offsets[i + 1]].tobytes().decode("latin-1")) for i in picks.tolist()]
     fallbacks = [exact_pattern(pos[j]) for j in np.flatnonzero(~reached)]
     return Model(tuple(picked + fallbacks))

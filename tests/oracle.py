@@ -19,7 +19,9 @@ from itertools import accumulate, combinations, product
 import numpy as np
 
 from driftsig.alphabet import ALPHABET, ALPHABET_SET, CHAR_TO_CODE, N_SYMBOLS, in_alphabet
+from driftsig.engine import pack_tokens
 from driftsig.errors import LabelError, ParseError
+from driftsig.learner import _cut_pool
 from driftsig.metrics import Counts, WindowRecord
 from driftsig.patterns import TOKEN_ATOMS, Atom, Pattern, Quant, parse_pattern
 from driftsig.streams import (
@@ -206,6 +208,19 @@ def pool_reference(positives, negatives, cfg) -> list[str]:
     cut = sorted(variant_pool_reference(positives, negatives, cfg), key=lambda t: (len(t), t))[: cfg.max_pool]
     negs = sorted(set(negatives))
     return [t for t in cut if not any(backtrack_match(parse_pattern(t), s) for s in negs)]
+
+
+def cut_pool_tokens(positives, cfg, negatives) -> list[str]:
+    """``learner._cut_pool``'s packed pool as its token strings, in pool
+    order, after checking that the buffer is exactly what
+    ``engine.pack_tokens`` packs of them: uint8 bytes, int64 offsets from
+    0 to the last byte, no byte outside a component."""
+    raw, offsets = _cut_pool(positives, cfg, negatives)
+    tokens = [raw[offsets[i] : offsets[i + 1]].tobytes().decode("latin-1") for i in range(len(offsets) - 1)]
+    want_raw, want_offsets = pack_tokens(tokens)
+    assert (raw.dtype, offsets.dtype) == (want_raw.dtype, want_offsets.dtype)
+    assert raw.tolist() == want_raw.tolist() and offsets.tolist() == want_offsets.tolist()
+    return tokens
 
 
 def reference_learn(positives, negatives, cfg) -> list[str]:

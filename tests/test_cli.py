@@ -94,6 +94,10 @@ def test_learn_empty_negatives_is_training_perfect(tmp_path, capsys):
 _P = "hs32iugjn0ypze6ury2gfc5wsibq2h5eiw8ofd7zctjwhmj8eszgj51r86jgrwflhf3ddnqhqd1ie3se"
 _U = "_" * 1000
 _PERFECT = ["training tpr: 1.000000", "training fpr: 0.000000"]
+# every proper substring of _W lies in its 65-character prefix or suffix,
+# so its one gram is the whole string
+_W = "et1p2sq9g5l37iexk036b7hyixban3nu_4tmsemuwzetfzrbhw4_0dz9g_1u4xxnla"
+_W_FLAGS = ["--max-ngram", 66, "--max-wildcards", 0, "--max-quantified", 1]
 
 # each learn's positives, negatives, flags, model file lines, printed
 # lines and, where pinned, how often its learn steps _kernels._simulate
@@ -132,6 +136,11 @@ PINNED_LEARNS = [
     pytest.param([_P], [_P[:2] + "_" + _P[3:], _P[:70] + "_" + _P[71:], _U, _U + "-", _U + ".", _U + "--"],
                  ["--max-ngram", 70, "--max-wildcards", 0, "--max-quantified", 0],
                  [_P[2:71]], ["patterns: 1", *_PERFECT], None, id="one 69-atom pattern"),
+    # the quantified variants send the match to the word layout, where every
+    # one of the 193 components crosses a word; shifts that drop bit 63
+    # learn the fallback ^_W$ instead (test_learn_carries_a_component_across_words)
+    pytest.param([_W], [_W[:65], _W[1:]], _W_FLAGS, [_W], ["patterns: 1", *_PERFECT], 1,
+                 id="one 66-atom pattern across a state word"),
 ]
 
 
@@ -156,6 +165,27 @@ def test_learn_writes_its_pinned_model(tmp_path, capsys, monkeypatch, pos, neg, 
     assert all(line in lines for line in printed), lines
     if steps is not None:
         assert calls == [steps]
+
+
+def test_learn_carries_a_component_across_words():
+    # the 66-atom learn above: its pool is _W and its 192 variants with one
+    # ? * or + on an interior atom, so its one match steps the word layout,
+    # and every shift of the state carries bit 63 into the next word
+    carried = []
+    shift = _kernels._shift1
+
+    def counted(d, carry, out=None):
+        carried.append(carry)
+        return shift(d, carry, out)
+
+    with (
+        mock.patch.object(_kernels, "_shift1", counted),
+        mock.patch.object(_kernels, "_match_words", wraps=_kernels._match_words) as words,
+    ):
+        model = learn({_W}, {_W[:65], _W[1:]}, LearnerConfig(max_ngram=66, max_wildcards=0, max_quantified=1))
+    assert model.texts() == [_W]
+    assert words.call_count == 1
+    assert len(carried) == sum(carried) == 133
 
 
 def test_track_naive_fpr_column_zero(tmp_path):

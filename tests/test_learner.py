@@ -19,7 +19,6 @@ from driftsig.engine import match_many, match_split, pack_tokens
 from driftsig.errors import DisjointnessViolation, EmptyPositiveSetError, UncoverableElements
 from driftsig.learner import (
     LearnerConfig,
-    _cut_pool,
     _grams,
     _text_order,
     filter_components,
@@ -33,6 +32,7 @@ from driftsig.streams import gen_synthetic
 from oracle import (
     backtrack_match,
     cover_matrix,
+    cut_pool_tokens,
     gram_variants,
     greedy_cover_reference,
     kept_grams_reference,
@@ -70,7 +70,7 @@ def survivors(pos, neg, cfg):
     """learn's surviving components, as learn finds them: the cut pool,
     matched against the sorted positives and the negatives in one kernel
     pass, less those a negative matches, in text order."""
-    tokens = _cut_pool(pos, cfg, neg)
+    tokens = cut_pool_tokens(pos, cfg, neg)
     raw, offsets = pack_tokens(tokens)
     hit = match_split(raw, offsets, sorted(pos), neg)[2]
     return [tokens[i] for i in _text_order(raw, offsets).tolist() if not hit[i]]
@@ -78,7 +78,7 @@ def survivors(pos, neg, cfg):
 
 def test_generate_basic_pool():
     cfg = LearnerConfig(max_ngram=2, max_wildcards=1, max_quantified=0)
-    assert texts_of(_cut_pool({"ab"}, cfg, set())) == {"a", "b", "ab", "a.", ".b"}
+    assert texts_of(cut_pool_tokens({"ab"}, cfg, set())) == {"a", "b", "ab", "a.", ".b"}
     pool = survivors({"ab"}, set(), cfg)
     assert texts_of(pool) == {"a", "b", "ab", "a.", ".b"}
     # ordered shortest text first, then lexicographic
@@ -89,8 +89,8 @@ def test_generate_single_char_with_quantifiers():
     # a+ matches as a, so the pool defers it until a cut must count it
     cfg = LearnerConfig()
     assert set(pool_reference({"a"}, set(), cfg)) == {"a", "a?", "a*", "a+"}
-    assert texts_of(_cut_pool({"a"}, cfg, set())) == {"a", "a?", "a*"}
-    assert texts(_cut_pool({"a"}, LearnerConfig(max_pool=3), set())) == ["a", "a*", "a+"]
+    assert texts_of(cut_pool_tokens({"a"}, cfg, set())) == {"a", "a?", "a*"}
+    assert texts(cut_pool_tokens({"a"}, LearnerConfig(max_pool=3), set())) == ["a", "a*", "a+"]
 
 
 def test_generate_quantifier_insertions_superset():
@@ -101,36 +101,40 @@ def test_generate_quantifier_insertions_superset():
         "a.", "a?.", "a*.", "a+.", ".b", ".b?", ".b*", ".b+",
     }
     assert expected_subset <= set(pool_reference({"ab"}, set(), cfg))
-    got = texts_of(_cut_pool({"ab"}, cfg, set()))
+    got = texts_of(cut_pool_tokens({"ab"}, cfg, set()))
     assert {t for t in expected_subset if not _reducible(t)} <= got
     # a cut of one component expands the deferred variants too, and drops
     # the last text, ab?
     whole = len(variant_pool_reference({"ab"}, set(), cfg))
-    got = texts_of(_cut_pool({"ab"}, LearnerConfig(2, 1, 1, max_pool=whole - 1), set()))
+    got = texts_of(cut_pool_tokens({"ab"}, LearnerConfig(2, 1, 1, max_pool=whole - 1), set()))
     assert len(got) == whole - 1 and expected_subset - got == {"ab?"}
 
 
 def test_generate_enumeration_matches_brute_force():
     # the oracle expands the production rules literally, with literal dots
-    # written escaped and wildcards written bare
-    for strings, caps in [({"abc", "b.c", "dd"}, (3, 2, 1)), ({"xbcd", "abc", "bcd.", "c"}, (4, 1, 2))]:
+    # written escaped and wildcards written bare; variants of 9 and 10
+    # atoms are deduplicated on two words a row, and equal ones come from
+    # grams that differ in either word
+    cases = [({"abc", "b.c", "dd"}, (3, 2, 1)), ({"xbcd", "abc", "bcd.", "c"}, (4, 1, 2))]
+    cases.append(({"abcdefgh0a", "abcdefgh0b", "bbcdefgh0a"}, (10, 2, 0)))
+    for strings, caps in cases:
         want = variant_pool_reference(strings, set(), LearnerConfig(*caps))
-        pool = texts(_cut_pool(strings, LearnerConfig(*caps), set()))
+        pool = texts(cut_pool_tokens(strings, LearnerConfig(*caps), set()))
         assert len(pool) == len(set(pool)), "each component once"
         assert set(pool) == {t for t in want if not _reducible(t)}
         # a cut of one component expands the deferred variants, then keeps
         # the rest in text order
-        pool = _cut_pool(strings, LearnerConfig(*caps, max_pool=len(want) - 1), set())
+        pool = cut_pool_tokens(strings, LearnerConfig(*caps, max_pool=len(want) - 1), set())
         assert texts(pool) == sorted(want, key=lambda t: (len(t), t))[:-1]
 
 
 def test_generate_rejects_bad_input():
     with pytest.raises(EmptyPositiveSetError):
-        _cut_pool(set(), LearnerConfig(), set())
+        cut_pool_tokens(set(), LearnerConfig(), set())
     with pytest.raises(ValueError):
-        _cut_pool({"UPPER"}, LearnerConfig(), set())
+        cut_pool_tokens({"UPPER"}, LearnerConfig(), set())
     with pytest.raises(ValueError):
-        _cut_pool({""}, LearnerConfig(), set())
+        cut_pool_tokens({""}, LearnerConfig(), set())
 
 
 @pytest.mark.parametrize(
@@ -145,7 +149,7 @@ def test_learner_config_rejects_bad_caps(caps):
 def test_max_pool_truncation_keeps_shortest():
     cfg = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=0, max_pool=5)
     full = survivors({"abcd"}, set(), LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=0))
-    pool = _cut_pool({"abcd"}, cfg, set())
+    pool = cut_pool_tokens({"abcd"}, cfg, set())
     assert len(pool) == 5
     assert pool == full[:5]
     assert survivors({"abcd"}, set(), cfg) == pool
@@ -158,7 +162,7 @@ def test_max_pool_cut_comes_before_the_filter():
     caps = {"max_ngram": 1, "max_wildcards": 0, "max_quantified": 1}
     everything = pool_reference(pos, set(), LearnerConfig(**caps))
     assert everything[:4] == ["a", "b", "a*", "a+"]
-    cut = _cut_pool(pos, LearnerConfig(**caps, max_pool=3), neg)
+    cut = cut_pool_tokens(pos, LearnerConfig(**caps, max_pool=3), neg)
     assert texts(cut) == everything[:3]
     pool = survivors(pos, neg, LearnerConfig(**caps, max_pool=3))
     assert pool == filter_components(cut, neg)
@@ -248,7 +252,7 @@ def test_learn_defers_exactly_the_reducible_variants(inp):
     pos, neg, cfg = inp
     cfg = LearnerConfig(cfg.max_ngram, cfg.max_wildcards, cfg.max_quantified, max_pool=10**6)
     whole = variant_pool_reference(pos, neg, cfg)
-    pool = texts(_cut_pool(pos, cfg, neg))
+    pool = texts(cut_pool_tokens(pos, cfg, neg))
     assert len(pool) == len(set(pool)), "each component once"
     assert set(pool) == {t for t in whole if not _reducible(t)}
 
@@ -319,7 +323,7 @@ def test_middle_and_lone_end_quantifiers_are_not_deferred():
     assert m(".a?", "b") and not m(".a", "b")
     with pytest.raises(ValueError):
         parse_pattern(".")
-    pool = texts(_cut_pool({"abc"}, LearnerConfig(max_ngram=3, max_wildcards=1), set()))
+    pool = texts(cut_pool_tokens({"abc"}, LearnerConfig(max_ngram=3, max_wildcards=1), set()))
     assert {"ab?c", "ab+c", ".b?", "a?"} <= set(pool)
     assert not {"a?bc", "ab?", "a+", "a+bc", ".b+"} & set(pool)
 
@@ -536,7 +540,7 @@ def test_learn_ignores_the_order_of_the_negatives():
         for pair in [(neg, shuffled), (neg, neg[::-1])]:
             a, b = (survivors(pos, n, cfg) for n in pair)
             assert a == b
-            packed = pack_tokens(_cut_pool(pos, cfg, ()))
+            packed = pack_tokens(cut_pool_tokens(pos, cfg, ()))
             hits = [match_split(*packed, sorted(pos), n)[2] for n in pair]
             assert hits[0].tolist() == hits[1].tolist()
             assert learn(pos, pair[0], cfg).texts() == learn(pos, pair[1], cfg).texts()
@@ -557,7 +561,7 @@ def test_learn_pool_matches_literal_composition():
             if not _reducible(t) and not any(backtrack_match(parse_pattern(t), s) for s in neg)
         ]
         assert texts(survivors(pos, neg, cfg)) == full
-        unfiltered, prefiltered = (filter_components(_cut_pool(pos, cfg, n), neg) for n in ((), neg))
+        unfiltered, prefiltered = (filter_components(cut_pool_tokens(pos, cfg, n), neg) for n in ((), neg))
         assert sorted(unfiltered) == sorted(prefiltered)
 
 
@@ -620,13 +624,19 @@ def gram_inputs(draw):
 # the low 4 bits of their codes, which an int64 key of 11 characters loses
 @example((["qbbbbbbbbbbb"], ["abbbbbbbbbbb", "\ud800bbbbbbbbbb\xe9"], 12))
 def test_gram_stage_equals_reference(inp):
+    # learner._SCAN_CHARS at 0 sends every input to the numpy key pass, and
+    # above every input to the substring scan: both routes yield the
+    # reference's grams, one matrix of byte rows per length
     ordered, negatives, max_ngram = inp
-    got = []
-    for length, grams in _grams(ordered, negatives, max_ngram):
-        assert len(grams) % length == 0
-        got += (grams[i : i + length] for i in range(0, len(grams), length))
-    assert len(got) == len(set(got)), "each gram once"
-    assert set(got) == kept_grams_reference(ordered, negatives, max_ngram)
+    want = kept_grams_reference(ordered, negatives, max_ngram)
+    for bound in (0, 10**9):
+        with mock.patch.object(learner, "_SCAN_CHARS", bound):
+            yielded = list(_grams(ordered, negatives, max_ngram))
+        assert [g.shape[1] for g in yielded] == list(range(1, min(max_ngram, max(map(len, ordered))) + 1))
+        assert all(g.dtype == np.uint8 and g.ndim == 2 for g in yielded)
+        got = [row.tobytes().decode("ascii") for g in yielded for row in g]
+        assert len(got) == len(set(got)), "each gram once"
+        assert set(got) == want
 
 
 _WORDS = st.text(alphabet="abc0.", min_size=1, max_size=8)
@@ -684,12 +694,32 @@ def test_golf_learns_match_on_ints_and_w1_learns_on_windows():
         assert (ints.call_count, windows.call_count) == (len(problems), 1) and words.call_count > 0
 
 
+def test_golf_grams_are_scanned_and_w1_grams_keyed():
+    # the benchmark's golf learns (72 characters of positives and
+    # negatives) stay below learner._SCAN_CHARS, so their gram stage scans
+    # substrings; every one of a W1 round's 50 learns (5,816 characters or
+    # more) is far above it and takes the numpy key pass
+    workloads = _workloads()
+    with (
+        mock.patch.object(learner, "_scanned_grams", wraps=learner._scanned_grams) as scanned,
+        mock.patch.object(learner, "_keyed_grams", wraps=learner._keyed_grams) as keyed,
+    ):
+        problems = workloads.golf_problems(1)
+        for pos, neg in problems:
+            learn(set(pos), set(neg), workloads.GOLF_LEARNER)
+        assert (scanned.call_count, keyed.call_count) == (len(problems), 0) == (40, 0)
+        events = islice(gen_synthetic(workloads.W1_STREAM), workloads.W1_EVENTS)
+        tracking.run_tracking(events, "adaptive", workloads.W1_WINDOW, workloads.W1_LEARNER)
+        assert (scanned.call_count, keyed.call_count) == (40, 50)
+
+
 @pytest.mark.parametrize("permute", ["reversed", "shuffled"])
 def test_learn_does_not_depend_on_the_order_of_the_pool(monkeypatch, permute):
     # learn reads its pool only through the text order, a total order on
     # token strings, and greedy breaks ties in that order, so it learns
-    # the same model from the cut pool in any order, and from the grams
-    # expanded in any order, which is the order the max_pool cut sees
+    # the same model from the packed cut pool with its components in any
+    # order, and from the gram rows of either route in any order, which
+    # is the order their variants are written in before the max_pool cut
     workloads = _workloads()
     window = list(islice(gen_synthetic(workloads.W1_STREAM), workloads.W1_WINDOW))
     pos = {e.value for e in window if e.truth}
@@ -701,7 +731,7 @@ def test_learn_does_not_depend_on_the_order_of_the_pool(monkeypatch, permute):
     cases += [(pos, neg, workloads.W1_LEARNER), (pos, neg, cut)]
     want = [learn(*case).texts() for case in cases]
     uncut = dataclasses.replace(cut, max_pool=10**6)
-    assert len(_cut_pool(pos, cut, neg)) == 100 < len(_cut_pool(pos, uncut, neg))
+    assert len(cut_pool_tokens(pos, cut, neg)) == 100 < len(cut_pool_tokens(pos, uncut, neg))
 
     rng = random.Random(11)
 
@@ -712,17 +742,20 @@ def test_learn_does_not_depend_on_the_order_of_the_pool(monkeypatch, permute):
         rng.shuffle(items)
         return items
 
+    # the packed components, repacked in another order
     cut_pool, grams = learner._cut_pool, learner._grams
-    monkeypatch.setattr(learner, "_cut_pool", lambda *args: permuted(cut_pool(*args)))
+    monkeypatch.setattr(learner, "_cut_pool", lambda *args: pack_tokens(permuted(cut_pool_tokens(*args))))
     assert [learn(*case).texts() for case in cases] == want
 
     def permuted_grams(*args):
-        for length, joined in grams(*args):
-            yield length, "".join(permuted(joined[i : i + length] for i in range(0, len(joined), length)))
+        for rows in grams(*args):
+            yield rows[np.array(permuted(range(len(rows))), dtype=np.intp)]
 
     monkeypatch.setattr(learner, "_cut_pool", cut_pool)
     monkeypatch.setattr(learner, "_grams", permuted_grams)
-    assert [learn(*case).texts() for case in cases] == want
+    for bound in (0, 10**9):
+        monkeypatch.setattr(learner, "_SCAN_CHARS", bound)
+        assert [learn(*case).texts() for case in cases] == want
 
 
 def test_w1_extensions_look_pairs_up_in_a_table_and_serve_joins_a_tree_base():

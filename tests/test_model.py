@@ -13,7 +13,7 @@ from driftsig.errors import PatternSyntaxError
 from driftsig.model import Model, load_model, save_model
 from driftsig.patterns import parse_pattern
 
-from oracle import automaton_fields
+from oracle import automaton_fields, cut_pool_tokens
 from test_engine import all_join_paths
 
 
@@ -211,7 +211,7 @@ def test_long_event_memory_is_bounded_by_its_characters():
 
     from driftsig.alphabet import ALPHABET
     from driftsig.engine import match_split, pack_tokens
-    from driftsig.learner import LearnerConfig, _cut_pool, learn
+    from driftsig.learner import LearnerConfig, learn
     from driftsig.streams import DriftConfig, gen_synthetic
 
     events = list(islice(gen_synthetic(DriftConfig(seed=1)), 1000))
@@ -220,7 +220,7 @@ def test_long_event_memory_is_bounded_by_its_characters():
     cfg = LearnerConfig(max_ngram=3, max_wildcards=1, max_quantified=0)
     model = learn(pos, neg, cfg)
     model.matcher
-    raw, offsets = pack_tokens(_cut_pool(pos, cfg, ()))
+    raw, offsets = pack_tokens(cut_pool_tokens(pos, cfg, ()))
     rng = random.Random(5)
     long_event = "".join(rng.choice(ALPHABET) for _ in range(50_000))
     values = [e.value for e in events] + [long_event]
