@@ -183,23 +183,20 @@ class MultiMatcher:
     row per such state, ascending, and :meth:`real_table` derives the
     real table from the two for every reader of real transitions.  The
     constructor takes a construction's real table and rewrites it in
-    place; ``run_rows`` passes an automaton's stored pair on unchanged.
-    Every array is read-only and matching never mutates state, so
-    instances can be shared freely across threads.
+    place.  Every array is read-only and matching never mutates state,
+    so instances can be shared freely across threads.
     """
 
-    def __init__(self, trans, run_off, run_pid, end_off, end_pid, n_patterns, run_rows=None):
+    def __init__(self, trans, run_off, run_pid, end_off, end_pid, n_patterns):
         self._run_off, self._run_pid = run_off, run_pid
         self._end_off, self._end_pid = end_off, end_pid
         self._hit_run = run_off[1:] != run_off[:-1]
         self._hit_end = end_off[1:] != end_off[:-1]
         self.n_patterns = n_patterns
-        if run_rows is None:
-            run = np.flatnonzero(self._hit_run)
-            run_rows = trans[run]
-            trans[run] = run[:, None]
-        self._table, self._run_rows = trans, run_rows
-        for arr in (trans, run_rows, run_off, run_pid, end_off, end_pid, self._hit_run, self._hit_end):
+        run = np.flatnonzero(self._hit_run)
+        self._table, self._run_rows = trans, trans[run]
+        trans[run] = run[:, None]
+        for arr in (trans, self._run_rows, run_off, run_pid, end_off, end_pid, self._hit_run, self._hit_end):
             arr.setflags(write=False)
 
     def real_table(self) -> np.ndarray:
@@ -294,19 +291,15 @@ def compile_set(patterns, state_limit: int = DEFAULT_STATE_LIMIT) -> MultiMatche
     def in_list_order(off: np.ndarray, pid: np.ndarray) -> np.ndarray:
         # one sort of (state, id) keys puts each state's ids in ascending order
         state = np.repeat(np.arange(len(off) - 1, dtype=np.int64), np.diff(off))
-        return (np.sort(state * n + order[pid]) % n).astype(np.int32)
+        ids = (np.sort(state * n + order[pid]) % n).astype(np.int32)
+        ids.setflags(write=False)
+        return ids
 
-    # the reordered ids leave the run-accepting states, so the stored pair
-    # passes on as it is
-    return MultiMatcher(
-        joined._table,
-        joined._run_off,
-        in_list_order(joined._run_off, joined._run_pid),
-        joined._end_off,
-        in_list_order(joined._end_off, joined._end_pid),
-        n,
-        joined._run_rows,
-    )
+    # renumbering the ids moves no state, transition or accept count, and
+    # ``joined`` has not left this call, so it takes the list-order ids
+    joined._run_pid = in_list_order(joined._run_off, joined._run_pid)
+    joined._end_pid = in_list_order(joined._end_off, joined._end_pid)
+    return joined
 
 
 def _subset_construction(pats: list, state_limit: int) -> MultiMatcher:

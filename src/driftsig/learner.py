@@ -17,12 +17,13 @@ one byte matrix (by substring search on a small input, by one numpy
 pass over integer window keys on a larger one), each shape's variants
 of every gram are one table lookup, and each length is deduplicated on
 integer keys.  Only an oversized pool is ordered before the filter, for
-the ``max_pool`` cut, and then the survivors are ordered by their
-canonical text.  ``learn`` matches the cut pool against the positives
-and the negatives in one pass of the Shift-And kernel, which returns the
-positives' match words.  The order by text is one numpy sort over keys
-rendered from the buffer; the components that match no negative, in
-that order, are read from the words in one gather, so the cover stays
+the ``max_pool`` cut.  ``learn`` matches the cut pool against the
+positives and the negatives in one pass of the Shift-And kernel, which
+returns the positives' match words, then orders the whole cut pool by
+its canonical text and drops the components that match a negative from
+that order.  The order by text is one numpy sort over keys rendered
+from the buffer; the components that match no negative, in that
+order, are read from the words in one gather, so the cover stays
 elements-major (positives by components) from the kernel to greedy.
 Only greedy's picks are decoded to token strings, and they become
 patterns as they are, with no anchors.

@@ -361,12 +361,12 @@ def _reads(atom, ch):
     return ch is not None and _atom_accepts(atom, ch)
 
 
-def position_reads(pats, position, ch) -> bool:
-    """Whether position ``(p, k)`` of the frozenset construction over
-    ``pats`` moves on ``ch``: atom k reads it, or atom k - 1 repeats and
-    reads it."""
+def position_reads(atoms_of, position, ch) -> bool:
+    """Whether position ``(p, k)`` of the frozenset construction moves on
+    ``ch``, ``atoms_of[p]`` being pattern p's atoms: atom k reads it, or
+    atom k - 1 repeats and reads it."""
     p, k = position
-    atoms = pats[p].atoms
+    atoms = atoms_of[p]
     if k < len(atoms) and _reads(atoms[k], ch):
         return True
     return k > 0 and _repeats(atoms[k - 1]) and _reads(atoms[k - 1], ch)
@@ -382,13 +382,15 @@ def subset_construction_reference(patterns):
     (parent, symbol) over ``SYMBOLS``; ``trans`` is the int32 table.
     """
     pats = list(patterns)
+    # Pattern.atoms builds a new tuple at every read
+    atoms_of = [pat.atoms for pat in pats]
 
     def closure(positions):
         out = set(positions)
         todo = list(out)
         while todo:
             p, k = todo.pop()
-            atoms = pats[p].atoms
+            atoms = atoms_of[p]
             if k < len(atoms) and _skippable(atoms[k]) and (p, k + 1) not in out:
                 out.add((p, k + 1))
                 todo.append((p, k + 1))
@@ -399,7 +401,7 @@ def subset_construction_reference(patterns):
     def step(state, ch):
         nxt = set(free)
         for p, k in state:
-            atoms = pats[p].atoms
+            atoms = atoms_of[p]
             if k < len(atoms) and _reads(atoms[k], ch):
                 nxt.add((p, k + 1))
             if k > 0 and _repeats(atoms[k - 1]) and _reads(atoms[k - 1], ch):
@@ -427,9 +429,10 @@ def subset_construction_fields(patterns):
     the empty string everywhere is in every state's ids."""
     pats = list(patterns)
     states, trans = subset_construction_reference(pats)
+    n_atoms = [len(pat.atoms) for pat in pats]
 
     def ids(state, anchored_end):
-        done = (p for p, k in state if k == len(pats[p].atoms) and pats[p].anchored_end == anchored_end)
+        done = (p for p, k in state if k == n_atoms[p] and pats[p].anchored_end == anchored_end)
         return tuple(sorted(done))
 
     run = tuple(ids(s, False) for s in states)
