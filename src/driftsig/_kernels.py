@@ -18,7 +18,8 @@ take flat arrays: patterns as packed by ``engine.pack_patterns`` and
 subjects as encoded by ``alphabet.encode_many``.  The scan, and the
 match on large inputs, step the subjects one character position at a
 time over the same layout, :func:`time_major`: the strings sorted
-longest first and their codes laid out step by step,
+longest first (by :func:`stable_order`, the one stable sort of small
+integer keys, on a radix key) and their codes laid out step by step,
 so the strings still being read at a step are a prefix of the sorted
 ones and that step's characters one contiguous slice.  Nothing is
 padded: a batch costs one entry per character, and a step costs only
@@ -67,6 +68,18 @@ HAVE_NUMBA = False
 NUMBA_ENABLED = False
 
 
+def stable_order(keys, top):
+    """``np.argsort(keys, kind="stable")`` of non-negative integer keys of
+    at most ``top``.
+
+    The keys are sorted cast to the narrowest unsigned type that holds
+    ``top``: numpy sorts keys of one or two bytes by radix, in linear
+    time, and wider ones by timsort.  Every stable sort of small integer
+    keys in the package goes through here.
+    """
+    return np.argsort(keys.astype(np.min_scalar_type(top)), kind="stable")
+
+
 def time_major(scodes, s_off):
     """The strings' codes laid out time-major, longest string first, with
     no padding: one entry per character.
@@ -74,12 +87,15 @@ def time_major(scodes, s_off):
     Returns ``(cols, off, order)``: the strings still being read at step t
     are the first ``off[t + 1] - off[t]`` sorted ones, ``cols[off[t]:off[t + 1]]``
     holds their character t, and sorted string j is ``order[j]`` in the
-    input.  Empty strings sort last and are never read.
+    input.  Empty strings sort last and are never read.  The order is
+    :func:`stable_order` of ``n_steps - length``, the longest string's
+    length less each one's: longest first, ties in input order, on a
+    one-byte key while no string is longer than 255 characters.
     """
     lengths = np.diff(s_off)
-    order = np.argsort(-lengths, kind="stable")
+    n_steps = int(lengths.max(initial=0))
+    order = stable_order(n_steps - lengths, n_steps)
     by_len = lengths.take(order)
-    n_steps = int(by_len[0]) if len(by_len) else 0
     # strings longer than t, that is, still live at step t
     live = np.searchsorted(-by_len, -np.arange(n_steps), side="left")
     off = np.zeros(n_steps + 1, dtype=np.int64)
@@ -150,10 +166,11 @@ def _word_layout(pat_off):
     Patterns are placed shortest first.  Patterns of one length share
     words, as many to a word as fit, and each length starts a new word;
     a pattern longer than 64 atoms starts a word and spans as many as it
-    needs.  Returns ``(bit, n_words)``.
+    needs.  The patterns are ordered by :func:`stable_order` of their
+    atom counts, ties in input order.  Returns ``(bit, n_words)``.
     """
     lengths = np.diff(pat_off)
-    order = np.argsort(lengths, kind="stable")
+    order = stable_order(lengths, lengths.max())
     by_len = lengths.take(order)
     # per length present: its patterns, how many share a word, how many
     # words one spans, and the words they take

@@ -441,8 +441,11 @@ def _trie_construction(pats: list, state_limit: int) -> MultiMatcher:
     breadth-first order.  Once no node is on the way of two strings, each
     string left goes on as a chain of its own, so the chains' nodes are
     numbered in one step, by depth and then by the id of the node where
-    the chain starts.  Raises :class:`CapacityError` exactly when the
-    subset construction would.
+    the chain starts.  That step's sort, by depth, and the accepts' sort
+    by state are :func:`_kernels.stable_order` of keys no larger than the
+    state count, so a trie of at most 65,536 states sorts two-byte keys.
+    Raises :class:`CapacityError` exactly when the subset construction
+    would.
     """
     # the distinct token strings, and each pattern's
     string_of: dict[str, int] = {}
@@ -494,7 +497,7 @@ def _trie_construction(pats: list, state_limit: int) -> MultiMatcher:
     ends = np.cumsum(tail)
     step = np.arange(total) - np.repeat(ends - tail, tail)
     ids = np.empty(total, dtype=np.int64)
-    ids[np.argsort(step, kind="stable")] = np.arange(n_states, n_states + total)
+    ids[_kernels.stable_order(step, tail.max(initial=0))] = np.arange(n_states, n_states + total)
     parent = np.roll(ids, 1)
     parent[ends - tail] = node[live]
     entries.append(parent * N_SYMBOLS + codes[np.repeat(offsets[live], tail) + depth + step])
@@ -511,7 +514,7 @@ def _trie_construction(pats: list, state_limit: int) -> MultiMatcher:
 
     def accepts(mask: np.ndarray):
         pid = mask.nonzero()[0]
-        pid = pid[np.argsort(state[pid], kind="stable")]
+        pid = pid[_kernels.stable_order(state[pid], n_states - 1)]
         off = np.zeros(n_states + 1, dtype=np.int32)
         off[1:] = np.cumsum(np.bincount(state[pid], minlength=n_states))
         return off, pid.astype(np.int32)

@@ -94,6 +94,26 @@ def match_set_bruteforce(patterns, s: str) -> set[int]:
     return {i for i, p in enumerate(patterns) if backtrack_match(p, s)}
 
 
+def time_major_reference(scodes, s_off):
+    """Reference for ``_kernels.time_major``: ``(cols, off, order)``, the
+    strings ordered by a stable sort of their negated lengths as int64
+    keys, and the layout built from that order."""
+    lengths = np.diff(s_off)
+    order = np.argsort(-lengths, kind="stable")
+    by_len = lengths.take(order)
+    n_steps = int(by_len[0]) if len(by_len) else 0
+    # strings longer than t, that is, still live at step t
+    live = np.searchsorted(-by_len, -np.arange(n_steps), side="left")
+    off = np.zeros(n_steps + 1, dtype=np.int64)
+    np.cumsum(live, out=off[1:])
+    # entry i of step t is character t of sorted string i - off[t]
+    src = np.arange(off[-1])
+    src -= np.repeat(off[:-1], live)
+    src = s_off.take(order).take(src)
+    src += np.repeat(np.arange(n_steps), live)
+    return scodes.take(src), off, order
+
+
 _ATOM_TOKEN = {atom: token for token, atom in TOKEN_ATOMS.items()}
 
 

@@ -27,6 +27,7 @@ from oracle import (
     state_ids,
     subset_construction_fields,
     subset_construction_reference,
+    time_major_reference,
 )
 
 # no example database on disk, and the same examples on every run
@@ -582,6 +583,95 @@ def test_kernels_step_string_batches_with_every_pattern_at_once():
             words, last, hit = _kernels.nfa_match_split(codes, loop, skip, offs, flags, scodes, s_off, n_rows)
             assert np.array_equal(_match_bits(words, last), expected[:, :n_rows])
             assert np.array_equal(hit, expected[:, n_rows:].any(axis=1))
+
+
+def test_word_path_matches_a_pattern_of_more_than_255_atoms():
+    # a 300-atom pattern with optional and repeating atoms takes the word
+    # layout, not the windows: its atom count is a two-byte key of
+    # _word_layout's sort, and its bits carry across five words
+    rng = random.Random(300)
+    chars = [rng.choice("ab01") for _ in range(300)]
+    quants = {62: "?", 63: "*", 64: "+", 127: "?", 200: "*", 255: "+", 256: "?", 299: "?"}
+    text = "".join(c + quants.get(i, "") for i, c in enumerate(chars))
+    patterns = [pat(text), pat("^" + text), pat(text[:-1] + "$")]
+    # a 60-atom pattern, which would sort after it on one-byte counts (300 is 44)
+    patterns += [pat("".join(chars[:60]))] + [random_pattern(rng, max_atoms=4) for _ in range(30)]
+    rng.shuffle(patterns)
+    codes, loop, skip, offs, flags = pack_patterns(patterns)
+    assert max(len(p.atoms) for p in patterns) == 300
+
+    def expand(reps):
+        """The subject reading atom i ``reps.get(i, 1)`` times."""
+        return "".join(c * reps.get(i, 1) for i, c in enumerate(chars))
+
+    whole = expand({})
+    subjects = [whole, "x" + whole, whole + "y", whole[:-1], whole[1:], "", "ab01"]
+    subjects += [expand({i: 0 for i in quants if quants[i] != "+"}), expand({i: 2 for i in quants if quants[i] != "?"})]
+    # one character changed on either side of each word boundary
+    for i in (62, 63, 64, 65, 127, 128, 191, 192, 255, 256, 257):
+        subjects.append(whole[:i] + "_" + whole[i + 1 :])
+    subjects += [random_subject(rng, max_len=40) for _ in range(20)]
+    scodes, s_off = encode_many(subjects)
+    expected = np.array([[backtrack_match(p, s) for s in subjects] for p in patterns])
+    long = [len(p.atoms) >= 60 for p in patterns]
+    assert expected[long].any(axis=1).all() and not expected[long].all(axis=1).any()
+
+    # the layout equals the one of a stable sort of int64 lengths
+    bit, n_words = _kernels._word_layout(offs)
+    argsort = mock.patch.object(_kernels, "stable_order", lambda keys, top: np.argsort(keys, kind="stable"))
+    with argsort:
+        want_bit, want_words = _kernels._word_layout(offs)
+    assert n_words == want_words and np.array_equal(bit, want_bit)
+
+    words_path = mock.patch.object(_kernels, "_match_words", wraps=_kernels._match_words)
+    windows = mock.patch.object(_kernels, "_match_windows", wraps=_kernels._match_windows)
+    with words_path as on_words, windows as on_windows:
+        matrix = _kernels.nfa_match_matrix(codes, loop, skip, offs, flags, scodes, s_off)
+        words, last, hit = _kernels.nfa_match_split(codes, loop, skip, offs, flags, scodes, s_off, 9)
+    assert on_words.call_count == 2 and on_windows.call_count == 0
+    assert np.array_equal(matrix, expected)
+    assert np.array_equal(_match_bits(words, last), expected[:, :9])
+    assert np.array_equal(hit, expected[:, 9:].any(axis=1))
+
+
+# keys whose top, the largest key, is on either side of the largest one-,
+# two- and four-byte key
+@pytest.mark.parametrize("top,key_bytes", [(0, 1), (255, 1), (256, 2), (65_535, 2), (65_536, 4), (2**32 - 1, 4), (2**32, 8)])
+def test_stable_order_equals_a_stable_argsort_at_every_key_width(top, key_bytes):
+    assert np.min_scalar_type(top).itemsize == key_bytes
+    rng = np.random.default_rng(top)
+    # many ties, and both ends of the range
+    keys = np.concatenate([rng.integers(0, top + 1, 300), rng.integers(0, min(top, 3) + 1, 300), [0, top] * 20])
+    rng.shuffle(keys)
+    for k in (keys, keys[:1], keys[:0]):
+        order = _kernels.stable_order(k, top)
+        assert order.dtype == np.intp and np.array_equal(order, np.argsort(k, kind="stable"))
+
+
+# the lengths of each batch: many ties, empty strings, and a longest
+# string (the layout's largest key) on either side of the largest one-
+# and two-byte key
+_LAYOUT_LENGTHS = {
+    "empty batch": [],
+    "all empty": [0] * 20,
+    "one-byte key": [3, 0, 255, 254, 3, 255, 0, 1] * 10,
+    "two-byte key from 256": [256, 255, 0, 256, 1, 255, 256, 1, 1] * 10,
+    "two-byte key at its top": [65_535, 255, 256, 0, 65_535] + [3, 0, 255, 256] * 20,
+    "four-byte key": [65_536, 65_535, 0, 65_536] + [256, 255, 1, 0, 65_535] * 20,
+}
+
+
+@pytest.mark.parametrize("name", list(_LAYOUT_LENGTHS))
+def test_time_major_equals_the_reference_at_every_key_width(name):
+    lengths = _LAYOUT_LENGTHS[name]
+    rng = random.Random(name)
+    # 'X' is outside the alphabet
+    strings = ["".join(rng.choices(ALPHABET + "X", k=n)) for n in lengths]
+    scodes, s_off = encode_many(strings)
+    layout = _kernels.time_major(scodes, s_off)
+    assert np.array_equal(layout[2], np.argsort(-np.array(lengths, dtype=np.int64), kind="stable"))
+    for got, want in zip(layout, time_major_reference(scodes, s_off)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 _ATOMS = st.one_of(

@@ -1,5 +1,7 @@
 import gc
+import random
 import weakref
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -8,12 +10,14 @@ from hypothesis import strategies as st
 
 from driftsig import cli
 from driftsig import model as model_mod
+from driftsig.alphabet import ALPHABET
 from driftsig.engine import compile_set
 from driftsig.errors import PatternSyntaxError
 from driftsig.model import Model, load_model, save_model
 from driftsig.patterns import parse_pattern
+from driftsig.streams import DriftConfig, gen_synthetic
 
-from oracle import automaton_fields, cut_pool_tokens
+from oracle import automaton_fields, cut_pool_tokens, match_set_bruteforce
 from test_engine import all_join_paths
 
 
@@ -245,3 +249,19 @@ def test_long_event_memory_is_bounded_by_its_characters():
     short_hit = match_split(raw, offsets, pos, neg)[2]
     assert not (short_hit & ~hit).any()
     assert (hit & ~short_hit).any()
+
+
+def test_serve_model_labels_a_batch_holding_a_70000_character_value():
+    # the long value's length puts the layout's key past two bytes
+    patterns = list(load_model(SERVE_MODEL).patterns)
+    m = compile_set(patterns)
+    rng = random.Random(70)
+    exact = [p.tokens for p in patterns if p.anchored_start and p.anchored_end]
+    values = [e.value for e in islice(gen_synthetic(DriftConfig(seed=1)), 80)]
+    values += rng.sample(exact, 10) + ["", "a"]
+    values.append("".join(rng.choice(ALPHABET) for _ in range(70_000)))
+    rng.shuffle(values)
+    labels = m.match_any_batch(values)
+    assert labels.tolist() == [bool(match_set_bruteforce(patterns, v)) for v in values]
+    assert labels.any() and not labels.all()
+    assert m.match_any_batch([]).shape == (0,)
